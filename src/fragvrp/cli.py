@@ -50,7 +50,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--k-max", type=int, default=d.k_max)
     s.add_argument("--t-guess", type=float, default=d.t_guess)
     s.add_argument("--f-max", type=int, default=d.f_max)
-    s.add_argument("--threads", type=int, default=d.threads)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_solve)
 
@@ -115,7 +114,7 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(time_limit=args.time_limit, ng_size=args.ng_size,
                        gap_init=args.gap_init, gap_step=args.gap_step,
                        k_max=args.k_max, t_guess=args.t_guess,
-                       f_max=args.f_max, threads=args.threads)
+                       f_max=args.f_max)
     st = run(inst, cfg)
     _emit(solution_to_json(st), args.out)
     if st.status == "optimal":

@@ -371,14 +371,8 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     t0 = time.monotonic()
     lbres = compute_lower_bound(pinst, cfg, clock, calc)
     mark("lower_bound", t0)
-    counts["FSEC"] += sum(1 for c in lbres.cuts
-                          if isinstance(c, cutlib.FsecCut))
-    counts["TIFI"] += sum(1 for c in lbres.cuts
-                          if isinstance(c, cutlib.TifiCut))
-    counts["TDIFI"] += sum(1 for c in lbres.cuts
-                           if isinstance(c, cutlib.TdifiCut))
-    counts["RCC"] += sum(1 for c in lbres.cuts
-                         if isinstance(c, cutlib.RccCut))
+    for c in lbres.cuts:
+        counts[c.kind] += 1
     if lbres.status == "infeasible":
         return BoundsState(float("inf"), float("inf"), float("inf"),
                            None, 0, "infeasible", stats)
@@ -474,10 +468,6 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
                            None, iteration, status, stats)
     return BoundsState(lb_sol, ub_sol, ub_cand, incumbent, iteration,
                        status, stats)
-
-
-def solve(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
-    return run(inst, cfg)
 
 
 # -- solution file ------------------------------------------------------

@@ -19,7 +19,6 @@ new, usually tighter, budget.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +26,8 @@ import numpy as np
 from .fragments import Fragment, Infeasible, assemble, initial_bounds
 from .instance import Instance, SolverConfig
 from .master import DualValues, MasterError, MasterModel
-from .pricing import CostEnv, Label, exact_memory, extend_label, is_complete
+from .pricing import (CostEnv, Label, exact_memory, extend_label,
+                      fragment_reduced_cost, is_complete)
 
 
 class LimitExceeded(Exception):
@@ -159,11 +159,7 @@ def reduce_by_route_bound(frags: Sequence[Fragment], duals: DualValues,
     """
     env = CostEnv(duals, inst)
     alive: Dict[tuple, Fragment] = {f.tasks: f for f in frags}
-    rc = {f.tasks: float(env.init_cost(f.start)
-                         + sum(float(env.cbar[a, b])
-                               for a, b in zip(f.tasks, f.tasks[1:]))
-                         + env.completion_charge(f.start, f.end, f.es, f.ls,
-                                                 f.dur, f.demand))
+    rc = {f.tasks: fragment_reduced_cost(f, duals, inst, env=env)
           for f in frags}
     while True:
         by_end: Dict[int, List[Fragment]] = {}
@@ -211,24 +207,3 @@ def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
            if f.tasks in protect
            or master.reduced_cost_of(f, sol.duals) <= budget + tol]
     return out, sol.duals, lb
-
-
-# --- debugging aid --------------------------------------------------------
-
-def dump_fragments(frags: Sequence[Fragment], path: str) -> None:
-    """Count-prefixed task sequences, little-endian int32."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<i", len(frags)))
-        for f in frags:
-            fh.write(struct.pack("<i", len(f.tasks)))
-            fh.write(struct.pack("<%di" % len(f.tasks), *f.tasks))
-
-
-def read_fragment_sequences(path: str) -> List[tuple]:
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<i", fh.read(4))
-        out = []
-        for _ in range(count):
-            (ln,) = struct.unpack("<i", fh.read(4))
-            out.append(struct.unpack("<%di" % ln, fh.read(4 * ln)))
-        return out

@@ -166,7 +166,6 @@ class SolverConfig:
     frcc_size_cap_fraction: float = 0.25
     lp_tolerance: float = 1e-6
     time_limit: float = float("inf")
-    threads: int = 1
     enabled_cuts: frozenset = frozenset({"FSEC", "TIFI", "TDIFI", "RCC"})
 
 

@@ -367,24 +367,6 @@ class MasterModel:
         return [(self.fragments[i], float(x[i]))
                 for i in np.nonzero(np.asarray(x) > eps)[0]]
 
-    # -- debugging ----------------------------------------------------
-
-    def export_lp(self, path: str):
-        """Plain-text dump of the current model, one row per line."""
-        A, obj, lb, ub, senses, rhs = self._assemble()
-        A = A.tocsr()
-        rel = {"L": "<=", "G": ">=", "E": "="}
-        with open(path, "w") as fh:
-            fh.write("min " + " + ".join(
-                "%g x%d" % (c, j) for j, c in enumerate(obj) if c) + "\n")
-            for r in range(A.shape[0]):
-                lo, hi = A.indptr[r], A.indptr[r + 1]
-                terms = " + ".join("%g x%d" % (A.data[k], A.indices[k])
-                                   for k in range(lo, hi))
-                fh.write("r%d: %s %s %g\n" % (r, terms, rel[senses[r]], rhs[r]))
-            for j in range(len(obj)):
-                fh.write("x%d in [%g, %g]\n" % (j, lb[j], ub[j]))
-
 
 def initial_fragments(inst: Instance) -> List[Fragment]:
     """Seed columns: every feasible two-node fragment over the depot and

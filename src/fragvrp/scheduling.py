@@ -1,49 +1,50 @@
-"""Joint start-time propagation for fixed route sets.
+"""Earliest start times for fixed route sets.
 
 Given a set of routes (ordered task sequences, depot legs implicit) the
-entry point computes integer start times consistent with task windows, route
-chaining, the horizon, and every temporal dependency whose endpoints are
-both scheduled.  Starting orders of dependent pairs are branched when not
-forced.  At the propagation fixed point the lower-bound vector is itself a
-feasible schedule, so the feasibility verdict is exact, not heuristic.
+entry point decides whether integer start times exist that respect task
+windows, route chaining, the horizon, and every temporal dependency whose
+endpoints are both scheduled, and returns the earliest such schedule.
+
+Once the starting order of every dependent pair is fixed, each constraint
+is either a window [lo, hi] on one start or a difference edge
+b_b >= b_a + w (a band [m, M] on b_v - b_u is two edges).  That is a
+simple temporal network (Dechter, Meiri & Pearl, 1991): its earliest
+schedule is the longest-path vector from the window openings, which
+Bellman-Ford finds in at most |V| passes or refutes by a positive cycle,
+and the order is feasible exactly when that vector stays within the window
+closings.  No pass count depends on the horizon value.
+
+Orders that are not forced are branched depth first, u first before v
+first.  The network is propagated at every branch node, starting from the
+parent's earliest starts, so a subtree dies at its first conflicting
+order.
 """
 
 from __future__ import annotations
 
 
-def _propagate(lo, hi, chain, dep_rules):
-    """Round-robin bound tightening until a fixed point; False on conflict.
-
-    chain: (a, b, w) meaning b_b >= b_a + w.
-    dep_rules: (u, v, m, M) meaning b_v - b_u in [m, M].
-    """
-    changed = True
-    while changed:
+def _propagate(lo, hi, edges):
+    """Raises lo to the least solution of b_b >= b_a + w over the edges
+    (a, b, w), in place.  False when some lo[v] passes hi[v] or when
+    |V| + 1 passes still change lo, which proves a positive cycle."""
+    for _ in range(len(lo) + 1):
         changed = False
-        for a, b, w in chain:
+        for a, b, w in edges:
             if lo[a] + w > lo[b]:
                 lo[b] = lo[a] + w
                 changed = True
-            if hi[b] - w < hi[a]:
-                hi[a] = hi[b] - w
-                changed = True
-        for u, v, m, M in dep_rules:
-            if lo[u] + m > lo[v]:
-                lo[v] = lo[u] + m
-                changed = True
-            if lo[v] - M > lo[u]:
-                lo[u] = lo[v] - M
-                changed = True
-            if hi[u] + M < hi[v]:
-                hi[v] = hi[u] + M
-                changed = True
-            if hi[v] - m < hi[u]:
-                hi[u] = hi[v] - m
-                changed = True
-        for v in lo:
-            if lo[v] > hi[v]:
-                return False
-    return True
+        if any(lo[v] > hi[v] for v in lo):
+            return False
+        if not changed:
+            return True
+    return False
+
+
+def _order_edges(d, bit):
+    """The band of dependency d under its order bit (1: u starts first)."""
+    if bit:
+        return [(d.u, d.v, d.dmin_uv), (d.v, d.u, -d.dmax_uv)]
+    return [(d.v, d.u, d.dmin_vu), (d.u, d.v, -d.dmax_vu)]
 
 
 def schedule_routes(routes, inst, forced_orders=None):
@@ -54,35 +55,31 @@ def schedule_routes(routes, inst, forced_orders=None):
     first (1 means u).  Dependencies with an endpoint outside the routes are
     ignored.
 
-    Returns (ok, starts, orders); starts maps task -> start time and orders
-    maps each decided canonical pair -> 0/1.
+    Returns (ok, starts, orders); starts maps task -> earliest start time
+    under the returned orders, and orders maps each decided canonical
+    pair -> 0/1.
     """
     routes = [list(r) for r in routes if r]
-    present = set()
-    for r in routes:
-        present.update(r)
-
-    chain = []
-    base_lo = {}
-    base_hi = {}
+    lo = {}
+    hi = {}
+    edges = []
     for r in routes:
         for v in r:
-            base_lo[v] = int(inst.alpha[v])
-            base_hi[v] = int(inst.beta[v])
+            lo[v] = int(inst.alpha[v])
+            hi[v] = int(inst.beta[v])
         first, last = r[0], r[-1]
         # vehicle leaves the depot no earlier than time 0
-        base_lo[first] = max(base_lo[first], int(inst.t[0, first]))
+        lo[first] = max(lo[first], int(inst.t[0, first]))
         # and must be back before the end of the horizon
-        base_hi[last] = min(base_hi[last],
-                            inst.tmax - int(inst.dur[last]) - int(inst.t[last, 0]))
+        hi[last] = min(hi[last],
+                       inst.tmax - int(inst.dur[last]) - int(inst.t[last, 0]))
         for a, b in zip(r, r[1:]):
-            chain.append((a, b, int(inst.dur[a]) + int(inst.t[a, b])))
+            edges.append((a, b, int(inst.dur[a]) + int(inst.t[a, b])))
 
-    fixed = []     # (u, v, m, M) rules decided up front
-    free = []      # canonical pairs still to branch
+    free = []      # dependencies whose order is still to branch
     orders = {}
     for d in inst.deps:
-        if d.u not in present or d.v not in present:
+        if d.u not in lo or d.v not in lo:
             continue
         pair = (d.u, d.v)
         u_first_ok = not inst.order_forbidden(d.u, d.v)
@@ -96,31 +93,24 @@ def schedule_routes(routes, inst, forced_orders=None):
             return False, {}, {}
         if u_first_ok and v_first_ok:
             free.append(d)
-        elif u_first_ok:
-            fixed.append((d.u, d.v, d.dmin_uv, d.dmax_uv))
-            orders[pair] = 1
         else:
-            fixed.append((d.v, d.u, d.dmin_vu, d.dmax_vu))
-            orders[pair] = 0
+            orders[pair] = 1 if u_first_ok else 0
+            edges += _order_edges(d, orders[pair])
 
-    def attempt(i, rules, chosen):
-        if i == len(free):
-            lo = dict(base_lo)
-            hi = dict(base_hi)
-            if _propagate(lo, hi, chain, rules):
-                return lo, chosen
+    def attempt(i, lo, edges):
+        if not _propagate(lo, hi, edges):
             return None
+        if i == len(free):
+            return lo
         d = free[i]
-        out = attempt(i + 1, rules + [(d.u, d.v, d.dmin_uv, d.dmax_uv)],
-                      chosen + [((d.u, d.v), 1)])
-        if out is not None:
-            return out
-        return attempt(i + 1, rules + [(d.v, d.u, d.dmin_vu, d.dmax_vu)],
-                       chosen + [((d.u, d.v), 0)])
+        for bit in (1, 0):
+            orders[(d.u, d.v)] = bit
+            out = attempt(i + 1, dict(lo), edges + _order_edges(d, bit))
+            if out is not None:
+                return out
+        return None
 
-    out = attempt(0, fixed, [])
-    if out is None:
+    lo = attempt(0, lo, edges)
+    if lo is None:
         return False, {}, {}
-    lo, chosen = out
-    orders.update(dict(chosen))
     return True, lo, orders

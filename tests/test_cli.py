@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line frontend's exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,8 +221,11 @@ class TestBench:
 
 
 def test_console_script_help():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-m", "fragvrp.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
     assert res.returncode == 0
     for word in ("solve", "oracle", "generate", "verify", "bench"):
         assert word in res.stdout

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fragvrp import cuts
-from fragvrp.enumeration import (LimitExceeded, dump_fragments,
-                                 enumerate_fragments, read_fragment_sequences,
+from fragvrp.enumeration import (LimitExceeded, enumerate_fragments,
                                  reduce_by_resolve, reduce_by_route_bound)
 from fragvrp.fragments import build_fragment
 from fragvrp.instance import SolverConfig, Task, TemporalDependency
@@ -120,14 +119,6 @@ class TestEnumerate:
         a = enumerate_fragments(zero_duals(inst), 60.0, inst, cfg)
         b = enumerate_fragments(zero_duals(inst), 60.0, inst, cfg)
         assert [f.tasks for f in a] == [f.tasks for f in b]
-
-    def test_dump_round_trip(self, tmp_path):
-        inst = line_instance(n=4, deps=[TemporalDependency(1, 4, 0, 40, 0, 40)])
-        frags = enumerate_fragments(zero_duals(inst), 1000.0, inst,
-                                    SolverConfig())
-        path = str(tmp_path / "frags.bin")
-        dump_fragments(frags, path)
-        assert read_fragment_sequences(path) == [f.tasks for f in frags]
 
 
 class TestRouteBound:

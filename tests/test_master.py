@@ -220,14 +220,3 @@ class TestInteger:
             assert all(abs(x) < TOL or abs(x - 1) < TOL for x in res.x)
             for val in res.p.values():
                 assert abs(val) < TOL or abs(val - 1) < TOL
-
-
-class TestExport:
-    def test_lp_text_dump(self, tmp_path):
-        inst = line_instance(2, deps=[dep(1, 2, (0, 30, 0, 30))], horizon=30)
-        m, _ = solved(inst)
-        path = tmp_path / "model.lp"
-        m.export_lp(str(path))
-        text = path.read_text()
-        assert text.startswith("min ")
-        assert "<=" in text and ">=" in text

@@ -1,6 +1,9 @@
 import itertools
+import time
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fragvrp.instance import Instance, Task, TemporalDependency
 from fragvrp.scheduling import schedule_routes
@@ -38,15 +41,33 @@ def starts_feasible(routes, starts, inst):
     return True
 
 
-def brute_feasible(routes, inst):
-    """Exhaustive search over integer start combinations."""
+def meets_orders(starts, inst, orders):
+    """Each scheduled pair in orders starts in the order its bit names
+    (1: u first), inside that order's band."""
+    for (u, v), bit in orders.items():
+        if u not in starts or v not in starts:
+            continue
+        a, b = (u, v) if bit else (v, u)
+        d = inst.dep_index[(a, b)]
+        if inst.order_forbidden(a, b) or not (
+                starts[a] <= starts[b]
+                and d.dmin_uv <= starts[b] - starts[a] <= d.dmax_uv):
+            return False
+    return True
+
+
+def brute_schedules(routes, inst):
+    """Every feasible integer start combination, by exhaustive search."""
     order = [v for r in routes for v in r]
     ranges = [range(int(inst.alpha[v]), int(inst.beta[v]) + 1) for v in order]
     for combo in itertools.product(*ranges):
         starts = dict(zip(order, combo))
         if starts_feasible(routes, starts, inst):
-            return True
-    return False
+            yield starts
+
+
+def brute_feasible(routes, inst):
+    return next(brute_schedules(routes, inst), None) is not None
 
 
 def tiny_instance(windows, deps, horizon=12, travel=1):
@@ -121,3 +142,88 @@ class TestScheduleRoutes:
                 checked += 1
         assert checked > 100
         assert disagreements == 0
+
+    def test_infeasible_cycle_at_large_horizon(self):
+        # same-route successor must start later, synchronization wants
+        # equal starts: a positive cycle no window closing ever cuts short
+        H = 10 ** 7
+        dep = TemporalDependency(1, 2, 0, 0, 0, 0)
+        inst = tiny_instance([(0, H - 10), (0, H - 10)], [dep], horizon=H)
+        t0 = time.perf_counter()
+        ok, _, _ = schedule_routes([[1, 2]], inst)
+        assert not ok
+        assert time.perf_counter() - t0 < 1.0
+
+
+@st.composite
+def small_systems(draw):
+    """Routes over at least two of 2-4 tasks with random windows,
+    durations and travel, 0-3 dependencies (some with a forbidden order)
+    and random forced orders."""
+    n = draw(st.integers(2, 4))
+    horizon = draw(st.integers(6, 12))
+    tasks = [Task(0, 0, horizon, 0, 0)]
+    for v in range(1, n + 1):
+        a = draw(st.integers(0, horizon // 2))
+        tasks.append(Task(v, a, draw(st.integers(a, horizon)),
+                          draw(st.integers(0, 2)), 1))
+    t = np.array([[0 if a == b else draw(st.integers(0, 2))
+                   for b in range(n + 1)] for a in range(n + 1)])
+    pairs = draw(st.lists(st.sampled_from(
+        list(itertools.combinations(range(1, n + 1), 2))),
+        max_size=3, unique=True))
+    deps = []
+    forced = {}
+    for u, v in pairs:
+        band = []
+        for _ in range(2):
+            m = draw(st.integers(0, 3))
+            band += [m, draw(st.integers(m, horizon))]
+        forbid = draw(st.sampled_from(["none", "uv", "vu"]))
+        if forbid == "uv":
+            band[0:2] = [horizon, horizon]
+        if forbid == "vu":
+            band[2:4] = [horizon, horizon]
+        deps.append(TemporalDependency(u, v, *band))
+        bit = draw(st.sampled_from([None, 0, 1]))
+        if bit is not None:
+            forced[(u, v)] = bit
+    inst = Instance(tasks, t, t, n, 99, horizon, deps)
+    order = draw(st.permutations(range(1, n + 1)))
+    order = order[:draw(st.integers(2, n))]
+    breaks = sorted(draw(st.sets(st.integers(1, len(order) - 1))))
+    routes = [list(order[i:j])
+              for i, j in zip([0] + breaks, breaks + [len(order)])]
+    return routes, inst, forced
+
+
+# edges are relaxed route chaining first: the dependency raises task 3 on
+# the first pass, its route successor 4 moves only on the second, and a
+# third pass confirms the fixed point
+@example(([[1, 2], [3, 4]],
+          tiny_instance([(0, 10)] * 4,
+                        [TemporalDependency(2, 3, 0, 10, 0, 10)]),
+          {(2, 3): 1}))
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_verdict_and_earliest_starts_match_exhaustive_search(case):
+    routes, inst, forced = case
+    schedules = list(brute_schedules(routes, inst))
+    present = {v for r in routes for v in r}
+    pairs = [(d.u, d.v) for d in inst.deps
+             if d.u in present and d.v in present]
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        full = dict(zip(pairs, bits))
+        assert schedule_routes(routes, inst, full)[0] == \
+            any(meets_orders(s, inst, full) for s in schedules)
+    ok, starts, orders = schedule_routes(routes, inst, forced)
+    assert ok == any(meets_orders(s, inst, forced) for s in schedules)
+    if not ok:
+        return
+    assert orders.keys() == set(pairs)
+    assert all(orders[p] == bit for p, bit in forced.items() if p in orders)
+    assert starts_feasible(routes, starts, inst)
+    assert meets_orders(starts, inst, orders)
+    for other in schedules:
+        if meets_orders(other, inst, orders):
+            assert all(starts[v] <= other[v] for v in other)
