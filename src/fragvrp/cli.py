@@ -15,7 +15,8 @@ import sys
 from .bench import generate_dependencies, parse_solomon, run_batch
 from .driver import check_solution, incumbent_from_json, run, \
     solution_to_json
-from .instance import SolverConfig, load_instance, save_instance
+from .instance import SolverConfig, load_instance, save_instance, \
+    validate
 from .oracle import arc_model_solve, brute_force_optimal
 
 _LIMIT_STATUSES = ("gap-limit", "time-limit", "fragment-limit")
@@ -85,10 +86,14 @@ def _build_parser() -> _Parser:
 
 def _load(path):
     try:
-        return load_instance(path)
+        inst = load_instance(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
         raise _InputError(f"cannot load instance {path}: {exc}") from exc
+    problems = validate(inst)
+    if problems:
+        raise _InputError(f"invalid instance {path}: {problems[0]}")
+    return inst
 
 
 def _read_json(path):

@@ -3,7 +3,10 @@
 Five cut families strengthen the master relaxation:
 
 * FSEC: subtour elimination over sets of dependent tasks, with a
-  minimum-vehicle right-hand side computed by route enumeration.
+  minimum-vehicle right-hand side V_min(S) found by one depth-first
+  search that inserts the tasks of S into partial routes and drops a
+  branch at the first placement ``schedule_routes`` rejects (sound when
+  travel times meet the triangle inequality).
 * TIFI: time infeasible fragment inequalities at a single task.
 * TDIFI: temporal dependency infeasible fragment inequalities at a
   dependent pair, in four variants (min/max difference per order).
@@ -214,49 +217,26 @@ def rcc_rhs(S: Iterable[int], inst: Instance) -> int:
 # Minimum-vehicle computation for FSECs
 
 
-def _partitions_exact(items: Sequence[int], k: int):
-    """All partitions of items into exactly k non-empty blocks."""
-    items = list(items)
-    if k <= 0 or k > len(items):
-        return
-    if k == 1:
-        yield [list(items)]
-        return
-    first, rest = items[0], items[1:]
-    # Either first sits in its own block or joins a block of a smaller split.
-    for part in _partitions_exact(rest, k - 1):
-        yield [[first]] + part
-    for part in _partitions_exact(rest, k):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-
-
 class VminCalculator:
     """Minimum number of vehicles needed to serve a set of tasks.
 
-    Increases k from 1 upward and enumerates all combinations of k routes
-    over the set, checking each combination jointly against windows,
-    capacity, horizon, and the dependencies restricted to the set.  Returns
-    |S| + 1 when no vehicle count suffices.  Results and per-block feasible
-    permutations are memoized, so repeated separation rounds stay cheap.
+    Tries k = 1, 2, ... and returns the first k for which at most k routes
+    over S schedule jointly (windows, capacity, horizon, dependencies
+    inside S); |S| + 1 when none does.  Each k is one depth-first search
+    that places the tasks in id order at every position of every open
+    route with room, or alone in the first unopened one, reaching every
+    arrangement exactly once.  Results are memoized per set.
+
+    A branch dies at its first placement ``schedule_routes`` rejects.
+    Placing a task only adds constraints: its window, its dependencies,
+    and a chain through it that, under the triangle inequality and
+    non-negative durations (``Instance`` documents both, ``validate``
+    checks them), is no looser than the depot leg or link it replaces.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._vmin: Dict[FrozenSet[int], int] = {}
-        self._perms: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-
-    def feasible_perms(self, block: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-        key = tuple(sorted(block))
-        cached = self._perms.get(key)
-        if cached is None:
-            if sum(int(self.inst.dem[v]) for v in key) > self.inst.Q:
-                cached = []
-            else:
-                cached = [p for p in itertools.permutations(key)
-                          if schedule_routes([list(p)], self.inst)[0]]
-            self._perms[key] = cached
-        return cached
 
     def vmin(self, S: Iterable[int]) -> int:
         key = frozenset(S)
@@ -273,15 +253,26 @@ class VminCalculator:
         return result
 
     def _feasible_with(self, tasks: List[int], k: int) -> bool:
-        for part in _partitions_exact(tasks, k):
-            options = [self.feasible_perms(tuple(b)) for b in part]
-            if any(not opts for opts in options):
-                continue
-            for combo in itertools.product(*options):
-                ok, _, _ = schedule_routes([list(p) for p in combo], self.inst)
-                if ok:
-                    return True
-        return False
+        dem = [int(d) for d in self.inst.dem]
+        routes: List[List[int]] = [[] for _ in range(k)]
+
+        def place(i: int) -> bool:
+            if i == len(tasks):
+                return True
+            v = tasks[i]
+            for route in routes:
+                if sum(dem[u] for u in route) + dem[v] <= self.inst.Q:
+                    for pos in range(len(route) + 1):
+                        route.insert(pos, v)
+                        if schedule_routes(routes, self.inst)[0] \
+                                and place(i + 1):
+                            return True
+                        del route[pos]
+                if not route:
+                    break   # the first unopened route stands for them all
+            return False
+
+        return place(0)
 
 
 # ---------------------------------------------------------------------------

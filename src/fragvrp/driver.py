@@ -211,6 +211,16 @@ def _lift_cut(cut, inst, cfg):
     return cut
 
 
+def _restricted_master(inst, cfg, calc, cuts, frags=()):
+    """Initial master plus the lower bound's cuts, capacity rows lifted
+    to their fragment form, over the given extra fragments."""
+    m = build_initial(inst, cfg, calc)
+    for cut in cuts:
+        m.add_cut(_lift_cut(cut, inst, cfg))
+    m.add_fragments(frags)
+    return m
+
+
 def _root_cut_loop(m, inst, cfg, clock, counts):
     """Cutting planes at the relaxation before the integer solve: TIFI,
     TDIFI, then RCC, each kind only when the earlier ones found nothing
@@ -325,10 +335,7 @@ def initial_upper_bound(columns, cuts, inst, cfg, clock=None,
     counts = counts if counts is not None else {}
     for k in ("TIFI", "TDIFI", "RCC"):
         counts.setdefault(k, 0)
-    m = build_initial(inst, cfg, vmin_calc)
-    m.add_fragments(columns)
-    for cut in cuts:
-        m.add_cut(_lift_cut(cut, inst, cfg))
+    m = _restricted_master(inst, cfg, vmin_calc, cuts, columns)
     ub, inc, _ = _solve_restricted(m, inst, cfg, clock, counts,
                                    time_cap=cfg.t_guess)
     return ub, inc
@@ -426,19 +433,14 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         merged = {f.tasks: f for f in pool}
         for f in sol_frags:
             merged.setdefault(f.tasks, f)
-        m_red = build_initial(pinst, cfg, calc)
-        for cut in lbres.cuts:
-            m_red.add_cut(_lift_cut(cut, pinst, cfg))
+        m_red = _restricted_master(pinst, cfg, calc, lbres.cuts)
         kept, _, _ = reduce_by_resolve(sorted(merged.values(),
                                               key=lambda f: f.tasks),
                                        m_red, ub_cand, keep=sol_seqs)
         mark("reduce", t0)
 
         t0 = time.monotonic()
-        m_fin = build_initial(pinst, cfg, calc)
-        for cut in lbres.cuts:
-            m_fin.add_cut(_lift_cut(cut, pinst, cfg))
-        m_fin.add_fragments(kept)
+        m_fin = _restricted_master(pinst, cfg, calc, lbres.cuts, kept)
         val, inc, proven = _solve_restricted(m_fin, pinst, cfg, clock,
                                              counts)
         mark("final_milp", t0)

@@ -81,7 +81,7 @@ class Instance:
     """Immutable problem statement.
 
     Vertex 0 is the depot; tasks are 1..n.  Travel matrices are (n+1)x(n+1)
-    and satisfy the triangle inequality.
+    and satisfy the triangle inequality; durations are non-negative.
     """
 
     def __init__(self, tasks, travel_time, travel_cost, vehicle_count,

@@ -86,6 +86,17 @@ class TestSolve:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
+    def test_triangle_violation_exit_three(self, tmp_path, capsys):
+        # 1 -> 2 costs 9 directly but 2 through the depot
+        t = [[0, 1, 1], [1, 0, 9], [1, 9, 0]]
+        tasks = [Task(0, 0, 40, 0, 0), Task(1, 0, 30, 1, 2),
+                 Task(2, 0, 30, 1, 2)]
+        p = tmp_path / "skewed.json"
+        save_instance(Instance(tasks, t, t, 2, 8, 40, []), p)
+        rc = cli.main(["solve", str(p)])
+        assert rc == 3
+        assert "triangle inequality" in capsys.readouterr().err
+
     def test_unknown_flag_exit_three(self, inst_path, capsys):
         rc = cli.main(["solve", inst_path, "--bogus"])
         assert rc == 3

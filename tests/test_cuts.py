@@ -4,13 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fragvrp.cuts as cutlib
 from fragvrp.cuts import (FrccCut, FsecCut, RccCut, TifiCut, VminCalculator,
-                          _partitions_exact, lift_rcc_to_frcc, make_tdifi,
-                          rcc_rhs, separate_fsec, separate_rcc,
-                          separate_tdifi, separate_tifi)
+                          lift_rcc_to_frcc, make_tdifi, rcc_rhs,
+                          separate_fsec, separate_rcc, separate_tdifi,
+                          separate_tifi)
 from fragvrp.fragments import build_fragment
-from fragvrp.instance import TemporalDependency
+from fragvrp.instance import Instance, Task, TemporalDependency
 from fragvrp.scheduling import schedule_routes
 
 import support
@@ -100,13 +103,60 @@ class TestCoefficients:
         assert rcc_rhs((1, 2), zero) == 0
 
 
-class TestVmin:
-    def test_partitions_exact_count(self):
-        # Stirling numbers of the second kind: S(4, 2) = 7, S(4, 3) = 6.
-        assert len(list(_partitions_exact([1, 2, 3, 4], 2))) == 7
-        assert len(list(_partitions_exact([1, 2, 3, 4], 3))) == 6
-        assert len(list(_partitions_exact([1, 2], 5))) == 0
+def exhaustive_vmin(S, inst):
+    """Fewest routes over S that schedule jointly, by trying every set
+    partition and every order of every block; |S| + 1 when none does."""
+    best = len(S) + 1
+    for part in support.set_partitions(S, len(S)):
+        if len(part) >= best or any(
+                sum(int(inst.dem[v]) for v in b) > inst.Q for b in part):
+            continue
+        for combo in itertools.product(
+                *[itertools.permutations(b) for b in part]):
+            if schedule_routes([list(r) for r in combo], inst)[0]:
+                best = len(part)
+                break
+    return best
 
+
+@st.composite
+def vmin_cases(draw):
+    """A set of 2-5 tasks in an instance with travel times closed under
+    the triangle inequality, random windows, durations, demands and
+    capacity, and 0-3 dependencies (some with a forbidden order)."""
+    n = draw(st.integers(2, 6))
+    horizon = draw(st.integers(15, 40))
+    tasks = [Task(0, 0, horizon, 0, 0)]
+    for v in range(1, n + 1):
+        a = draw(st.integers(0, horizon // 2))
+        tasks.append(Task(v, a, draw(st.integers(a + 3, horizon)),
+                          draw(st.integers(0, 3)), draw(st.integers(0, 5))))
+    t = np.array([[0 if a == b else draw(st.integers(1, 6))
+                   for b in range(n + 1)] for a in range(n + 1)])
+    t = np.minimum(t, t.T)
+    for k in range(n + 1):
+        t = np.minimum(t, t[:, [k]] + t[[k], :])
+    deps = []
+    for u, v in draw(st.lists(st.sampled_from(
+            list(itertools.combinations(range(1, n + 1), 2))),
+            max_size=3, unique=True)):
+        band = []
+        for _ in range(2):
+            m = draw(st.integers(0, 6))
+            band += [m, draw(st.integers(m, horizon))]
+        forbid = draw(st.sampled_from(["none", "uv", "vu"]))
+        if forbid == "uv":
+            band[0:2] = [horizon, horizon]
+        if forbid == "vu":
+            band[2:4] = [horizon, horizon]
+        deps.append(TemporalDependency(u, v, *band))
+    inst = Instance(tasks, t, t, n, draw(st.integers(5, 12)), horizon, deps)
+    S = sorted(draw(st.sets(st.integers(1, n), min_size=2,
+                            max_size=min(5, n))))
+    return S, inst
+
+
+class TestVmin:
     def test_pair_in_one_route(self):
         inst = line_instance(2, deps=[dep(1, 2, (0, 60, 0, 60))])
         assert VminCalculator(inst).vmin((1, 2)) == 1
@@ -140,19 +190,30 @@ class TestVmin:
                                  capacity=int(rng.integers(4, 9)),
                                  demands=[2, 2, 2], vehicles=3)
             S = [1, 2, 3]
-            best = 4
-            for part in support.set_partitions(S, 3):
-                if any(sum(int(inst.dem[v]) for v in b) > inst.Q
-                       for b in part):
-                    continue
-                for combo in itertools.product(
-                        *[itertools.permutations(b) for b in part]):
-                    if schedule_routes([list(r) for r in combo], inst)[0]:
-                        best = min(best, len(part))
-                        break
-            assert VminCalculator(inst).vmin(S) == best
+            assert VminCalculator(inst).vmin(S) == exhaustive_vmin(S, inst)
             checked += 1
         assert checked == 30
+
+    def test_failed_placement_prunes_its_subtree(self, monkeypatch):
+        # Synchronized tasks 1 and 2 with disjoint windows: no placement
+        # of task 2 ever schedules, so nothing is tried below it.
+        inst = line_instance(5, deps=[dep(1, 2, (0, 0, 0, 0))],
+                             windows=[(0, 2), (10, 12)] + [(0, 60)] * 3)
+        calls = []
+
+        def counted(routes, inst, forced_orders=None):
+            calls.append(1)
+            return schedule_routes(routes, inst, forced_orders)
+
+        monkeypatch.setattr(cutlib, "schedule_routes", counted)
+        assert VminCalculator(inst).vmin(range(1, 6)) == 6
+        assert len(calls) < 30
+
+    @settings(max_examples=200, deadline=None)
+    @given(vmin_cases())
+    def test_property_matches_exhaustive_partition_search(self, case):
+        S, inst = case
+        assert VminCalculator(inst).vmin(S) == exhaustive_vmin(S, inst)
 
 
 class TestSeparation:
