@@ -25,7 +25,8 @@ import numpy as np
 
 from .driver import run
 from .instance import (Instance, SolverConfig, Task, _euclid_matrix,
-                       dependency_from_type, load_instance, normalize_kind)
+                       dependency_from_type, load_instance, normalize_kind,
+                       validate)
 from .preprocess import preprocess
 
 log = logging.getLogger(__name__)
@@ -224,10 +225,13 @@ class _DomainState:
         return True
 
     def _propagate(self, dom, edges):
+        """AC-3 over the difference bands; False when a domain empties.
+
+        The loop ends: an edge goes back on the queue only after a revise
+        strictly shrinks a domain, and each of the finitely many domain
+        values can be dropped once."""
         work = list(edges)
-        guard = 0
-        while work and guard < 10000:
-            guard += 1
+        while work:
             u, v, quad = work.pop()
             swapped = (quad[2], quad[3], quad[0], quad[1])
             changed = self._revise(dom, u, v, quad)
@@ -396,6 +400,9 @@ def _run_entry(base_cfg, path, overrides):
     try:
         inst = load_instance(path)
         meta = inst.meta
+        problems = validate(inst)
+        if problems:
+            raise ValueError(f"invalid instance: {problems[0]}")
         cfg = dataclasses.replace(base_cfg, **overrides)
         st = run(inst, cfg)
         wall = time.perf_counter() - t0
@@ -448,7 +455,7 @@ def _aggregate(label, rows):
     }
 
 
-def run_batch(manifest, cfg=None, workers=1) -> str:
+def run_batch(manifest, cfg=None) -> str:
     """Solves every manifest entry and renders the CSV results table.
 
     The manifest is a JSON list (or an already-parsed list) of entries,
@@ -461,21 +468,12 @@ def run_batch(manifest, cfg=None, workers=1) -> str:
     else:
         entries = list(manifest)
     base = cfg if cfg is not None else SolverConfig()
-    jobs = []
+    results = []
     for e in entries:
-        if isinstance(e, dict):
-            jobs.append((e["instance"], dict(e.get("config", {}))))
-        else:
-            jobs.append((str(e), {}))
-
-    if workers > 1 and len(jobs) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_entry, [base] * len(jobs),
-                                    [p for p, _ in jobs],
-                                    [o for _, o in jobs]))
-    else:
-        results = [_run_entry(base, p, o) for p, o in jobs]
+        if not isinstance(e, dict):
+            e = {"instance": str(e)}
+        results.append(_run_entry(base, e["instance"],
+                                  dict(e.get("config", {}))))
 
     out = io.StringIO()
     w = csv.DictWriter(out, fieldnames=list(CSV_COLUMNS), lineterminator="\n")

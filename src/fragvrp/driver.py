@@ -19,7 +19,7 @@ from .enumeration import (LimitExceeded, enumerate_fragments,
                           reduce_by_resolve, reduce_by_route_bound)
 from .fragments import build_fragment
 from .instance import Instance, SolverConfig
-from .master import MasterError, MasterModel, build_initial
+from .master import MasterError, artificial_cost, build_initial
 from .pricing import solve_pricing
 from .preprocess import preprocess
 from .scheduling import schedule_routes
@@ -221,38 +221,6 @@ def _restricted_master(inst, cfg, calc, cuts, frags=()):
     return m
 
 
-def _root_cut_loop(m, inst, cfg, clock, counts):
-    """Cutting planes at the relaxation before the integer solve: TIFI,
-    TDIFI, then RCC, each kind only when the earlier ones found nothing
-    and its violation threshold and count limit permit."""
-    t_tifi, t_tdifi, t_rcc = cfg.cut_violation_thresholds
-    while not clock.expired():
-        sol = m.solve_relaxation()
-        if sol.status != "optimal":
-            return
-        sup = m.support(sol.x)
-        new = []
-        if "TIFI" in cfg.enabled_cuts and counts["TIFI"] < cfg.cut_count_limit:
-            new = cutlib.separate_tifi(sup, inst, t_tifi, m.cut_keys())
-            new = new[:cfg.cut_count_limit - counts["TIFI"]]
-            kind = "TIFI"
-        if not new and "TDIFI" in cfg.enabled_cuts \
-                and counts["TDIFI"] < cfg.cut_count_limit:
-            new = cutlib.separate_tdifi(sup, sol.p, inst, t_tdifi,
-                                        m.cut_keys())
-            new = new[:cfg.cut_count_limit - counts["TDIFI"]]
-            kind = "TDIFI"
-        if not new and "RCC" in cfg.enabled_cuts \
-                and counts["RCC"] < cfg.cut_count_limit:
-            new = cutlib.separate_rcc(sup, inst, t_rcc, m.cut_keys(),
-                                      max_new=cfg.cut_count_limit
-                                      - counts["RCC"])
-            kind = "RCC"
-        if not new:
-            return
-        counts[kind] += m.add_cuts(new)
-
-
 def _decode(m, sol, inst):
     """Chained routes from an integral master solution, or None when the
     chosen fragments do not decompose into depot-rooted walks (possible
@@ -297,12 +265,11 @@ def _decode(m, sol, inst):
     return inc, set()
 
 
-def _solve_restricted(m, inst, cfg, clock, counts, time_cap=None):
-    """Root cutting loop plus integer solve; decodes and verifies the
-    incumbent, adding a repair subtour row in the degenerate case of a
-    depot-free cycle that the big-M timing rows cannot exclude."""
+def _solve_restricted(m, inst, clock, counts, time_cap=None):
+    """Integer solve; decodes and verifies the incumbent, adding a repair
+    subtour row in the degenerate case of a depot-free cycle that the
+    big-M timing rows cannot exclude."""
     for _ in range(1 + len(inst.vd)):
-        _root_cut_loop(m, inst, cfg, clock, counts)
         limit = clock.remaining()
         if time_cap is not None:
             limit = min(limit, time_cap)
@@ -333,10 +300,8 @@ def initial_upper_bound(columns, cuts, inst, cfg, clock=None,
     lifted to their fragment form; capped at t_guess."""
     clock = clock or _Clock(cfg.time_limit)
     counts = counts if counts is not None else {}
-    for k in ("TIFI", "TDIFI", "RCC"):
-        counts.setdefault(k, 0)
     m = _restricted_master(inst, cfg, vmin_calc, cuts, columns)
-    ub, inc, _ = _solve_restricted(m, inst, cfg, clock, counts,
+    ub, inc, _ = _solve_restricted(m, inst, clock, counts,
                                    time_cap=cfg.t_guess)
     return ub, inc
 
@@ -402,9 +367,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
 
     # any feasible solution costs less than the artificial column, so a
     # candidate bound beyond it turns "nothing found" into "infeasible"
-    c_art = 1.0 + float(sum(
-        pinst.c[i][j] for i in range(pinst.n + 1)
-        for j in range(pinst.n + 1) if i != j))
+    c_art = artificial_cost(pinst)
 
     status = "gap-limit"
     iteration = 0
@@ -441,8 +404,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
 
         t0 = time.monotonic()
         m_fin = _restricted_master(pinst, cfg, calc, lbres.cuts, kept)
-        val, inc, proven = _solve_restricted(m_fin, pinst, cfg, clock,
-                                             counts)
+        val, inc, proven = _solve_restricted(m_fin, pinst, clock, counts)
         mark("final_milp", t0)
         if val < ub_sol:
             ub_sol, incumbent = val, inc

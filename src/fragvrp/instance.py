@@ -8,8 +8,7 @@ b_v - b_u in [dmin_uv, dmax_uv], otherwise b_u - b_v in [dmin_vu, dmax_vu].
 dmin = dmax = horizon in one direction marks that starting order as
 forbidden.
 
-All times, durations, demands and costs are 64-bit integers; costs may be
-scaled by a declared integer factor (cost_scale, default 1).
+All times, durations, demands and costs are 64-bit integers.
 """
 
 from __future__ import annotations
@@ -85,8 +84,7 @@ class Instance:
     """
 
     def __init__(self, tasks, travel_time, travel_cost, vehicle_count,
-                 capacity, horizon, dependencies, cost_scale=1, coords=None,
-                 meta=None):
+                 capacity, horizon, dependencies, coords=None, meta=None):
         tasks = sorted(tasks, key=lambda t: t.id)
         self.tasks = tuple(tasks)
         self.n = len(tasks) - 1
@@ -95,7 +93,6 @@ class Instance:
         self.K = int(vehicle_count)
         self.Q = int(capacity)
         self.tmax = int(horizon)
-        self.cost_scale = int(cost_scale)
         self.coords = None if coords is None else tuple(tuple(p) for p in coords)
         self.meta = dict(meta) if meta else {}
 
@@ -143,8 +140,7 @@ class Instance:
         args = dict(
             tasks=self.tasks, travel_time=self.t, travel_cost=self.c,
             vehicle_count=self.K, capacity=self.Q, horizon=self.tmax,
-            dependencies=self.deps, cost_scale=self.cost_scale,
-            coords=self.coords, meta=self.meta,
+            dependencies=self.deps, coords=self.coords, meta=self.meta,
         )
         args.update(kw)
         return Instance(**args)
@@ -160,9 +156,6 @@ class SolverConfig:
     ng_size: int = 10
     cols_per_iter: int = 100
     rcc_total_limit: int = 200
-    # violation thresholds used during branch-and-cut (tifi, tdifi, rcc)
-    cut_violation_thresholds: tuple = (0.25, 0.25, 0.05)
-    cut_count_limit: int = 1000
     frcc_size_cap_fraction: float = 0.25
     lp_tolerance: float = 1e-6
     time_limit: float = float("inf")
@@ -291,7 +284,6 @@ def instance_from_dict(data) -> Instance:
     horizon = int(data["horizon"])
     capacity = int(data["capacity"])
     vehicles = int(data["vehicle_count"])
-    scale = int(data.get("cost_scale", 1))
     tasks = []
     coords = []
     have_coords = True
@@ -313,11 +305,9 @@ def instance_from_dict(data) -> Instance:
         tc = np.asarray(data["travel_cost"], dtype=np.int64)
     else:
         tc = tt.copy()
-    stub = Instance(tasks, tt, tc, vehicles, capacity, horizon, (),
-                    cost_scale=scale)
+    stub = Instance(tasks, tt, tc, vehicles, capacity, horizon, ())
     deps = [_dep_from_json(o, stub) for o in data.get("dependencies", ())]
     return Instance(tasks, tt, tc, vehicles, capacity, horizon, deps,
-                    cost_scale=scale,
                     coords=coords if have_coords else None,
                     meta=data.get("meta"))
 
@@ -334,7 +324,6 @@ def instance_to_dict(inst: Instance) -> dict:
         "horizon": inst.tmax,
         "capacity": inst.Q,
         "vehicle_count": inst.K,
-        "cost_scale": inst.cost_scale,
         "tasks": tasks,
         "travel_time": inst.t.tolist(),
         "travel_cost": inst.c.tolist(),

@@ -76,6 +76,12 @@ class _Row:
     static: dict = field(default_factory=dict)
 
 
+def artificial_cost(inst: Instance) -> float:
+    """Cost of the artificial column: one more than every off-diagonal
+    arc together, so any real solution is cheaper."""
+    return 1.0 + float(inst.c.sum() - np.trace(inst.c))
+
+
 class MasterModel:
     def __init__(self, inst: Instance, cfg: SolverConfig):
         self.inst = inst
@@ -86,9 +92,8 @@ class MasterModel:
         self._frag_keys: Dict[tuple, int] = {}
         self._fcols: List[Dict[int, float]] = []
         self._cut_rows: List[int] = []
-        self.art_cost = 1.0 + float(sum(
-            inst.c[i][j] for i in range(inst.n + 1)
-            for j in range(inst.n + 1) if i != j))
+        self._cut_keys: set = set()
+        self.art_cost = artificial_cost(inst)
         self._build_static_rows()
 
     # -- rows ---------------------------------------------------------
@@ -207,8 +212,10 @@ class MasterModel:
 
     def add_cut(self, cut) -> bool:
         """Append a cut row; returns False when already present."""
-        if any(c.key() == cut.key() for c in self.cuts):
+        key = cut.key()
+        if key in self._cut_keys:
             return False
+        self._cut_keys.add(key)
         ri = len(self.rows)
         static = {}
         if cut.p_pair is not None and cut.p_coeff:
@@ -230,7 +237,9 @@ class MasterModel:
         return sum(1 for c in cuts if self.add_cut(c))
 
     def cut_keys(self) -> set:
-        return {c.key() for c in self.cuts}
+        """Keys of the cuts present: the model's own set, which callers
+        must not change."""
+        return self._cut_keys
 
     # -- assembly -----------------------------------------------------
 

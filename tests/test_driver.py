@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from fragvrp.driver import (BoundsState, Incumbent, check_solution,
-                            compute_lower_bound, incumbent_from_json,
-                            initial_upper_bound, run, solution_to_json)
+from fragvrp import cuts as cutlib
+from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
+                            check_solution, compute_lower_bound,
+                            incumbent_from_json, initial_upper_bound, run,
+                            solution_to_json)
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
+from fragvrp.master import MasterModel
 from fragvrp.scheduling import schedule_routes
 
 from support import (all_feasible_solutions, line_instance, random_instance,
@@ -166,6 +169,45 @@ class TestInitialUpperBound:
                 assert inc.cost == ub
             done += 1
         assert done >= 4
+
+    def test_solves_no_relaxation(self, monkeypatch):
+        inst = line_instance(n=3)
+        cfg = SolverConfig()
+        res = compute_lower_bound(inst, cfg)
+        calls = []
+        relax = MasterModel.solve_relaxation
+        monkeypatch.setattr(MasterModel, "solve_relaxation",
+                            lambda m, **kw: calls.append(1) or relax(m, **kw))
+        ub, inc = initial_upper_bound(res.columns, res.cuts, inst, cfg)
+        assert inc is not None and ub == inc.cost
+        assert calls == []
+
+    def test_restricted_master_leaves_nothing_to_separate(self):
+        # the restricted master over the lower bound's columns and cuts is
+        # the lower bound's final master, so its relaxation has the same
+        # value and no row the lower bound's separators would add
+        rng = np.random.default_rng(29)
+        cfg = SolverConfig()
+        tol = cfg.lp_tolerance
+        done = 0
+        for _ in range(40):
+            inst = random_instance(rng, n_tasks=6, n_deps=3)
+            calc = cutlib.VminCalculator(inst)
+            res = compute_lower_bound(inst, cfg, vmin_calc=calc)
+            if res.status != "optimal":
+                continue
+            m = _restricted_master(inst, cfg, calc, res.cuts, res.columns)
+            sol = m.solve_relaxation()
+            assert sol.objective == pytest.approx(res.lb, abs=1e-6)
+            sup = m.support(sol.x)
+            keys = m.cut_keys()
+            assert cutlib.separate_fsec(sup, inst, cfg.k_max, calc, tol,
+                                        keys) == []
+            assert cutlib.separate_tifi(sup, inst, tol, keys) == []
+            assert cutlib.separate_tdifi(sup, sol.p, inst, tol, keys) == []
+            assert cutlib.separate_rcc(sup, inst, tol, keys) == []
+            done += 1
+        assert done >= 20
 
     def test_zero_guess_budget_returns_infinity(self):
         inst = line_instance(n=2)

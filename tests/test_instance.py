@@ -178,7 +178,6 @@ class TestSerialization:
         assert again.tasks == inst.tasks
         assert (again.t == inst.t).all() and (again.c == inst.c).all()
         assert again.deps == inst.deps
-        assert again.cost_scale == 10
         assert again.meta == {"source": "unit-test"}
 
     def test_kind_form_dependencies(self):
