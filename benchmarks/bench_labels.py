@@ -1,0 +1,59 @@
+"""Microbenchmarks of the label kernel: pricing and enumeration.
+
+    python -m pytest benchmarks/bench_labels.py
+
+The file name keeps it out of a plain ``pytest`` run, which only collects
+``test_*.py``; naming the file on the command line collects it.  The
+instance is the ``few-deps`` S101 one of the end-to-end benchmark (S101,
+first 25 tasks, synchronization, sigma 0.1, dependency seed 7), after
+preprocessing, priced at the duals its lower bound ends with.  Pricing
+runs ``labels_from`` from every start task; enumeration runs at the
+driver's first gap, ``gap_init`` times the lower bound.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+import fragvrp
+from fragvrp import bench
+from fragvrp.driver import compute_lower_bound
+from fragvrp.enumeration import enumerate_fragments
+from fragvrp.instance import SolverConfig
+from fragvrp.preprocess import preprocess
+from fragvrp.pricing import CostEnv, labels_from, ng_neighborhoods
+
+DATA = Path(fragvrp.__file__).resolve().parent / "data"
+
+
+@pytest.fixture(scope="module")
+def priced():
+    data = bench.load_solomon(DATA / "S101.txt")
+    inst = bench.generate_dependencies(data.instance(take=25),
+                                       "synchronization", 0.1, 7)
+    pinst = preprocess(inst).instance
+    cfg = SolverConfig()
+    lbres = compute_lower_bound(pinst, cfg)
+    assert lbres.status == "optimal"
+    return pinst, lbres, cfg
+
+
+def test_labels_from(benchmark, priced):
+    inst, lbres, cfg = priced
+    env = CostEnv(lbres.duals, inst)
+    ng = ng_neighborhoods(inst, cfg.ng_size)
+    starts = [0] + sorted(inst.vd)
+
+    def price():
+        return [labels_from(s, env, ng, inst, lbres.duals) for s in starts]
+
+    assert sum(len(labs) for labs in benchmark(price)) > 0
+
+
+def test_enumerate_fragments(benchmark, priced):
+    inst, lbres, cfg = priced
+    gap = cfg.gap_init * lbres.lb
+    pool = benchmark(enumerate_fragments, lbres.duals, gap, inst, cfg)
+    assert pool

@@ -253,7 +253,7 @@ class VminCalculator:
         return result
 
     def _feasible_with(self, tasks: List[int], k: int) -> bool:
-        dem = [int(d) for d in self.inst.dem]
+        dem = self.inst.dem_list
         routes: List[List[int]] = [[] for _ in range(k)]
 
         def place(i: int) -> bool:

@@ -57,7 +57,7 @@ class _CompletionLB:
         n = inst.n
         cbar = env.cbar
         off = cbar + np.where(np.eye(n + 1, dtype=bool), np.inf, 0.0)
-        self.neg_out = np.minimum(off.min(axis=1), 0.0)
+        self.neg_out = np.minimum(off.min(axis=1), 0.0).tolist()
         self.interior = [v for v in range(1, n + 1) if v not in inst.vd]
         self.total_interior = float(sum(self.neg_out[v] for v in self.interior))
         self.cut_pen = -2.0 * sum(max(0.0, y)
@@ -94,12 +94,12 @@ class _CompletionLB:
         kap = d.kap_ub.get(s, 0.0)
         out += lab.load * kap if kap >= 0 else self.inst.Q * kap
         tau = d.tau_ub.get(s, 0.0)
-        out += -lab.ls * tau if tau >= 0 else -int(self.inst.alpha[s]) * tau
+        out += -lab.ls * tau if tau >= 0 else -self.inst.alpha_list[s] * tau
         return out
 
     def remaining(self, lab: Label) -> float:
-        arcs = float(self.neg_out[lab.end]) + self.total_interior \
-            - float(sum(self.neg_out[v] for v in lab.mem))
+        arcs = self.neg_out[lab.end] + self.total_interior \
+            - sum(self.neg_out[v] for v in lab.mem)
         return arcs + self.start_terms(lab) + self.end_lb[lab.start] \
             + self.cut_pen
 
@@ -110,8 +110,10 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
 
     Complete by construction: the depth-first search discards a branch
     only on the admissible bound above, and a finished label only by its
-    own reduced cost.  Raises LimitExceeded past cfg.f_max kept
-    fragments.  Output sorted by task sequence.
+    own reduced cost.  A label is extended over its end's successor list
+    (CostEnv.succ), which leaves out only tasks extend_label rejects.
+    Raises LimitExceeded past cfg.f_max kept fragments.  Output sorted by
+    task sequence.
     """
     if gap < 0:
         raise ValueError("the enumeration budget must be nonnegative")
@@ -123,7 +125,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     stack: List[Label] = []
     for s in sorted((0,) if not inst.vd else (0, *sorted(inst.vd)),
                     reverse=True):
-        if int(inst.alpha[s]) > int(inst.beta[s]):
+        if inst.alpha_list[s] > inst.beta_list[s]:
             continue
         lab = Label((s,), frozenset(), 0, initial_bounds(s, inst),
                     env.init_cost(s))
@@ -131,7 +133,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
             stack.append(lab)
     while stack:
         lab = stack.pop()
-        for u in range(inst.n, -1, -1):
+        for u in reversed(env.succ[lab.end]):
             child = extend_label(lab, u, duals, ng, inst, env=env)
             if isinstance(child, Infeasible):
                 continue

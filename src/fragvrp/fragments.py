@@ -12,6 +12,7 @@ per extension and is exact for compact schedules, which are sufficient.
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -22,8 +23,7 @@ class Infeasible:
         return False
 
 
-@dataclasses.dataclass(frozen=True)
-class ScheduleBounds:
+class ScheduleBounds(NamedTuple):
     es: int
     ls: int
     dur: int
@@ -61,44 +61,61 @@ class Fragment:
 
 
 def initial_bounds(v, inst):
-    return ScheduleBounds(int(inst.alpha[v]), int(inst.beta[v]), 0)
+    return ScheduleBounds(inst.alpha_list[v], inst.beta_list[v], 0)
 
 
-def extend_bounds(b, frm, to, inst, start):
+def step(es, ls, dur, frm, to, start, inst):
     """One step of the (es, ls, dur) recursion, from `frm` to `to`.
 
     `start` is the first task of the sequence; when {start, to} is a
     dependent pair, `to` closes the fragment and the duration window
-    [dmin, dmax] of that pair applies.
+    [dmin, dmax] of that pair applies.  Returns the new (es, ls, dur) as
+    a plain tuple, or an Infeasible.  Reads the instance's plain-Python
+    tables only.
     """
+    t = inst.t_list[frm][to]
+    d = inst.dur_list[frm]
+    a_to = inst.alpha_list[to]
+    b_to = inst.beta_list[to]
+    a_s = inst.alpha_list[start]
+    # plain comparisons: this runs once per label extension, and a call
+    # to the max/min builtins costs several times more
+    es_to = es + d + t
+    if es_to < a_to:
+        es_to = a_to
+    ls_to = b_to - t - d - dur
+    if ls_to > ls:
+        ls_to = ls
+    dur_to = dur + d + t
+    if dur_to < a_to - ls:
+        dur_to = a_to - ls
+    pair = inst.pair.get((start, to))
+    if pair is not None:
+        forbidden, dmin, dmax = pair
+        if forbidden:
+            return Infeasible("dependency forbids %d before %d" % (start, to))
+        if dur_to < dmin:
+            es_to = max(es_to, a_s + dmin)
+            ls_to = min(ls_to, b_to - dmin)
+            dur_to = dmin
+        if dur_to > dmax:
+            return Infeasible("minimum duration %d above dependency maximum %d"
+                              % (dur_to, dmax))
+    if es_to > b_to:
+        return Infeasible("earliest completion %d after window close %d"
+                          % (es_to, b_to))
+    if ls_to < a_s:
+        return Infeasible("latest start %d before window open %d"
+                          % (ls_to, a_s))
+    return es_to, ls_to, dur_to
+
+
+def extend_bounds(b, frm, to, inst, start):
+    """`step` on ScheduleBounds; an Infeasible passes through."""
     if isinstance(b, Infeasible):
         return b
-    t = int(inst.t[frm, to])
-    d = int(inst.dur[frm])
-    a_to = int(inst.alpha[to])
-    b_to = int(inst.beta[to])
-    es = max(b.es + d + t, a_to)
-    ls = min(b.ls, b_to - t - d - b.dur)
-    dur = max(b.dur + d + t, a_to - b.ls)
-    if inst.has_dep(start, to):
-        if inst.order_forbidden(start, to):
-            return Infeasible("dependency forbids %d before %d" % (start, to))
-        dmin = inst.dmin(start, to)
-        dmax = inst.dmax(start, to)
-        if dur < dmin:
-            es = max(es, int(inst.alpha[start]) + dmin)
-            ls = min(ls, b_to - dmin)
-            dur = dmin
-        if dur > dmax:
-            return Infeasible("minimum duration %d above dependency maximum %d"
-                              % (dur, dmax))
-    if es > b_to:
-        return Infeasible("earliest completion %d after window close %d"
-                          % (es, b_to))
-    if ls < int(inst.alpha[start]):
-        return Infeasible("latest start %d before window open %d"
-                          % (ls, int(inst.alpha[start])))
-    return ScheduleBounds(es, ls, dur)
+    out = step(b.es, b.ls, b.dur, frm, to, start, inst)
+    return out if isinstance(out, Infeasible) else ScheduleBounds(*out)
 
 
 def duration_at(f: Fragment, t: int, inst) -> int:
@@ -125,7 +142,7 @@ def assemble(seq, inst, bounds) -> Fragment:
     cost = 0
     for a, b in zip(seq, seq[1:]):
         cost += int(inst.c[a, b])
-    demand = sum(int(inst.dem[v]) for v in seq[:-1])
+    demand = sum(inst.dem_list[v] for v in seq[:-1])
     return Fragment(tuple(seq), cost, demand, bounds)
 
 
@@ -153,7 +170,7 @@ def build_fragment(seq, inst):
         return Infeasible("start task window is empty")
     b = initial_bounds(seq[0], inst)
     for frm, to in zip(seq, seq[1:]):
-        b = extend_bounds(b, frm, to, inst, seq[0])
+        b = step(*b, frm, to, seq[0], inst)
         if isinstance(b, Infeasible):
             return b
-    return assemble(seq, inst, b)
+    return assemble(seq, inst, ScheduleBounds(*b))

@@ -114,6 +114,18 @@ class Instance:
         self.dep_adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
         self.vd = frozenset(self.dep_adj)
 
+        # plain-Python copies for the label and scheduling kernels, which
+        # read single entries; nothing mutates the arrays after this point
+        self.alpha_list = self.alpha.tolist()
+        self.beta_list = self.beta.tolist()
+        self.dur_list = self.dur.tolist()
+        self.dem_list = self.dem.tolist()
+        self.t_list = self.t.tolist()
+        # oriented pair (u, v), u first -> (forbidden, dmin_uv, dmax_uv)
+        self.pair = {
+            key: (d.dmin_uv == d.dmax_uv == self.tmax, d.dmin_uv, d.dmax_uv)
+            for key, d in self.dep_index.items()}
+
     # --- dependency helpers (oriented: first argument starts first) ---
 
     def has_dep(self, u, v) -> bool:

@@ -9,64 +9,64 @@ extend one task at a time through the same (es, ls, dur) recursion as
 the fragment calculus, so a priced column and the column the master
 builds for the same sequence agree to the last unit.
 
+The label kernel (extend_label) is shared with enumeration.  It reads the
+instance's plain-Python tables (windows, durations, demands, travel, one
+(forbidden, dmin, dmax) entry per oriented dependent pair) and the list
+form of the reduced arc costs, never NumPy scalars.  Labels are slotted
+objects whose endpoints and (es, ls, dur) are plain attributes.  A label
+ending at e is only offered the tasks in CostEnv.succ[e], those its
+windows and capacity can still reach; every other task would be rejected
+anyway, so skipping them changes no label and no order.
+
 Elementarity is relaxed to ng form: a label remembers a visited task
 only while it stays inside the neighborhood of the tasks appended after
 it.  Neighborhoods never contain dependent tasks; a cycle through one
 cannot occur inside a fragment anyway, so nothing is lost.  Dominance
 keeps, per (start, end) bucket, the labels not beaten on every resource.
 A label beaten everywhere but on reduced cost is still discarded when
-its advantage cannot survive any completion, see completion_bound.
+its advantage cannot survive any completion, see _phi.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from .cuts import FrccCut, RccCut
 from .fragments import (Fragment, Infeasible, ScheduleBounds, assemble,
-                        extend_bounds, initial_bounds)
+                        initial_bounds, step)
 from .instance import Instance, SolverConfig
 from .master import DualValues
 
 
-@dataclasses.dataclass(frozen=True)
 class Label:
     """A fragment under construction, plus its accumulated reduced cost.
 
     `mem` is the ng-projected visited set and holds dependency-free
     interior tasks only; `load` is the demand of tasks[:-1], so for a
-    complete label it equals the fragment demand.
+    complete label it equals the fragment demand.  Endpoints and the
+    schedule summary are plain slots, set once: labels are never changed
+    after construction.  `bounds` (any (es, ls, dur) triple) is unpacked
+    on the way in and rebuilt as a ScheduleBounds on demand.
     """
 
-    tasks: tuple
-    mem: frozenset
-    load: int
-    bounds: ScheduleBounds
-    rcost: float
+    __slots__ = ("tasks", "mem", "load", "rcost", "start", "end",
+                 "es", "ls", "dur")
+
+    def __init__(self, tasks, mem, load, bounds, rcost):
+        self.tasks = tasks
+        self.mem = mem
+        self.load = load
+        self.rcost = rcost
+        self.start = tasks[0]
+        self.end = tasks[-1]
+        self.es, self.ls, self.dur = bounds
 
     @property
-    def start(self):
-        return self.tasks[0]
-
-    @property
-    def end(self):
-        return self.tasks[-1]
-
-    @property
-    def es(self):
-        return self.bounds.es
-
-    @property
-    def ls(self):
-        return self.bounds.ls
-
-    @property
-    def dur(self):
-        return self.bounds.dur
+    def bounds(self):
+        return ScheduleBounds(self.es, self.ls, self.dur)
 
     @property
     def demand(self):
@@ -74,6 +74,10 @@ class Label:
 
     def __len__(self):
         return len(self.tasks)
+
+    def __repr__(self):
+        return "Label(tasks=%r, mem=%r, load=%r, bounds=%r, rcost=%r)" % (
+            self.tasks, self.mem, self.load, self.bounds, self.rcost)
 
 
 def is_complete(lab: Label, inst: Instance) -> bool:
@@ -106,8 +110,15 @@ class CostEnv:
 
     cbar[i, j] is the reduced arc cost: travel cost minus the assignment
     price of i and the flow price of a dependent j, minus the price of
-    every capacity cut whose set the arc enters.  Completion charges and
-    the start-side credit are evaluated on demand.
+    every capacity cut whose set the arc enters; cbar_list holds the same
+    floats as lists for the label kernel.  Completion charges and the
+    start-side credit are evaluated on demand.
+
+    succ[e] lists, in index order, every u that a label ending at e could
+    be extended to: alpha_e + d_e + t_eu <= beta_u and q_e + q_u <= Q.
+    The filter is exact, not a heuristic: such a label has es >= alpha_e
+    and a load that already counts q_e (demands are non-negative), so
+    extend_label rejects every other u on its window or capacity check.
 
     Fragment-capacity rows have no arc or completion form; a price on one
     rejects the environment, such masters are priced column-wise instead.
@@ -134,6 +145,15 @@ class CostEnv:
             else:
                 self.completion_duals.append((cut, y))
         self.cbar = cbar
+        self.cbar_list = cbar.tolist()
+        alpha, beta, dur, dem = (inst.alpha_list, inst.beta_list,
+                                 inst.dur_list, inst.dem_list)
+        nodes = range(inst.n + 1)
+        self.succ = [
+            [u for u in nodes
+             if alpha[e] + dur[e] + inst.t_list[e][u] <= beta[u]
+             and dem[e] + dem[u] <= inst.Q]
+            for e in nodes]
 
     def init_cost(self, v: int) -> float:
         if v == 0:
@@ -151,9 +171,9 @@ class CostEnv:
             th += load * d.kap_lb.get(end, 0.0)
             if start in inst.vd:
                 key = (start, end)
-                th -= (dur + int(inst.beta[start]) - int(inst.alpha[end])) \
+                th -= (dur + inst.beta_list[start] - inst.alpha_list[end]) \
                     * d.rho.get(key, 0.0)
-                th -= (inst.Q - int(inst.dem[start]) + load) \
+                th -= (inst.Q - inst.dem_list[start] + load) \
                     * d.lam.get(key, 0.0)
         for cut, y in self.completion_duals:
             th -= y * cut.completion_coeff(start, end, es, ls)
@@ -181,38 +201,41 @@ def extend_label(lab: Label, u: int, duals: DualValues, ng: dict,
     span.  The last two hold by construction and are enforced anyway.
     Appending a dependent task or the depot completes the label and adds
     the completion charge; the start-side credit is part of the initial
-    label.
+    label.  Every u outside env.succ[lab.end] is rejected.
     """
     if is_complete(lab, inst):
         raise ValueError("complete labels are not extended")
-    if u == lab.start and not (u == 0 and len(lab.tasks) >= 2):
+    start, end, tasks = lab.start, lab.end, lab.tasks
+    if u == start and not (u == 0 and len(tasks) >= 2):
         return Infeasible("start task revisited")
     closing = u == 0 or u in inst.vd
     if not closing and u in lab.mem:
         return Infeasible("task held in the ng memory")
-    load = lab.load + int(inst.dem[lab.end])
-    if load + int(inst.dem[u]) > inst.Q:
+    dem = inst.dem_list
+    load = lab.load + dem[end]
+    if load + dem[u] > inst.Q:
         return Infeasible("capacity exceeded")
-    b = extend_bounds(lab.bounds, lab.end, u, inst, lab.start)
+    b = step(lab.es, lab.ls, lab.dur, end, u, start, inst)
     if isinstance(b, Infeasible):
         return b
-    a_s = int(inst.alpha[lab.start])
-    b_s = int(inst.beta[lab.start])
-    a_u = int(inst.alpha[u])
-    b_u = int(inst.beta[u])
-    if not (a_s <= b.ls <= b_s and a_u <= b.es <= b_u):
+    es, ls, dur = b
+    a_s = inst.alpha_list[start]
+    b_s = inst.beta_list[start]
+    a_u = inst.alpha_list[u]
+    b_u = inst.beta_list[u]
+    if not (a_s <= ls <= b_s and a_u <= es <= b_u):
         return Infeasible("schedule summary left the endpoint windows")
-    if b.ls + b.dur > b_u or b.es - b.dur < a_s:
+    if ls + dur > b_u or es - dur < a_s:
         return Infeasible("duration incompatible with the endpoint windows")
     if env is None:
         env = CostEnv(duals, inst)
-    rc = lab.rcost + float(env.cbar[lab.end, u])
+    rc = lab.rcost + env.cbar_list[end][u]
     if closing:
-        rc += env.completion_charge(lab.start, u, b.es, b.ls, b.dur, load)
+        rc += env.completion_charge(start, u, es, ls, dur, load)
         mem = lab.mem
     else:
         mem = (lab.mem & ng.get(u, frozenset())) | frozenset((u,))
-    return Label(lab.tasks + (u,), mem, load, b, rc)
+    return Label(tasks + (u,), mem, load, b, rc)
 
 
 def fragment_reduced_cost(f: Fragment, duals: DualValues, inst: Instance,
@@ -223,7 +246,7 @@ def fragment_reduced_cost(f: Fragment, duals: DualValues, inst: Instance,
         env = CostEnv(duals, inst)
     rc = env.init_cost(f.start)
     for a, b in zip(f.tasks, f.tasks[1:]):
-        rc += float(env.cbar[a, b])
+        rc += env.cbar_list[a][b]
     rc += env.completion_charge(f.start, f.end, f.es, f.ls, f.dur, f.demand)
     return rc
 
@@ -239,28 +262,39 @@ def _implied_latest_start(g: Label, inst: Instance) -> int:
     duration cap respected, capacity kept.  Each such partner u caps the
     start at beta_u minus the pair's minimum offset."""
     s, e = g.start, g.end
-    best = int(inst.beta[s])
-    d_e = int(inst.dur[e])
+    beta, pair = inst.beta_list, inst.pair
+    best = beta[s]
+    d_e = inst.dur_list[e]
+    a_s = inst.alpha_list[s]
     for u in inst.dep_adj.get(s, ()):
-        if inst.order_forbidden(s, u):
+        forbidden, dmin, dmax = pair[(s, u)]
+        if forbidden:
             continue
-        b_u = int(inst.beta[u])
-        travel = int(inst.t[e, u])
+        b_u = beta[u]
+        travel = inst.t_list[e][u]
         if g.es + d_e + travel > b_u:
             continue
-        dmin = inst.dmin(s, u)
-        if int(inst.alpha[s]) + dmin > b_u:
+        if a_s + dmin > b_u:
             continue
-        if max(g.dur + d_e + travel, int(inst.alpha[u]) - g.ls) \
-                > inst.dmax(s, u):
+        if max(g.dur + d_e + travel, inst.alpha_list[u] - g.ls) > dmax:
             continue
-        if g.load + int(inst.dem[u]) > inst.Q:
+        if g.load + inst.dem_list[u] > inst.Q:
             continue
         best = min(best, b_u - dmin)
     return best
 
 
 def _phi(f: Label, g: Label, duals: DualValues, inst: Instance) -> float:
+    """Lower bound on the completion-charge gap between g and f when f
+    beats g on every resource but reduced cost (same endpoints, f.mem a
+    subset of g.mem, no more load, es or dur, no less ls).
+
+    The ls term anticipates the worst clamp a dependent completion could
+    still apply to g's latest start; the load term is exact.  Charges of
+    the infeasible-interval cut families only widen the gap (their
+    coefficients grow along the dominance order while their row prices
+    are nonpositive), so they contribute zero here.
+    """
     s = f.start
     tau = duals.tau_ub.get(s, 0.0)
     kap = duals.kap_ub.get(s, 0.0)
@@ -269,25 +303,6 @@ def _phi(f: Label, g: Label, duals: DualValues, inst: Instance) -> float:
     lam_min = _implied_latest_start(g, inst)
     ls_term = min(f.ls, g.ls + g.dur - f.dur, max(g.ls, lam_min)) - g.ls
     return ls_term * tau + (g.load - f.load) * kap
-
-
-def completion_bound(f: Label, g: Label, duals: DualValues,
-                     inst: Instance) -> float:
-    """Lower bound on the completion-charge gap between g and f when f
-    beats g on every resource but reduced cost.
-
-    The ls term anticipates the worst clamp a dependent completion could
-    still apply to g's latest start; the load term is exact.  Charges of
-    the infeasible-interval cut families only widen the gap (their
-    coefficients grow along the dominance order while their row prices
-    are nonpositive), so they contribute zero here.
-    """
-    if f.start != g.start or f.end != g.end:
-        raise ValueError("labels must share both endpoints")
-    if not (f.mem <= g.mem and f.load <= g.load and f.es <= g.es
-            and f.ls >= g.ls and f.dur <= g.dur):
-        raise ValueError("resource dominance does not hold in favor of f")
-    return _phi(f, g, duals, inst)
 
 
 def _dominates(f: Label, g: Label, duals: DualValues, inst: Instance) -> bool:
@@ -326,8 +341,9 @@ def labels_from(start: int, env: CostEnv, ng: dict, inst: Instance,
     """All complete labels grown from one start task, dominance pruned.
 
     Deterministic: the queue pops in (dur, rcost, length, sequence)
-    order and candidate tasks are scanned by index."""
-    if int(inst.alpha[start]) > int(inst.beta[start]):
+    order and candidate tasks are scanned by index, over the successor
+    list of the label's end."""
+    if inst.alpha_list[start] > inst.beta_list[start]:
         return []
     init = Label((start,), frozenset(), 0, initial_bounds(start, inst),
                  env.init_cost(start))
@@ -341,7 +357,7 @@ def labels_from(start: int, env: CostEnv, ng: dict, inst: Instance,
         bucket = buckets.get(lab.end)
         if bucket is None or bucket.get(lab.tasks) is not lab:
             continue
-        for u in range(inst.n + 1):
+        for u in env.succ[lab.end]:
             child = extend_label(lab, u, duals, ng, inst, env=env)
             if isinstance(child, Infeasible):
                 continue

@@ -60,21 +60,22 @@ def schedule_routes(routes, inst, forced_orders=None):
     pair -> 0/1.
     """
     routes = [list(r) for r in routes if r]
+    alpha, beta, dur, t = (inst.alpha_list, inst.beta_list, inst.dur_list,
+                           inst.t_list)
     lo = {}
     hi = {}
     edges = []
     for r in routes:
         for v in r:
-            lo[v] = int(inst.alpha[v])
-            hi[v] = int(inst.beta[v])
+            lo[v] = alpha[v]
+            hi[v] = beta[v]
         first, last = r[0], r[-1]
         # vehicle leaves the depot no earlier than time 0
-        lo[first] = max(lo[first], int(inst.t[0, first]))
+        lo[first] = max(lo[first], t[0][first])
         # and must be back before the end of the horizon
-        hi[last] = min(hi[last],
-                       inst.tmax - int(inst.dur[last]) - int(inst.t[last, 0]))
+        hi[last] = min(hi[last], inst.tmax - dur[last] - t[last][0])
         for a, b in zip(r, r[1:]):
-            edges.append((a, b, int(inst.dur[a]) + int(inst.t[a, b])))
+            edges.append((a, b, dur[a] + t[a][b]))
 
     free = []      # dependencies whose order is still to branch
     orders = {}
@@ -82,8 +83,8 @@ def schedule_routes(routes, inst, forced_orders=None):
         if d.u not in lo or d.v not in lo:
             continue
         pair = (d.u, d.v)
-        u_first_ok = not inst.order_forbidden(d.u, d.v)
-        v_first_ok = not inst.order_forbidden(d.v, d.u)
+        u_first_ok = not inst.pair[pair][0]
+        v_first_ok = not inst.pair[(d.v, d.u)][0]
         want = None if forced_orders is None else forced_orders.get(pair)
         if want == 1:
             v_first_ok = False

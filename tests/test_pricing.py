@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fragvrp import cuts
+from fragvrp import cuts, enumeration
 from fragvrp.fragments import Fragment, Infeasible, build_fragment, initial_bounds
 from fragvrp.instance import Instance, SolverConfig, Task, TemporalDependency
 from fragvrp.master import DualValues, build_initial
-from fragvrp.pricing import (CostEnv, Label, completion_bound, completion_cost,
+from fragvrp.pricing import (CostEnv, Label, _dominates, _phi, completion_cost,
                              exact_memory, extend_label, fragment_reduced_cost,
                              interior_tasks, is_complete, labels_from,
                              ng_neighborhoods, solve_pricing)
@@ -260,7 +264,7 @@ class TestCompletionBound:
         inst = line_dep_instance()
         d = zero_duals(inst)
         f, g = self.two_labels(inst, d)
-        assert completion_bound(f, g, d, inst) == 0.0
+        assert _phi(f, g, d, inst) == 0.0
 
     def test_equal_resources_no_dependencies(self):
         inst = line_dep_instance()
@@ -274,17 +278,21 @@ class TestCompletionBound:
         b = Label((1, 3, 2), frozenset((2, 3)), 2,
                   fold((1, 3, 2), inst, zero_duals(inst)).bounds, 5.0)
         eq = Label(b.tasks, b.mem, a.load, a.bounds, b.rcost)
-        assert completion_bound(a, eq, d, free) == 0.0
+        assert _phi(a, eq, d, free) == 0.0
 
     def test_precondition_enforced(self):
+        # reduced cost and bound count only once every resource favors
+        # the dominating label
         inst = line_dep_instance()
         d = zero_duals(inst)
+        d.tau_ub[1] = 1000.0
+        d.kap_ub[1] = 1000.0
         f, g = self.two_labels(inst, d)
-        with pytest.raises(ValueError):
-            completion_bound(g, f, d, inst)
-        h = fold((0, 2), inst, d)
-        with pytest.raises(ValueError):
-            completion_bound(f, h, d, inst)
+        assert _phi(g, f, d, inst) < 0.0
+        assert _dominates(f, g, d, inst)
+        assert not _dominates(g, f, d, inst)
+        cheap = Label(g.tasks, g.mem, g.load, g.bounds, f.rcost - 1.0)
+        assert not _dominates(cheap, f, d, inst)
 
     @pytest.mark.parametrize("with_cuts", [False, True])
     def test_bound_below_every_completion_gap(self, with_cuts):
@@ -312,7 +320,10 @@ class TestCompletionBound:
                                 and f.es <= g.es and f.ls >= g.ls
                                 and f.dur <= g.dur):
                             continue
-                        phi = completion_bound(f, g, duals, inst)
+                        phi = _phi(f, g, duals, inst)
+                        if f.rcost > g.rcost:
+                            assert _dominates(f, g, duals, inst) == \
+                                (f.rcost <= g.rcost + phi)
                         pairs += 1
                         suffixes += self.check_suffixes(f, g, phi, duals,
                                                         ng, inst, env)
@@ -339,6 +350,69 @@ class TestCompletionBound:
                 else:
                     stack.append((cf, cg))
         return seen
+
+
+class FullScanEnv(CostEnv):
+    """The same prices, with every task offered to every label."""
+
+    def __init__(self, duals, inst):
+        super().__init__(duals, inst)
+        self.succ = [list(range(inst.n + 1))] * (inst.n + 1)
+
+
+def label_record(lab):
+    return (lab.tasks, lab.mem, lab.load, lab.es, lab.ls, lab.dur, lab.rcost)
+
+
+@st.composite
+def priced_cases(draw):
+    """A random instance, often with capacity binding on task pairs, and
+    random master-signed prices with or without cut rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inst = random_instance(rng, n_tasks=draw(st.integers(3, 6)),
+                           n_deps=draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        top = max(int(inst.dem.max()), 1)
+        inst = inst.replace(capacity=draw(st.integers(top, 2 * top)))
+    duals = random_sign_duals(rng, inst, with_cuts=draw(st.booleans()))
+    ng_size = draw(st.integers(0, inst.n))
+    return inst, duals, ng_size
+
+
+class TestSuccessorLists:
+    @settings(max_examples=60, deadline=None)
+    @given(priced_cases())
+    def test_lists_are_exact_and_change_nothing(self, case):
+        inst, duals, ng_size = case
+        env = CostEnv(duals, inst)
+        nodes = range(inst.n + 1)
+        # the documented filter, read off the NumPy arrays
+        for e in nodes:
+            assert env.succ[e] == [
+                u for u in nodes
+                if inst.alpha[e] + inst.dur[e] + inst.t[e, u] <= inst.beta[u]
+                and inst.dem[e] + inst.dem[u] <= inst.Q]
+        # sound: every task left out fails on every reachable label
+        ng = ng_neighborhoods(inst, ng_size)
+        for lab in all_labels_no_dominance(inst, duals, ng):
+            if is_complete(lab, inst):
+                continue
+            for u in set(nodes) - set(env.succ[lab.end]):
+                assert isinstance(extend_label(lab, u, duals, ng, inst,
+                                               env=env), Infeasible)
+        # pricing and enumeration equal a full scan of the same kernel
+        full = FullScanEnv(duals, inst)
+        for s in [0] + sorted(inst.vd):
+            assert [label_record(lab)
+                    for lab in labels_from(s, env, ng, inst, duals)] == \
+                [label_record(lab)
+                 for lab in labels_from(s, full, ng, inst, duals)]
+        cfg = SolverConfig()
+        for gap in (0.0, 25.0):
+            pool = enumeration.enumerate_fragments(duals, gap, inst, cfg)
+            with mock.patch.object(enumeration, "CostEnv", FullScanEnv):
+                assert pool == enumeration.enumerate_fragments(duals, gap,
+                                                               inst, cfg)
 
 
 class TestSolvePricing:
