@@ -1,0 +1,57 @@
+"""Microbenchmarks of the restricted master: assembly and integer solve.
+
+    python -m pytest benchmarks/bench_master.py
+
+Like ``bench_labels.py``, the file name keeps it out of a plain
+``pytest`` run.  The master is the last restricted MILP of the
+``gap-loop`` S101 instance of the end-to-end benchmark (S101, first 22
+tasks, max-diff, sigma 0.2, dependency seed 7): the final integer solve
+of the solve's last gap round, over the fragments that round kept.
+``_assemble`` builds its sparse matrix and bounds from the cached
+columns; ``solve_integer`` assembles and runs HiGHS on it.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+import fragvrp
+from fragvrp import bench, driver
+
+DATA = Path(fragvrp.__file__).resolve().parent / "data"
+
+
+@pytest.fixture(scope="module")
+def last_master():
+    data = bench.load_solomon(DATA / "S101.txt")
+    inst = bench.generate_dependencies(data.instance(take=22), "max-diff",
+                                       0.2, 7)
+    built = []
+    make = driver._restricted_master
+
+    def record(*args, **kwargs):
+        m = make(*args, **kwargs)
+        built.append(m)
+        return m
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "_restricted_master", record)
+        state = driver.run(inst)
+    assert state.status == "optimal" and state.stats["rounds"]
+    return built[-1], state
+
+
+def test_assemble(benchmark, last_master):
+    m, _ = last_master
+    A, obj, lb, ub, senses, rhs = benchmark(m._assemble)
+    assert A.shape == (len(rhs), len(obj))
+    assert len(obj) > len(m.fragments)
+
+
+def test_solve_integer(benchmark, last_master):
+    m, state = last_master
+    sol = benchmark(m.solve_integer)
+    assert sol.status == "optimal"
+    assert round(sol.objective) == state.ub_sol

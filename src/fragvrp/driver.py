@@ -4,8 +4,13 @@ The solve proceeds in six steps: tighten the instance, settle the LP
 relaxation by column-and-row generation, guess an upper bound from a
 restricted integer solve, enumerate every fragment priced within the
 candidate gap, reduce the enumerated pool, and close the bracket with
-a final integer solve.  The candidate bound grows by gap_step rounds
-until the upper bound is certified optimal or a limit binds.
+a final integer solve.  Costs are integers, so the candidate bound
+ub_cand is an integer too: the largest cost a round must rule out.  A
+round's pool holds every fragment of every solution costing at most
+ub_cand, so its final solve either finds the optimum or proves that
+every solution costs at least ub_cand + 1.  ub_cand starts at
+ceil((1 + gap_init) lb), grows by gap_step lb per round, and never
+exceeds ub - 1, which is enough to certify the incumbent.
 """
 
 import json
@@ -40,6 +45,10 @@ class Incumbent:
 
 @dataclass
 class BoundsState:
+    """The bracket a solve ends with.  ub_cand is the largest cost the
+    last gap round ruled out (every cheaper-or-equal solution was in its
+    pool), or ub_sol once the bracket closes."""
+
     lb_sol: float
     ub_sol: float
     ub_cand: float
@@ -323,12 +332,15 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         "cuts_by_kind": {"FSEC": 0, "TIFI": 0, "TDIFI": 0, "RCC": 0},
         "wall_times": {},
         "lb_certified": 0.0,
+        # one entry per gap round that reached its final integer solve
+        "rounds": [],
     }
     counts = stats["cuts_by_kind"]
 
     def mark(step, t0):
-        stats["wall_times"][step] = stats["wall_times"].get(step, 0.0) \
-            + (time.monotonic() - t0)
+        dt = time.monotonic() - t0
+        stats["wall_times"][step] = stats["wall_times"].get(step, 0.0) + dt
+        return dt
 
     t0 = time.monotonic()
     pre = preprocess(inst)
@@ -359,11 +371,11 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     ub_sol, incumbent = initial_upper_bound(lbres.columns, lbres.cuts,
                                             pinst, cfg, clock, calc, counts)
     mark("initial_ub", t0)
-    ub_cand = min(ub_sol, (1.0 + cfg.gap_init) * lb_cert)
-    lb_sol = lb_cert
     if ub_sol <= _int_floor_bound(lb_cert):
         return BoundsState(ub_sol, ub_sol, ub_sol, incumbent, 0,
                            "optimal", stats)
+    lb_sol = lb_cert
+    ub_cand = float(min(ub_sol - 1, math.ceil((1 + cfg.gap_init) * lb_cert)))
 
     # any feasible solution costs less than the artificial column, so a
     # candidate bound beyond it turns "nothing found" into "infeasible"
@@ -390,10 +402,10 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         stats["fragments_enumerated"] += len(pool)
 
         t0 = time.monotonic()
-        pool = reduce_by_route_bound(pool, lbres.duals, gap, pinst)
+        alive = reduce_by_route_bound(pool, lbres.duals, gap, pinst)
         sol_seqs = set(incumbent.fragments) if incumbent else set()
         sol_frags = [build_fragment(s, pinst) for s in sorted(sol_seqs)]
-        merged = {f.tasks: f for f in pool}
+        merged = {f.tasks: f for f in alive}
         for f in sol_frags:
             merged.setdefault(f.tasks, f)
         m_red = _restricted_master(pinst, cfg, calc, lbres.cuts)
@@ -405,14 +417,17 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         t0 = time.monotonic()
         m_fin = _restricted_master(pinst, cfg, calc, lbres.cuts, kept)
         val, inc, proven = _solve_restricted(m_fin, pinst, clock, counts)
-        mark("final_milp", t0)
+        stats["rounds"].append({"ub_cand": ub_cand, "enumerated": len(pool),
+                                "kept": len(kept), "milp_value": _num(val),
+                                "milp_s": mark("final_milp", t0)})
         if val < ub_sol:
             ub_sol, incumbent = val, inc
         if not proven:
             status = "time-limit"
             break
 
-        lb_sol = max(lb_sol, min(ub_cand, ub_sol))
+        # no solution costs ub_cand or less unless the solve found it
+        lb_sol = max(lb_sol, min(ub_cand + 1, ub_sol))
         if ub_sol <= _int_floor_bound(lb_sol):
             # values are integral, so the rounded bound meets the ub
             lb_sol = float(ub_sol)
@@ -425,7 +440,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         grown = ub_cand + cfg.gap_step * lb_cert
         if grown <= ub_cand + 1e-9:
             grown = max(grown, 2.0 * ub_cand, ub_cand + 1.0)
-        ub_cand = min(grown, ub_sol)
+        ub_cand = float(min(ub_sol - 1, math.ceil(grown)))
 
     if status == "infeasible":
         return BoundsState(float("inf"), float("inf"), float("inf"),

@@ -368,8 +368,10 @@ class MasterModel:
                           kap_lb, kap_ub, cut_duals, y=np.asarray(y, float))
 
     def reduced_cost_of(self, f: Fragment, duals: DualValues) -> float:
-        """Objective coefficient minus the dual-weighted column."""
-        col = self._fragment_column(f)
+        """Objective coefficient minus the dual-weighted column; the
+        column of a fragment already in the model is read from cache."""
+        i = self._frag_keys.get(f.tasks)
+        col = self._fragment_column(f) if i is None else self._fcols[i]
         return float(f.cost) - sum(duals.y[r] * a for r, a in col.items())
 
     def support(self, x: np.ndarray, eps: float = 1e-9):

@@ -324,12 +324,17 @@ def _heap_key(lab: Label):
 
 
 def _insert(buckets, heap, lab, duals, inst) -> None:
+    """One scan of the bucket: drop lab if a kept label dominates it,
+    else delete the kept labels lab dominates.  A dominator has no
+    larger dur, so only ties in dur are tested both ways."""
     bucket = buckets.setdefault(lab.end, {})
-    for kept in bucket.values():
-        if _dominates(kept, lab, duals, inst):
+    doomed = []
+    dur = lab.dur
+    for seq, kept in bucket.items():
+        if kept.dur <= dur and _dominates(kept, lab, duals, inst):
             return
-    doomed = [seq for seq, kept in bucket.items()
-              if _dominates(lab, kept, duals, inst)]
+        if dur <= kept.dur and _dominates(lab, kept, duals, inst):
+            doomed.append(seq)
     for seq in doomed:
         del bucket[seq]
     bucket[lab.tasks] = lab

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fragvrp import cuts as cutlib
+from fragvrp import driver
 from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
                             check_solution, compute_lower_bound,
                             incumbent_from_json, initial_upper_bound, run,
@@ -331,6 +332,64 @@ class TestRun:
             {"FSEC", "TIFI", "TDIFI", "RCC"}
         assert "lower_bound" in st.stats["wall_times"]
         assert st.stats["lb_certified"] <= st.ub_sol + 1e-6
+        assert st.stats["rounds"] == []
+
+
+class TestIntegralCandidateBound:
+    def test_gaps_end_on_integers_below_the_incumbent(self, monkeypatch):
+        # every round enumerates up to an integer cost lb + gap, and never
+        # up to the incumbent's own cost: ub - 1 already certifies it
+        events = []
+        solve = driver._solve_restricted
+        enum = driver.enumerate_fragments
+
+        def solve_restricted(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            events.append(("ub", out[0]))
+            return out
+
+        def enumerate_fragments(duals, gap, *args, **kwargs):
+            events.append(("gap", gap))
+            return enum(duals, gap, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "_solve_restricted", solve_restricted)
+        monkeypatch.setattr(driver, "enumerate_fragments",
+                            enumerate_fragments)
+        gaps = 0
+        for cfg in (SolverConfig(),
+                    SolverConfig(gap_init=0.0, gap_step=0.02)):
+            # seeds whose first incumbent leaves a gap, so the loop runs
+            for seed in (12, 59, 80, 83, 105, 111):
+                inst = random_instance(np.random.default_rng(seed),
+                                       n_tasks=6)
+                del events[:]
+                st = run(inst, cfg)
+                lb = st.stats["lb_certified"]
+                ub = float("inf")
+                for kind, value in events:
+                    if kind == "ub":
+                        ub = min(ub, value)
+                        continue
+                    top = lb + value
+                    assert top == pytest.approx(round(top), abs=1e-6)
+                    assert top <= ub - 1 + 1e-6
+                    gaps += 1
+                assert len(st.stats["rounds"]) == st.stats["iterations"]
+                for r in st.stats["rounds"]:
+                    assert r["ub_cand"] == int(r["ub_cand"])
+        assert gaps >= 10
+
+    def test_round_saved_on_pinned_instance(self):
+        # a fractional candidate bound needs two rounds here: the first
+        # round rules out every cost up to an integer it did not credit
+        inst = random_instance(np.random.default_rng(16), n_tasks=5)
+        best, _ = oracle_best(inst)
+        st = run(inst, SolverConfig())
+        assert st.status == "optimal"
+        assert st.ub_sol == st.lb_sol == best == 45
+        assert st.stats["iterations"] < 2
+        [r] = st.stats["rounds"]
+        assert r["ub_cand"] == 44 and r["milp_value"] == 45
 
 
 class TestSolutionFile:
