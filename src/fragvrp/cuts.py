@@ -3,9 +3,12 @@
 Five cut families strengthen the master relaxation:
 
 * FSEC: subtour elimination over sets of dependent tasks, with a
-  minimum-vehicle right-hand side V_min(S) found by one depth-first
+  minimum-vehicle right-hand side V_min(S).  Separation asks one
+  threshold question per candidate set, whether S needs more than k
+  routes for the one k that decides the cut, and computes V_min exactly
+  only for the sets that are violated.  V_min comes from one depth-first
   search that inserts the tasks of S into partial routes and drops a
-  branch at the first placement ``schedule_routes`` rejects (sound when
+  branch at the first placement that does not schedule (sound when
   travel times meet the triangle inequality).
 * TIFI: time infeasible fragment inequalities at a single task.
 * TDIFI: temporal dependency infeasible fragment inequalities at a
@@ -22,13 +25,16 @@ lists of new cuts.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .fragments import Fragment
 from .instance import Instance
-from .scheduling import schedule_routes
+from .scheduling import dependency_orders, extend_schedule
+# not called here: it stays importable as cuts.schedule_routes, where the
+# wrappers of perfbench/measure.py look it up
+from .scheduling import schedule_routes  # noqa: F401
 
 EPS = 1e-9
 
@@ -220,59 +226,98 @@ def rcc_rhs(S: Iterable[int], inst: Instance) -> int:
 class VminCalculator:
     """Minimum number of vehicles needed to serve a set of tasks.
 
-    Tries k = 1, 2, ... and returns the first k for which at most k routes
-    over S schedule jointly (windows, capacity, horizon, dependencies
-    inside S); |S| + 1 when none does.  Each k is one depth-first search
-    that places the tasks in id order at every position of every open
-    route with room, or alone in the first unopened one, reaching every
-    arrangement exactly once.  Results are memoized per set.
+    V_min(S) is the least k for which at most k routes over S schedule
+    jointly (windows, capacity, horizon, dependencies inside S); |S| + 1
+    when none does.  Each k is one depth-first search that places the
+    tasks in id order at every position of every open route with room,
+    or alone in the first unopened one, reaching every arrangement
+    exactly once.
 
-    A branch dies at its first placement ``schedule_routes`` rejects.
-    Placing a task only adds constraints: its window, its dependencies,
-    and a chain through it that, under the triangle inequality and
-    non-negative durations (``Instance`` documents both, ``validate``
-    checks them), is no looser than the depot leg or link it replaces.
+    Each set keeps proven bounds lo <= V_min(S) <= hi, starting from
+    (1, |S| + 1): a search that succeeds with k routes sets hi = k, one
+    that fails sets lo = k + 1, and lo == hi is the exact value.
+    ``exceeds`` answers V_min(S) > k with at most one search; ``vmin``
+    searches k = lo, lo + 1, ... below hi, so no k is searched twice for
+    the same set.
+
+    A branch dies at its first placement that does not schedule, and a
+    placement propagates start times from its parent's order-free least
+    starts (``scheduling.extend_schedule``) rather than from the window
+    openings.  Both rest on one fact: placing a task only adds
+    constraints, its window, its dependencies, and a chain through it
+    that, under the triangle inequality and non-negative durations
+    (``Instance`` documents both, ``validate`` checks them), is no looser
+    than the depot leg or link it replaces.  So the parent's least starts
+    lie below the child's, and a child of an unschedulable placement
+    never schedules.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._vmin: Dict[FrozenSet[int], int] = {}
+        self._bounds: Dict[FrozenSet[int], Tuple[int, int]] = {}
 
     def vmin(self, S: Iterable[int]) -> int:
         key = frozenset(S)
-        cached = self._vmin.get(key)
-        if cached is not None:
-            return cached
-        tasks = sorted(key)
-        result = len(tasks) + 1
-        for k in range(1, len(tasks) + 1):
-            if self._feasible_with(tasks, k):
-                result = k
-                break
-        self._vmin[key] = result
-        return result
+        lo, hi = self._bounds.get(key) or (1, len(key) + 1)
+        if lo < hi:
+            tasks = sorted(key)
+            while lo < hi and not self._feasible_with(tasks, lo):
+                lo += 1
+            self._bounds[key] = (lo, lo)
+        return lo
+
+    def exceeds(self, S: Iterable[int], k: int) -> bool:
+        """Whether V_min(S) > k, by at most one search with k routes."""
+        key = frozenset(S)
+        lo, hi = self._bounds.get(key) or (1, len(key) + 1)
+        if k < lo:
+            return True
+        if k >= hi:
+            return False
+        if self._feasible_with(sorted(key), k):
+            self._bounds[key] = (lo, k)
+            return False
+        self._bounds[key] = (k + 1, hi)
+        return True
 
     def _feasible_with(self, tasks: List[int], k: int) -> bool:
-        dem = self.inst.dem_list
+        inst = self.inst
+        dem, cap = inst.dem_list, inst.Q
+        # the dependencies each task has with the tasks placed before it
+        at = {v: i for i, v in enumerate(tasks)}
+        links: List[list] = [[] for _ in tasks]
+        for d in inst.deps:
+            if d.u in at and d.v in at:
+                links[max(at[d.u], at[d.v])].append(d)
+        brought = [dependency_orders(deps, inst) for deps in links]
+        if None in brought:
+            return False
         routes: List[List[int]] = [[] for _ in range(k)]
+        loads = [0] * k
 
-        def place(i: int) -> bool:
+        def place(i: int, lo: dict, dep_edges: list, free: list) -> bool:
             if i == len(tasks):
                 return True
             v = tasks[i]
-            for route in routes:
-                if sum(dem[u] for u in route) + dem[v] <= self.inst.Q:
+            dep_edges = dep_edges + brought[i][0]
+            free = free + brought[i][1]
+            for r, route in enumerate(routes):
+                if loads[r] + dem[v] <= cap:
+                    loads[r] += dem[v]
                     for pos in range(len(route) + 1):
                         route.insert(pos, v)
-                        if schedule_routes(routes, self.inst)[0] \
-                                and place(i + 1):
+                        child = extend_schedule(lo, routes, inst, dep_edges,
+                                                free)
+                        if child is not None and \
+                                place(i + 1, child, dep_edges, free):
                             return True
                         del route[pos]
+                    loads[r] -= dem[v]
                 if not route:
                     break   # the first unopened route stands for them all
             return False
 
-        return place(0)
+        return place(0, {}, [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +331,54 @@ class VminCalculator:
 def separate_fsec(support: Sequence[Tuple[Fragment, float]], inst: Instance,
                   k_max: int, vmin_calc: VminCalculator, viol_tol: float,
                   existing: Iterable = ()) -> List[FsecCut]:
-    """Enumerate S within the dependent tasks up to k_max; a set is worth
-    the vmin computation only when its internal fragment weight exceeds 1."""
+    """Enumerate S within the dependent tasks up to k_max, depth first in
+    id order, adding the weight each new task shares with the set.  A set
+    new to the model is a candidate only when its internal fragment weight
+    exceeds 1; it is violated exactly when V_min(S) > k for the largest k
+    whose row |S| - k the weight does not violate, which one threshold
+    query decides.  Only violated sets get an exact V_min."""
     existing = set(existing)
     vd = sorted(inst.vd)
-    weight: Dict[Tuple[int, int], float] = {}
+    at = {v: i for i, v in enumerate(vd)}
+    # link[j][i], i <= j: fragment weight between vd[i] and vd[j]
+    link = [[0.0] * (j + 1) for j in range(len(vd))]
     for f, x in support:
         if f.start in inst.vd and f.end in inst.vd:
-            key = (f.start, f.end)
-            weight[key] = weight.get(key, 0.0) + x
+            i, j = sorted((at[f.start], at[f.end]))
+            link[j][i] += x
+    size_max = min(k_max, len(vd))
+    chosen: List[int] = []
     out: List[FsecCut] = []
-    for size in range(2, min(k_max, len(vd)) + 1):
-        for S in itertools.combinations(vd, size):
-            inside = sum(w for (a, b), w in weight.items()
-                         if a in S and b in S)
-            if inside <= 1.0 + EPS:
-                continue
-            cut = FsecCut(S=frozenset(S), vmin=vmin_calc.vmin(S))
-            if cut.key() in existing:
-                continue
-            if inside > cut.rhs + viol_tol:
-                out.append(cut)
+
+    def grow(first: int, inside: float) -> None:
+        for j in range(first, len(vd)):
+            row = link[j]
+            total = inside + row[j]
+            for i in chosen:
+                total += row[i]
+            chosen.append(j)
+            if len(chosen) > 1 and total > 1.0 + EPS:
+                consider(tuple(vd[i] for i in chosen), total)
+            if len(chosen) < size_max:
+                grow(j + 1, total)
+            chosen.pop()
+
+    def consider(S: Tuple[int, ...], inside: float) -> None:
+        if ("FSEC", S) in existing:
+            return
+        # the largest k whose row |S| - k the weight does not violate,
+        # by the float test inside > FsecCut.rhs + viol_tol itself, so
+        # V_min(S) > k decides exactly as an exact V_min would
+        n = len(S)
+        k = math.floor(n + viol_tol - inside)
+        while inside > float(n - k) + viol_tol:
+            k -= 1
+        while not inside > float(n - k - 1) + viol_tol:
+            k += 1
+        if vmin_calc.exceeds(S, k):
+            out.append(FsecCut(S=frozenset(S), vmin=vmin_calc.vmin(S)))
+
+    grow(0, 0.0)
     out.sort(key=lambda c: c.key())
     return out
 

@@ -17,7 +17,12 @@ closings.  No pass count depends on the horizon value.
 Orders that are not forced are branched depth first, u first before v
 first.  The network is propagated at every branch node, starting from the
 parent's earliest starts, so a subtree dies at its first conflicting
-order.
+order.  A synchronization (both orders give the same band) is not
+branched: its second order could only repeat the first one's subtree.
+
+``extend_schedule`` gives the verdict of ``schedule_routes`` for routes
+that grew by one task, propagating from the least starts of the routes
+before the task was placed instead of from the window openings.
 """
 
 from __future__ import annotations
@@ -47,6 +52,76 @@ def _order_edges(d, bit):
     return [(d.v, d.u, d.dmin_vu), (d.u, d.v, -d.dmax_vu)]
 
 
+def _network(routes, inst):
+    """Window openings lo and closings hi of the tasks on the routes, and
+    the chain edges between route neighbours; empty routes are skipped."""
+    alpha, beta, dur, t = (inst.alpha_list, inst.beta_list, inst.dur_list,
+                           inst.t_list)
+    lo = {}
+    hi = {}
+    edges = []
+    for r in routes:
+        if not r:
+            continue
+        for v in r:
+            lo[v] = alpha[v]
+            hi[v] = beta[v]
+        first, last = r[0], r[-1]
+        # vehicle leaves the depot no earlier than time 0
+        lo[first] = max(lo[first], t[0][first])
+        # and must be back before the end of the horizon
+        hi[last] = min(hi[last], inst.tmax - dur[last] - t[last][0])
+        for a, b in zip(r, r[1:]):
+            edges.append((a, b, dur[a] + t[a][b]))
+    return lo, hi, edges
+
+
+def dependency_orders(deps, inst, forced_orders=None):
+    """Splits dependencies into decided and free orders.
+
+    Returns (edges, free, orders): the bands of every dependency with one
+    order left, the dependencies whose order is still to branch, and the
+    decided canonical pair -> bit (1: u first).  None when some dependency
+    has both orders ruled out, by the instance or by forced_orders.
+    """
+    edges = []
+    free = []
+    orders = {}
+    for d in deps:
+        pair = (d.u, d.v)
+        want = None if forced_orders is None else forced_orders.get(pair)
+        u_first_ok = want != 0 and not inst.pair[pair][0]
+        v_first_ok = want != 1 and not inst.pair[(d.v, d.u)][0]
+        if not u_first_ok and not v_first_ok:
+            return None
+        if u_first_ok and v_first_ok and not (
+                d.dmin_uv == -d.dmax_vu and d.dmax_uv == -d.dmin_vu):
+            free.append(d)
+        else:
+            orders[pair] = 1 if u_first_ok else 0
+            edges += _order_edges(d, orders[pair])
+    return edges, free, orders
+
+
+def _branch(i, lo, hi, edges, free, orders):
+    """Earliest starts under the first assignment of bits to free[i:], in
+    depth-first order with bit 1 first, that schedules; None when none
+    does.  lo is already propagated over edges and is not changed; each
+    tried bit is recorded in orders."""
+    if i == len(free):
+        return lo
+    d = free[i]
+    for bit in (1, 0):
+        orders[(d.u, d.v)] = bit
+        child = dict(lo)
+        more = edges + _order_edges(d, bit)
+        if _propagate(child, hi, more):
+            out = _branch(i + 1, child, hi, more, free, orders)
+            if out is not None:
+                return out
+    return None
+
+
 def schedule_routes(routes, inst, forced_orders=None):
     """Searches for feasible integer start times of the given routes.
 
@@ -59,59 +134,46 @@ def schedule_routes(routes, inst, forced_orders=None):
     under the returned orders, and orders maps each decided canonical
     pair -> 0/1.
     """
-    routes = [list(r) for r in routes if r]
-    alpha, beta, dur, t = (inst.alpha_list, inst.beta_list, inst.dur_list,
-                           inst.t_list)
-    lo = {}
-    hi = {}
-    edges = []
-    for r in routes:
-        for v in r:
-            lo[v] = alpha[v]
-            hi[v] = beta[v]
-        first, last = r[0], r[-1]
-        # vehicle leaves the depot no earlier than time 0
-        lo[first] = max(lo[first], t[0][first])
-        # and must be back before the end of the horizon
-        hi[last] = min(hi[last], inst.tmax - dur[last] - t[last][0])
-        for a, b in zip(r, r[1:]):
-            edges.append((a, b, dur[a] + t[a][b]))
-
-    free = []      # dependencies whose order is still to branch
-    orders = {}
-    for d in inst.deps:
-        if d.u not in lo or d.v not in lo:
-            continue
-        pair = (d.u, d.v)
-        u_first_ok = not inst.pair[pair][0]
-        v_first_ok = not inst.pair[(d.v, d.u)][0]
-        want = None if forced_orders is None else forced_orders.get(pair)
-        if want == 1:
-            v_first_ok = False
-        elif want == 0:
-            u_first_ok = False
-        if not u_first_ok and not v_first_ok:
-            return False, {}, {}
-        if u_first_ok and v_first_ok:
-            free.append(d)
-        else:
-            orders[pair] = 1 if u_first_ok else 0
-            edges += _order_edges(d, orders[pair])
-
-    def attempt(i, lo, edges):
-        if not _propagate(lo, hi, edges):
-            return None
-        if i == len(free):
-            return lo
-        d = free[i]
-        for bit in (1, 0):
-            orders[(d.u, d.v)] = bit
-            out = attempt(i + 1, dict(lo), edges + _order_edges(d, bit))
-            if out is not None:
-                return out
-        return None
-
-    lo = attempt(0, lo, edges)
+    lo, hi, edges = _network(routes, inst)
+    split = dependency_orders(
+        [d for d in inst.deps if d.u in lo and d.v in lo], inst,
+        forced_orders)
+    if split is None:
+        return False, {}, {}
+    dep_edges, free, orders = split
+    edges += dep_edges
+    if not _propagate(lo, hi, edges):
+        return False, {}, {}
+    lo = _branch(0, lo, hi, edges, free, orders)
     if lo is None:
         return False, {}, {}
     return True, lo, orders
+
+
+def extend_schedule(parent_lo, routes, inst, dep_edges, free):
+    """The verdict of ``schedule_routes(routes, inst)`` for routes that
+    hold one task more than the routes parent_lo was computed for.
+
+    parent_lo: the parent routes' order-free least starts, those under
+    windows, chain edges and dep_edges alone; never starts found after
+    branching on a free order.  dep_edges and free: ``dependency_orders``
+    of every dependency among the tasks now on the routes.
+
+    The child network is rebuilt from its routes (windows, closings, chain
+    edges) and propagated from parent_lo, plus the new task's opening.
+    That is sound when travel times meet the triangle inequality and
+    durations are non-negative: a placement then only adds constraints,
+    since a chain through the new task is no looser than the depot leg or
+    link it replaces, so parent_lo lies below the child's least starts
+    and Bellman-Ford from it reaches the same fixed point.
+
+    Returns the child's order-free least starts when the routes schedule,
+    else None.
+    """
+    lo, hi, edges = _network(routes, inst)
+    lo.update(parent_lo)
+    edges += dep_edges
+    if not _propagate(lo, hi, edges) or \
+            _branch(0, lo, hi, edges, free, {}) is None:
+        return None
+    return lo

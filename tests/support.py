@@ -297,6 +297,32 @@ def all_feasible_solutions(inst, schedule_routes):
     return sols
 
 
+def reference_fsec(support, inst, k_max, vmin, viol_tol, existing=()):
+    """FSEC separation the plain way: every set of 2..k_max dependent tasks
+    whose internal fragment weight, summed by scanning every weighted pair,
+    exceeds 1 gets its exact vmin(S); the row |S| - vmin(S) is emitted
+    when the weight violates it by more than viol_tol and its key is new.
+    Returns the sorted (S, vmin) of the emitted rows."""
+    vd = sorted(inst.vd)
+    weight = {}
+    for f, x in support:
+        if f.start in inst.vd and f.end in inst.vd:
+            key = (f.start, f.end)
+            weight[key] = weight.get(key, 0.0) + x
+    out = []
+    for size in range(2, min(k_max, len(vd)) + 1):
+        for S in itertools.combinations(vd, size):
+            inside = sum(w for (a, b), w in weight.items()
+                         if a in S and b in S)
+            if inside <= 1.0 + 1e-9:
+                continue
+            v = vmin(S)
+            if ("FSEC", S) not in existing and \
+                    inside > float(len(S) - v) + viol_tol:
+                out.append((S, v))
+    return sorted(out)
+
+
 def route_cost(route, inst):
     cost = int(inst.c[0, route[0]]) + int(inst.c[route[-1], 0])
     for a, b in zip(route, route[1:]):

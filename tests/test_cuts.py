@@ -1,5 +1,6 @@
 """Cut row coefficients, minimum-vehicle computation, and separation."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -196,18 +197,22 @@ class TestVmin:
 
     def test_failed_placement_prunes_its_subtree(self, monkeypatch):
         # Synchronized tasks 1 and 2 with disjoint windows: no placement
-        # of task 2 ever schedules, so nothing is tried below it.
+        # of task 2 ever schedules, so nothing is tried below it.  Per k,
+        # one placement of task 1 and at most three of task 2 are checked;
+        # a search that went on below them would check hundreds.
         inst = line_instance(5, deps=[dep(1, 2, (0, 0, 0, 0))],
                              windows=[(0, 2), (10, 12)] + [(0, 60)] * 3)
-        calls = []
+        placed = []
+        extend = cutlib.extend_schedule
 
-        def counted(routes, inst, forced_orders=None):
-            calls.append(1)
-            return schedule_routes(routes, inst, forced_orders)
+        def counted(parent_lo, routes, inst, dep_edges, free):
+            placed.append(sorted(v for r in routes for v in r))
+            return extend(parent_lo, routes, inst, dep_edges, free)
 
-        monkeypatch.setattr(cutlib, "schedule_routes", counted)
+        monkeypatch.setattr(cutlib, "extend_schedule", counted)
         assert VminCalculator(inst).vmin(range(1, 6)) == 6
-        assert len(calls) < 30
+        assert 5 <= len(placed) <= 4 * 5
+        assert all(tasks in ([1], [1, 2]) for tasks in placed)
 
     @settings(max_examples=200, deadline=None)
     @given(vmin_cases())
@@ -216,7 +221,66 @@ class TestVmin:
         assert VminCalculator(inst).vmin(S) == exhaustive_vmin(S, inst)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(vmin_cases(), st.lists(st.integers(-1, 7), max_size=6))
+    def test_threshold_queries_leave_vmin_exact(self, case, ks):
+        S, inst = case
+        calc = VminCalculator(inst)
+        exact = exhaustive_vmin(S, inst)
+        for k in ks:
+            assert calc.exceeds(S, k) == (exact > k)
+            lo, hi = calc._bounds.get(frozenset(S), (1, len(S) + 1))
+            assert lo <= exact <= hi
+        assert calc.vmin(S) == VminCalculator(inst).vmin(S) == exact
+        assert calc.exceeds(S, exact) is False
+        assert calc.exceeds(S, exact - 1) is True
+
+
+Arc = collections.namedtuple("Arc", "start end")
+
+
+@st.composite
+def fsec_cases(draw):
+    """An instance of ``vmin_cases`` with LP-like weights on arcs between
+    its tasks and the depot.  Weights and tolerances are multiples of 1/8,
+    so every sum is exact and rows sit exactly at the tolerance edge."""
+    _, inst = draw(vmin_cases())
+    ends = st.integers(0, inst.n)
+    support = draw(st.lists(st.tuples(
+        st.builds(Arc, ends, ends),
+        st.integers(1, 16).map(lambda k: k / 8.0)), max_size=12))
+    tol = draw(st.sampled_from([0.0, 0.125, 0.25, 1e-6]))
+    vd = sorted(inst.vd)
+    sets = [S for size in range(2, len(vd) + 1)
+            for S in itertools.combinations(vd, size)]
+    existing = {("FSEC", S) for S in draw(st.lists(st.sampled_from(sets),
+                                                   max_size=3))} \
+        if sets else set()
+    return inst, support, draw(st.integers(2, 5)), tol, existing
+
+
 class TestSeparation:
+    @settings(max_examples=200, deadline=None)
+    @given(fsec_cases())
+    def test_fsec_matches_reference_separator(self, case):
+        inst, sup, k_max, tol, existing = case
+        exact = VminCalculator(inst)
+        want = support.reference_fsec(sup, inst, k_max, exact.vmin, tol,
+                                      existing)
+        cuts = separate_fsec(sup, inst, k_max, VminCalculator(inst), tol,
+                             existing)
+        assert [(tuple(sorted(c.S)), c.vmin) for c in cuts] == want
+
+    def test_fsec_row_at_the_tolerance_edge(self):
+        # V_min{1, 2} = 1, so the row is x <= 1: weight 1.125 violates it
+        # by exactly 0.125, which is not more than a tolerance of 0.125.
+        inst = line_instance(2, deps=[dep(1, 2, (0, 60, 0, 60))])
+        sup = [(Arc(1, 2), 0.5), (Arc(2, 1), 0.625)]
+        calc = VminCalculator(inst)
+        assert separate_fsec(sup, inst, 5, calc, 0.125) == []
+        cuts = separate_fsec(sup, inst, 5, calc, 0.0625)
+        assert [(c.S, c.vmin) for c in cuts] == [(frozenset((1, 2)), 1)]
+
     def test_fsec_two_cycle(self):
         inst = line_instance(2, deps=[dep(1, 2, (0, 60, 0, 60))])
         sup = [(frag((1, 2), inst), 1.0), (frag((2, 1), inst), 1.0)]
@@ -236,7 +300,7 @@ class TestSeparation:
         sup = [(frag((1, 2), inst), 1.0)]
         calc = VminCalculator(inst)
         assert separate_fsec(sup, inst, 5, calc, 1e-6) == []
-        assert calc._vmin == {}
+        assert calc._bounds == {}
 
     def test_tifi_max_violated_time_point(self):
         # Task 1 is reached no earlier than 6 via (0,3,1) but must be

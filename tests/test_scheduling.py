@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fragvrp.instance import Instance, Task, TemporalDependency
-from fragvrp.scheduling import schedule_routes
+from fragvrp.scheduling import (dependency_orders, extend_schedule,
+                                schedule_routes)
 
 from support import random_instance, set_partitions
 
@@ -204,6 +205,16 @@ def small_systems(draw):
           tiny_instance([(0, 10)] * 4,
                         [TemporalDependency(2, 3, 0, 10, 0, 10)]),
           {(2, 3): 1}))
+# a synchronization is not branched: it takes bit 1 unless forced to 0
+@example(([[1, 3], [2]],
+          tiny_instance([(0, 10), (3, 10), (0, 10)],
+                        [TemporalDependency(1, 2, 0, 0, 0, 0),
+                         TemporalDependency(2, 3, 1, 4, 0, 10)]),
+          {}))
+@example(([[1], [2]],
+          tiny_instance([(0, 10), (3, 10)],
+                        [TemporalDependency(1, 2, 0, 0, 0, 0)]),
+          {(1, 2): 0}))
 @settings(max_examples=300, deadline=None)
 @given(small_systems())
 def test_verdict_and_earliest_starts_match_exhaustive_search(case):
@@ -227,3 +238,75 @@ def test_verdict_and_earliest_starts_match_exhaustive_search(case):
     for other in schedules:
         if meets_orders(other, inst, orders):
             assert all(starts[v] <= other[v] for v in other)
+
+
+@st.composite
+def growing_routes(draw):
+    """An instance whose travel times meet the triangle inequality, with
+    0-3 dependencies, and the placements that grow up to three routes one
+    task at a time: (task, route, position)."""
+    n = draw(st.integers(2, 5))
+    horizon = draw(st.integers(8, 30))
+    tasks = [Task(0, 0, horizon, 0, 0)]
+    for v in range(1, n + 1):
+        a = draw(st.integers(0, horizon // 2))
+        tasks.append(Task(v, a, draw(st.integers(a, horizon)),
+                          draw(st.integers(0, 3)), 1))
+    t = np.array([[0 if a == b else draw(st.integers(1, 5))
+                   for b in range(n + 1)] for a in range(n + 1)])
+    for k in range(n + 1):
+        t = np.minimum(t, t[:, [k]] + t[[k], :])
+    deps = []
+    for u, v in draw(st.lists(st.sampled_from(
+            list(itertools.combinations(range(1, n + 1), 2))),
+            max_size=3, unique=True)):
+        band = []
+        for _ in range(2):
+            m = draw(st.integers(0, 3))
+            band += [m, draw(st.integers(m, horizon))]
+        kind = draw(st.sampled_from(["band", "sync", "uv", "vu"]))
+        if kind == "sync":
+            band = [0, 0, 0, 0]
+        if kind == "uv":
+            band[0:2] = [horizon, horizon]
+        if kind == "vu":
+            band[2:4] = [horizon, horizon]
+        deps.append(TemporalDependency(u, v, *band))
+    inst = Instance(tasks, t, t, 3, 99, horizon, deps)
+    placements = [(v, draw(st.integers(0, 2)), draw(st.integers(0, 4)))
+                  for v in draw(st.permutations(range(1, n + 1)))]
+    return inst, placements
+
+
+# carrying starts found under a branched order would be unsound: with
+# tasks 1 and 2 placed, u first (b2 >= b1 + 5) is tried first and
+# schedules, but task 3, synchronized with 2 and closing at 2, needs
+# 2 first
+@example((tiny_instance([(0, 20), (0, 20), (0, 2)],
+                        [TemporalDependency(1, 2, 5, 10, 0, 10),
+                         TemporalDependency(2, 3, 0, 0, 0, 0)], horizon=24),
+          [(1, 0, 0), (2, 1, 0), (3, 2, 0)]))
+@settings(max_examples=300, deadline=None)
+@given(growing_routes())
+def test_extend_schedule_matches_a_fresh_schedule(case):
+    """Propagating each placement from its parent's order-free least
+    starts gives the verdict of a from-scratch call; once a placement
+    fails, every later one fails from scratch too."""
+    inst, placements = case
+    routes = [[], [], []]
+    lo = {}
+    for v, r, pos in placements:
+        routes[r].insert(pos, v)
+        fresh = schedule_routes(routes, inst)[0]
+        if lo is None:
+            assert not fresh
+            continue
+        present = {u for route in routes for u in route}
+        split = dependency_orders(
+            [d for d in inst.deps if d.u in present and d.v in present],
+            inst)
+        if split is None:
+            lo = None
+        else:
+            lo = extend_schedule(lo, routes, inst, split[0], split[1])
+        assert (lo is not None) == fresh
