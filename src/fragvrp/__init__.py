@@ -11,7 +11,7 @@ from .instance import (Instance, SolverConfig, Task, TemporalDependency,
                        dependency_from_type, load_instance, save_instance,
                        validate)
 from .fragments import (Fragment, Infeasible, ScheduleBounds, build_fragment,
-                        duration_at, extend_bounds)
+                        duration_at)
 from .preprocess import preprocess
 from .driver import (BoundsState, check_solution, incumbent_from_json, run,
                      solution_to_json)
@@ -23,7 +23,7 @@ __all__ = [
     "Instance", "SolverConfig", "Task", "TemporalDependency",
     "dependency_from_type", "load_instance", "save_instance", "validate",
     "Fragment", "Infeasible", "ScheduleBounds", "build_fragment",
-    "duration_at", "extend_bounds", "preprocess",
+    "duration_at", "preprocess",
     "BoundsState", "check_solution", "incumbent_from_json", "run",
     "solution_to_json",
     "arc_model_solve", "brute_force_optimal",

@@ -383,11 +383,9 @@ def separate_fsec(support: Sequence[Tuple[Fragment, float]], inst: Instance,
     return out
 
 
-def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
-                  viol_tol: float, existing: Iterable = ()) -> List[TifiCut]:
-    """At most one cut per dependent task, the most violated over the
-    candidate time points (earliest completions of ingoing fragments)."""
-    existing = set(existing)
+def _by_endpoint(support: Sequence[Tuple[Fragment, float]], inst: Instance):
+    """The support grouped by dependent end (incoming) and by dependent
+    start (outgoing), in support order."""
     incoming: Dict[int, List[Tuple[Fragment, float]]] = {}
     outgoing: Dict[int, List[Tuple[Fragment, float]]] = {}
     for f, x in support:
@@ -395,6 +393,15 @@ def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
             incoming.setdefault(f.end, []).append((f, x))
         if f.start in inst.vd:
             outgoing.setdefault(f.start, []).append((f, x))
+    return incoming, outgoing
+
+
+def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
+                  viol_tol: float, existing: Iterable = ()) -> List[TifiCut]:
+    """At most one cut per dependent task, the most violated over the
+    candidate time points (earliest completions of ingoing fragments)."""
+    existing = set(existing)
+    incoming, outgoing = _by_endpoint(support, inst)
     out: List[TifiCut] = []
     for v in sorted(inst.vd):
         cands = sorted({f.es for f, _ in incoming.get(v, ())})
@@ -418,13 +425,7 @@ def separate_tdifi(support: Sequence[Tuple[Fragment, float]],
     """At most one cut per dependent pair: the most violated among the
     four variants over their respective candidate time points."""
     existing = set(existing)
-    incoming: Dict[int, List[Tuple[Fragment, float]]] = {}
-    outgoing: Dict[int, List[Tuple[Fragment, float]]] = {}
-    for f, x in support:
-        if f.end in inst.vd:
-            incoming.setdefault(f.end, []).append((f, x))
-        if f.start in inst.vd:
-            outgoing.setdefault(f.start, []).append((f, x))
+    incoming, outgoing = _by_endpoint(support, inst)
     out: List[TdifiCut] = []
     for dep in inst.deps:
         u, v = dep.u, dep.v

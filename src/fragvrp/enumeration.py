@@ -118,6 +118,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     if gap < 0:
         raise ValueError("the enumeration budget must be nonnegative")
     env = CostEnv(duals, inst)
+    env.check_labelable()
     ng = exact_memory(inst)
     bound = _CompletionLB(env, inst)
     tol = cfg.lp_tolerance
@@ -205,7 +206,10 @@ def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
     budget = ub_cand - lb
     tol = master.cfg.lp_tolerance
     protect = set(keep)
+    inst = master.inst
+    env = CostEnv(sol.duals, inst)
     out = [f for f in frags
            if f.tasks in protect
-           or master.reduced_cost_of(f, sol.duals) <= budget + tol]
+           or fragment_reduced_cost(f, sol.duals, inst, env=env)
+           <= budget + tol]
     return out, sol.duals, lb

@@ -110,14 +110,6 @@ def step(es, ls, dur, frm, to, start, inst):
     return es_to, ls_to, dur_to
 
 
-def extend_bounds(b, frm, to, inst, start):
-    """`step` on ScheduleBounds; an Infeasible passes through."""
-    if isinstance(b, Infeasible):
-        return b
-    out = step(b.es, b.ls, b.dur, frm, to, start, inst)
-    return out if isinstance(out, Infeasible) else ScheduleBounds(*out)
-
-
 def duration_at(f: Fragment, t: int, inst) -> int:
     """Minimum duration of f when its first task starts exactly at t.
 

@@ -33,7 +33,7 @@ class MasterError(RuntimeError):
 
 @dataclass
 class DualValues:
-    """Duals grouped by row family, plus the raw row vector.
+    """Duals grouped by row family.
 
     gamma merges the vehicle limit and vehicle lower-bound rows; both
     have the same column pattern (fragments starting at the depot), so
@@ -50,7 +50,6 @@ class DualValues:
     kap_lb: Dict[int, float]
     kap_ub: Dict[int, float]
     cut_duals: list
-    y: np.ndarray
 
 
 @dataclass
@@ -93,6 +92,7 @@ class MasterModel:
         self._fcols: List[Dict[int, float]] = []
         self._cut_rows: List[int] = []
         self._cut_keys: set = set()
+        self._dep_pos = {(d.u, d.v): k for k, d in enumerate(inst.deps)}
         self.art_cost = artificial_cost(inst)
         self._build_static_rows()
 
@@ -243,10 +243,6 @@ class MasterModel:
 
     # -- assembly -----------------------------------------------------
 
-    @property
-    def _dep_pos(self) -> Dict[Tuple[int, int], int]:
-        return {(d.u, d.v): k for k, d in enumerate(self.inst.deps)}
-
     def _layout(self):
         nf = len(self.fragments)
         art = nf
@@ -304,8 +300,7 @@ class MasterModel:
         x = np.asarray(z[:nf], dtype=float)
         b = {v: float(z[c]) for v, c in bpos.items()}
         l = {v: float(z[c]) for v, c in lpos.items()}
-        p = {(d.u, d.v): float(z[p0 + k])
-             for k, d in enumerate(self.inst.deps)}
+        p = {uv: float(z[p0 + k]) for uv, k in self._dep_pos.items()}
         return x, float(z[art]), b, l, p
 
     # -- solving ------------------------------------------------------
@@ -365,14 +360,7 @@ class MasterModel:
         cut_duals = [(cut, float(y[r]))
                      for cut, r in zip(self.cuts, self._cut_rows)]
         return DualValues(gamma, mu, eta, rho, tau_lb, tau_ub, lam,
-                          kap_lb, kap_ub, cut_duals, y=np.asarray(y, float))
-
-    def reduced_cost_of(self, f: Fragment, duals: DualValues) -> float:
-        """Objective coefficient minus the dual-weighted column; the
-        column of a fragment already in the model is read from cache."""
-        i = self._frag_keys.get(f.tasks)
-        col = self._fragment_column(f) if i is None else self._fcols[i]
-        return float(f.cost) - sum(duals.y[r] * a for r, a in col.items())
+                          kap_lb, kap_ub, cut_duals)
 
     def support(self, x: np.ndarray, eps: float = 1e-9):
         return [(self.fragments[i], float(x[i]))

@@ -7,7 +7,10 @@ a completion charge collecting every price whose row coefficient depends
 on the finished schedule summary (es, ls, dur) or on the demand.  Labels
 extend one task at a time through the same (es, ls, dur) recursion as
 the fragment calculus, so a priced column and the column the master
-builds for the same sequence agree to the last unit.
+builds for the same sequence agree to the last unit.  The restricted
+masters also price fragment-capacity rows, which have none of these
+forms: fragment_reduced_cost charges them on the finished fragment, and
+the label searches refuse them.
 
 The label kernel (extend_label) is shared with enumeration.  It reads the
 instance's plain-Python tables (windows, durations, demands, travel, one
@@ -68,10 +71,6 @@ class Label:
     def bounds(self):
         return ScheduleBounds(self.es, self.ls, self.dur)
 
-    @property
-    def demand(self):
-        return self.load
-
     def __len__(self):
         return len(self.tasks)
 
@@ -120,8 +119,9 @@ class CostEnv:
     and a load that already counts q_e (demands are non-negative), so
     extend_label rejects every other u on its window or capacity check.
 
-    Fragment-capacity rows have no arc or completion form; a price on one
-    rejects the environment, such masters are priced column-wise instead.
+    Fragment-capacity rows have no arc or completion form: their prices
+    are kept in fragment_duals, which fragment_reduced_cost charges on the
+    finished fragment and the label searches refuse (check_labelable).
     """
 
     def __init__(self, duals: DualValues, inst: Instance):
@@ -132,13 +132,13 @@ class CostEnv:
         for v, ev in duals.eta.items():
             cbar[:, v] -= ev
         self.completion_duals = []
+        self.fragment_duals = []
         for cut, y in duals.cut_duals:
             if y == 0.0:
                 continue
             if isinstance(cut, FrccCut):
-                raise ValueError("a fragment-capacity row cannot be priced "
-                                 "by labeling; evaluate columns directly")
-            if isinstance(cut, RccCut):
+                self.fragment_duals.append((cut, y))
+            elif isinstance(cut, RccCut):
                 inside = np.zeros(inst.n + 1, dtype=bool)
                 inside[list(cut.S)] = True
                 cbar[np.ix_(~inside, inside)] -= y
@@ -154,6 +154,11 @@ class CostEnv:
              if alpha[e] + dur[e] + inst.t_list[e][u] <= beta[u]
              and dem[e] + dem[u] <= inst.Q]
             for e in nodes]
+
+    def check_labelable(self) -> None:
+        if self.fragment_duals:
+            raise ValueError("a fragment-capacity row cannot be priced "
+                             "by labeling")
 
     def init_cost(self, v: int) -> float:
         if v == 0:
@@ -178,16 +183,6 @@ class CostEnv:
         for cut, y in self.completion_duals:
             th -= y * cut.completion_coeff(start, end, es, ls)
         return th
-
-
-def completion_cost(f, duals: DualValues, inst: Instance, env=None) -> float:
-    """Schedule- and load-dependent part of a finished fragment's reduced
-    cost.  Accepts a Fragment or a complete Label."""
-    if len(f.tasks) < 2 or (f.end != 0 and f.end not in inst.vd):
-        raise ValueError("completion cost is defined for complete fragments")
-    if env is None:
-        env = CostEnv(duals, inst)
-    return env.completion_charge(f.start, f.end, f.es, f.ls, f.dur, f.demand)
 
 
 def extend_label(lab: Label, u: int, duals: DualValues, ng: dict,
@@ -241,13 +236,17 @@ def extend_label(lab: Label, u: int, duals: DualValues, ng: dict,
 def fragment_reduced_cost(f: Fragment, duals: DualValues, inst: Instance,
                           env=None) -> float:
     """Reduced cost of a finished fragment: start credit, arc walk,
-    completion charge.  Agrees with the master's column evaluation."""
+    completion charge, and the fragment-capacity rows' prices.  The one
+    place duals become a finished fragment's reduced cost: it equals the
+    objective coefficient minus the dual-weighted master column."""
     if env is None:
         env = CostEnv(duals, inst)
     rc = env.init_cost(f.start)
     for a, b in zip(f.tasks, f.tasks[1:]):
         rc += env.cbar_list[a][b]
     rc += env.completion_charge(f.start, f.end, f.es, f.ls, f.dur, f.demand)
+    for cut, y in env.fragment_duals:
+        rc -= y * cut.fragment_coeff(f)
     return rc
 
 
@@ -385,6 +384,7 @@ def solve_pricing(duals: DualValues, inst: Instance,
     no ng-relaxed fragment prices negative, so the master value is a
     valid relaxation bound."""
     env = CostEnv(duals, inst)
+    env.check_labelable()
     if ng is None:
         ng = ng_neighborhoods(inst, cfg.ng_size)
     tol = cfg.lp_tolerance

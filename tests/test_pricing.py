@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragvrp import cuts, enumeration
+from fragvrp import cuts, enumeration, lpback
+from fragvrp.driver import _restricted_master, compute_lower_bound
 from fragvrp.fragments import Fragment, Infeasible, build_fragment, initial_bounds
 from fragvrp.instance import Instance, SolverConfig, Task, TemporalDependency
 from fragvrp.master import DualValues, build_initial
-from fragvrp.pricing import (CostEnv, Label, _dominates, _phi, completion_cost,
+from fragvrp.pricing import (CostEnv, Label, _dominates, _phi,
                              exact_memory, extend_label, fragment_reduced_cost,
                              interior_tasks, is_complete, labels_from,
                              ng_neighborhoods, solve_pricing)
@@ -20,7 +21,7 @@ from support import exhaustive_fragments, random_instance
 def zero_duals(inst):
     return DualValues(gamma=0.0, mu=np.zeros(inst.n + 1), eta={}, rho={},
                       tau_lb={}, tau_ub={}, lam={}, kap_lb={}, kap_ub={},
-                      cut_duals=[], y=np.zeros(0))
+                      cut_duals=[])
 
 
 def random_sign_duals(rng, inst, with_cuts=False):
@@ -40,7 +41,7 @@ def random_sign_duals(rng, inst, with_cuts=False):
              for u in vd for v in vd if u != v},
         kap_lb={v: float(np.round(rng.uniform(0, 2), 3)) for v in vd},
         kap_ub={v: float(np.round(rng.uniform(0, 2), 3)) for v in vd},
-        cut_duals=[], y=np.zeros(0))
+        cut_duals=[])
     if with_cuts and vd:
         v = vd[0]
         t = int((inst.alpha[v] + inst.beta[v]) // 2)
@@ -101,11 +102,40 @@ def line_dep_instance(dep_quad=(0, 30, 0, 30), horizon=40):
     return Instance(tasks, t, t.copy(), 3, 10, horizon, deps)
 
 
+def check_dense_reduced_costs(m, inst, extra=()):
+    """Solves m's relaxation, adds `extra` columns (rows stay as they
+    are, so the same row duals y price them), and checks
+    fragment_reduced_cost against the dense obj - A^T y on every
+    fragment column.  Returns the checked fragments and the duals."""
+    A, obj, lb, ub, senses, rhs = m._assemble()
+    res = lpback.solve_lp(obj, A, senses, rhs, lb, ub,
+                          tol=m.cfg.lp_tolerance)
+    if res.status != "optimal":
+        return [], None
+    duals = m._extract_duals(res.duals)
+    m.add_fragments(extra)
+    A, obj = m._assemble()[:2]
+    assert A.shape[0] == len(res.duals)
+    dense = obj - A.T @ res.duals
+    env = CostEnv(duals, inst)
+    for i, f in enumerate(m.fragments):
+        got = fragment_reduced_cost(f, duals, inst, env=env)
+        assert got == pytest.approx(dense[i], abs=1e-7), f.tasks
+    return m.fragments, duals
+
+
+def priced_rows(duals, kind):
+    return [cut for cut, y in duals.cut_duals
+            if cut.kind == kind and abs(y) > 1e-9]
+
+
 class TestCompletionCost:
     def test_zero_duals_zero_charge(self):
         inst = line_dep_instance()
         f = build_fragment((1, 2, 4), inst)
-        assert completion_cost(f, zero_duals(inst), inst) == 0.0
+        env = CostEnv(zero_duals(inst), inst)
+        assert env.completion_charge(f.start, f.end, f.es, f.ls, f.dur,
+                                     f.demand) == 0.0
 
     def test_single_term(self):
         base = line_dep_instance()
@@ -115,54 +145,53 @@ class TestCompletionCost:
         d = zero_duals(inst)
         d.tau_lb[4] = 2.0
         assert f.es == 7
-        assert completion_cost(f, d, inst) == pytest.approx(14.0)
-
-    def test_incomplete_rejected(self):
-        inst = line_dep_instance()
-        env = CostEnv(zero_duals(inst), inst)
-        single = Label((1,), frozenset(), 0, initial_bounds(1, inst), 0.0)
-        with pytest.raises(ValueError):
-            completion_cost(single, zero_duals(inst), inst)
-        open_end = fold((1, 2), inst, zero_duals(inst))
-        with pytest.raises(ValueError):
-            completion_cost(open_end, zero_duals(inst), inst, env=env)
+        env = CostEnv(d, inst)
+        assert env.completion_charge(f.start, f.end, f.es, f.ls, f.dur,
+                                     f.demand) == pytest.approx(14.0)
 
     def test_matches_master_columns(self):
-        # the arc walk plus charges equals objective minus dual-weighted
-        # column on every fragment, cut rows included
+        # on lower-bound masters (capacity cuts in arc form) the arc walk
+        # plus charges equals objective minus A^T y on every fragment
         rng = np.random.default_rng(3)
         cfg = SolverConfig()
-        checked = 0
+        checked = rcc_rows = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            m = build_initial(inst, cfg)
-            sol = m.solve_relaxation()
-            if sol.status != "optimal":
+            calc = cuts.VminCalculator(inst)
+            res = compute_lower_bound(inst, cfg, vmin_calc=calc)
+            if res.status != "optimal":
                 continue
-            vmin = cuts.VminCalculator(inst)
-            for _ in range(8):
-                sup = m.support(sol.x)
-                new = []
-                new += cuts.separate_tifi(sup, inst, 1e-4, m.cut_keys())
-                new += cuts.separate_tdifi(sup, sol.p, inst, 1e-4,
-                                           m.cut_keys())
-                new += cuts.separate_rcc(sup, inst, 1e-4, m.cut_keys())
-                new += cuts.separate_fsec(sup, inst, cfg.k_max, vmin, 1e-4,
-                                          m.cut_keys())
-                if not sum(m.add_cut(c) for c in new):
-                    break
-                sol = m.solve_relaxation()
-                if sol.status != "optimal":
-                    break
-            if sol.status != "optimal":
-                continue
-            env = CostEnv(sol.duals, inst)
-            for f in exhaustive_fragments(inst, build_fragment):
-                a = fragment_reduced_cost(f, sol.duals, inst, env=env)
-                b = m.reduced_cost_of(f, sol.duals)
-                assert a == pytest.approx(b, abs=1e-7)
-                checked += 1
+            m = build_initial(inst, cfg, calc)
+            m.add_cuts(res.cuts)
+            m.add_fragments(res.columns)
+            frags, duals = check_dense_reduced_costs(
+                m, inst, exhaustive_fragments(inst, build_fragment))
+            checked += len(frags)
+            if duals is not None:
+                rcc_rows += len(priced_rows(duals, "RCC"))
         assert checked > 50
+        assert rcc_rows >= 1
+
+    def test_matches_restricted_master_columns(self):
+        # the restricted masters of the gap rounds lift capacity cuts to
+        # fragment-capacity rows, which only fragment_reduced_cost prices
+        rng = np.random.default_rng(0)
+        cfg = SolverConfig(frcc_size_cap_fraction=1.0)
+        checked = frcc_rows = 0
+        for _ in range(30):
+            inst = random_instance(rng, n_tasks=7, n_deps=2)
+            calc = cuts.VminCalculator(inst)
+            res = compute_lower_bound(inst, cfg, vmin_calc=calc)
+            if res.status != "optimal":
+                continue
+            pool = enumeration.enumerate_fragments(res.duals, 15.0, inst, cfg)
+            m = _restricted_master(inst, cfg, calc, res.cuts, pool)
+            frags, duals = check_dense_reduced_costs(m, inst)
+            checked += len(frags)
+            if duals is not None:
+                frcc_rows += len(priced_rows(duals, "FRCC"))
+        assert checked > 500
+        assert frcc_rows >= 1
 
 
 class TestExtendLabel:
@@ -547,14 +576,23 @@ class TestSolvePricing:
             assert not (hood & inst.vd)
 
     def test_fragment_capacity_rows_rejected(self):
+        # a fragment-capacity price is charged on finished fragments but
+        # has no arc or completion form, so both label searches refuse it
         inst = line_dep_instance()
         d = zero_duals(inst)
-        d.cut_duals.append((cuts.FrccCut(frozenset((1, 2)), 1), -3.0))
-        with pytest.raises(ValueError):
-            CostEnv(d, inst)
+        frcc = cuts.FrccCut(frozenset((1, 2)), 1)
+        d.cut_duals.append((frcc, -3.0))
+        env = CostEnv(d, inst)
+        assert env.fragment_duals == [(frcc, -3.0)]
+        f = build_fragment((0, 2, 4), inst)
+        assert frcc.fragment_coeff(f) == 1
+        assert fragment_reduced_cost(f, d, inst, env=env) == \
+            pytest.approx(f.cost + 3.0)
         cfg = SolverConfig()
         with pytest.raises(ValueError):
             solve_pricing(d, inst, cfg)
+        with pytest.raises(ValueError):
+            enumeration.enumerate_fragments(d, 10.0, inst, cfg)
 
 
 class TestChargeMonotonicity:
