@@ -7,8 +7,9 @@ Like ``bench_labels.py``, the file name keeps it out of a plain
 ``gap-loop`` S101 instance of the end-to-end benchmark (S101, first 22
 tasks, max-diff, sigma 0.2, dependency seed 7): the final integer solve
 of the solve's last gap round, over the fragments that round kept.
-``_assemble`` builds its sparse matrix and bounds from the cached
-columns; ``solve_integer`` assembles and runs HiGHS on it.
+``_assemble`` turns the master's stored (row, column, value) triplets
+into one CSR matrix and stacks the column bounds; ``solve_integer``
+assembles and runs HiGHS on it.
 """
 
 from __future__ import annotations

@@ -145,16 +145,13 @@ class LowerBound:
     status: str
     pricing_iterations: int = 0
 
-    def __iter__(self):
-        return iter((self.lb, self.columns, self.duals, self.cuts))
-
 
 def compute_lower_bound(inst, cfg, clock=None, vmin_calc=None) -> LowerBound:
     """Alternates pricing with row separation until neither produces
     anything; rows are only separated once pricing comes up empty."""
     clock = clock or _Clock(cfg.time_limit)
-    m = build_initial(inst, cfg, vmin_calc)
     calc = vmin_calc or cutlib.VminCalculator(inst)
+    m = build_initial(inst, cfg, calc)
     sol = m.solve_relaxation()
     if sol.status != "optimal":
         return LowerBound(float("inf"), (), None, (), "infeasible")

@@ -8,14 +8,16 @@ covering, flow conservation at dependent tasks, big-M start-time and
 load linkage between consecutive fragments, per-dependency order
 constraints, and any number of appended cut rows.
 
-All fragment coefficients are pure functions of fragment data, so the
-matrix can be rebuilt from scratch at any time; columns are cached and
-extended incrementally when cut rows are appended.
+The matrix is kept as (row, column, value) triplets that only grow:
+``add_fragments`` appends a column's entries, ``add_cut`` a row's, and
+every solve turns the triplets into one CSR matrix.  Every coefficient
+is a pure function of fragment and cut data, and a cut's coefficient on
+a fragment comes from ``cut.fragment_coeff`` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,27 +60,19 @@ class MasterSolution:
     objective: float
     x: np.ndarray
     artificial: float
-    b: Dict[int, float]
-    l: Dict[int, float]
     p: Dict[Tuple[int, int], float]
     duals: Optional[DualValues] = None
-    best_bound: float = float("-inf")
-    message: str = ""
-
-
-@dataclass
-class _Row:
-    kind: str
-    key: object
-    sense: str
-    rhs: float
-    static: dict = field(default_factory=dict)
 
 
 def artificial_cost(inst: Instance) -> float:
     """Cost of the artificial column: one more than every off-diagonal
     arc together, so any real solution is cheaper."""
     return 1.0 + float(inst.c.sum() - np.trace(inst.c))
+
+
+# Offset of the artificial column past the last fragment; the b, l and p
+# columns follow it.
+ART = 0
 
 
 class MasterModel:
@@ -89,124 +83,140 @@ class MasterModel:
         self.fragments: List[Fragment] = []
         self.cuts: list = []
         self._frag_keys: Dict[tuple, int] = {}
-        self._fcols: List[Dict[int, float]] = []
         self._cut_rows: List[int] = []
         self._cut_keys: set = set()
         self._dep_pos = {(d.u, d.v): k for k, d in enumerate(inst.deps)}
         self.art_cost = artificial_cost(inst)
+        # The matrix as (row, column, value) triplets that only grow.  A
+        # fragment entry's column is the fragment's index; a fixed entry's
+        # column is its offset past the last fragment, so appending a
+        # fragment moves no stored entry.
+        self.senses: List[str] = []
+        self.rhs: List[float] = []
+        self._frag_ijv: Tuple[list, list, list] = ([], [], [])
+        self._fixed_ijv: Tuple[list, list, list] = ([], [], [])
+        self._p0 = 1 + 2 * len(self.vd)
         self._build_static_rows()
+        self._build_fixed_columns()
 
     # -- rows ---------------------------------------------------------
 
+    def _row(self, sense: str, rhs: float, fixed=()) -> int:
+        """Appends a row with its (offset, value) fixed-column entries;
+        returns the row's index."""
+        r = len(self.rhs)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        rows, cols, vals = self._fixed_ijv
+        for c, a in fixed:
+            rows.append(r)
+            cols.append(c)
+            vals.append(a)
+        return r
+
     def _build_static_rows(self):
         inst = self.inst
-        rows: List[_Row] = [
-            _Row("veh_ub", None, "L", float(inst.K)),
-        ]
+        b = {v: 1 + i for i, v in enumerate(self.vd)}
+        l = {v: 1 + len(self.vd) + i for i, v in enumerate(self.vd)}
+        pairs = [(u, v) for u in self.vd for v in self.vd if u != v]
+        self._row("L", float(inst.K))
         veh_lb = max(-(-int(inst.dem.sum()) // inst.Q), 1 if inst.n else 0)
-        rows.append(_Row("veh_lb", None, "G", float(veh_lb),
-                         {"art": float(veh_lb)}))
-        self._cover: Dict[int, int] = {}
-        for v in range(1, inst.n + 1):
-            self._cover[v] = len(rows)
-            rows.append(_Row("cover", v, "E", 1.0, {"art": 1.0}))
-        self._flow: Dict[int, int] = {}
-        for v in self.vd:
-            self._flow[v] = len(rows)
-            rows.append(_Row("flow", v, "E", 0.0))
-        self._trow: Dict[Tuple[int, int], int] = {}
-        for u in self.vd:
-            for v in self.vd:
-                if u == v:
-                    continue
-                self._trow[(u, v)] = len(rows)
-                rows.append(_Row("mtz_time", (u, v), "L",
-                                 float(inst.beta[u] - inst.alpha[v]),
-                                 {("b", u): 1.0, ("b", v): -1.0}))
+        self._row("G", float(veh_lb), [(ART, float(veh_lb))])
+        self._cover = {v: self._row("E", 1.0, [(ART, 1.0)])
+                       for v in range(1, inst.n + 1)}
+        self._flow = {v: self._row("E", 0.0) for v in self.vd}
+        self._trow = {(u, v): self._row(
+            "L", float(inst.beta[u] - inst.alpha[v]),
+            [(b[u], 1.0), (b[v], -1.0)]) for u, v in pairs}
         self._es_row: Dict[int, int] = {}
         self._ls_row: Dict[int, int] = {}
         for v in self.vd:
-            self._es_row[v] = len(rows)
-            rows.append(_Row("es", v, "G", 0.0, {("b", v): 1.0}))
-            self._ls_row[v] = len(rows)
-            rows.append(_Row("ls", v, "G", 0.0,
-                             {("b", v): -1.0, "art": float(inst.tmax)}))
+            self._es_row[v] = self._row("G", 0.0, [(b[v], 1.0)])
+            self._ls_row[v] = self._row("G", 0.0, [(b[v], -1.0),
+                                                   (ART, float(inst.tmax))])
         for k, dep in enumerate(inst.deps):
-            u, v = dep.u, dep.v
+            u, v, p = dep.u, dep.v, self._p0 + k
             m_uv = max(0, int(inst.beta[u] - inst.alpha[v]))
             m_vu = max(0, int(inst.beta[v] - inst.alpha[u]))
-            rows.append(_Row("dep_a", k, "L", 0.0,
-                             {("b", v): 1.0, ("b", u): -1.0,
-                              ("p", k): -float(dep.dmax_uv)}))
-            rows.append(_Row("dep_b", k, "L", float(dep.dmax_vu),
-                             {("b", u): 1.0, ("b", v): -1.0,
-                              ("p", k): float(dep.dmax_vu)}))
-            rows.append(_Row("dep_c", k, "G", -float(m_uv),
-                             {("b", v): 1.0, ("b", u): -1.0,
-                              ("p", k): -float(dep.dmin_uv + m_uv)}))
-            rows.append(_Row("dep_d", k, "G", float(dep.dmin_vu),
-                             {("b", u): 1.0, ("b", v): -1.0,
-                              ("p", k): float(dep.dmin_vu + m_vu)}))
-        self._lrow: Dict[Tuple[int, int], int] = {}
-        for u in self.vd:
-            for v in self.vd:
-                if u == v:
-                    continue
-                self._lrow[(u, v)] = len(rows)
-                rows.append(_Row("mtz_load", (u, v), "L",
-                                 float(inst.Q - inst.dem[u]),
-                                 {("l", u): 1.0, ("l", v): -1.0}))
+            self._row("L", 0.0, [(b[v], 1.0), (b[u], -1.0),
+                                 (p, -float(dep.dmax_uv))])
+            self._row("L", float(dep.dmax_vu), [(b[u], 1.0), (b[v], -1.0),
+                                                (p, float(dep.dmax_vu))])
+            self._row("G", -float(m_uv), [(b[v], 1.0), (b[u], -1.0),
+                                          (p, -float(dep.dmin_uv + m_uv))])
+            self._row("G", float(dep.dmin_vu),
+                      [(b[u], 1.0), (b[v], -1.0),
+                       (p, float(dep.dmin_vu + m_vu))])
+        self._lrow = {(u, v): self._row(
+            "L", float(inst.Q - inst.dem[u]),
+            [(l[u], 1.0), (l[v], -1.0)]) for u, v in pairs}
         self._load_lb: Dict[int, int] = {}
         self._load_ub: Dict[int, int] = {}
         for v in self.vd:
-            self._load_lb[v] = len(rows)
-            rows.append(_Row("load_lb", v, "G", 0.0, {("l", v): 1.0}))
-            self._load_ub[v] = len(rows)
-            rows.append(_Row("load_ub", v, "G", -float(inst.Q),
-                             {("l", v): -1.0}))
-        self.rows = rows
+            self._load_lb[v] = self._row("G", 0.0, [(l[v], 1.0)])
+            self._load_ub[v] = self._row("G", -float(inst.Q), [(l[v], -1.0)])
+
+    def _build_fixed_columns(self):
+        """Costs and bounds of the columns past the last fragment."""
+        inst = self.inst
+        p0 = self._p0
+        n = p0 + len(inst.deps)
+        self._fixed_obj = np.zeros(n)
+        self._fixed_obj[ART] = self.art_cost
+        self._fixed_lb = np.zeros(n)
+        self._fixed_ub = np.full(n, np.inf)
+        self._fixed_ub[1 + len(self.vd):p0] = float(inst.Q)
+        for k, dep in enumerate(inst.deps):
+            self._fixed_ub[p0 + k] = 1.0
+            if inst.forced_order(dep.u, dep.v):
+                self._fixed_lb[p0 + k] = 1.0
+            elif inst.forced_order(dep.v, dep.u):
+                self._fixed_ub[p0 + k] = 0.0
 
     # -- columns ------------------------------------------------------
 
-    def _fragment_column(self, f: Fragment) -> Dict[int, float]:
+    def _fragment_entries(self, f: Fragment):
+        """(row, value) pairs of a fragment's column; a repeated row adds
+        up when the matrix is assembled."""
         inst = self.inst
-        col: Dict[int, float] = {}
         if f.start == 0:
-            col[0] = 1.0
-            col[1] = 1.0
+            yield 0, 1.0
+            yield 1, 1.0
         for task in f.tasks[:-1]:
             if task != 0:
-                r = self._cover[task]
-                col[r] = col.get(r, 0.0) + 1.0
+                yield self._cover[task], 1.0
         if f.end in inst.vd:
-            col[self._flow[f.end]] = col.get(self._flow[f.end], 0.0) + 1.0
-            col[self._es_row[f.end]] = -float(f.es)
-            col[self._load_lb[f.end]] = -float(f.demand)
+            yield self._flow[f.end], 1.0
+            yield self._es_row[f.end], -float(f.es)
+            yield self._load_lb[f.end], -float(f.demand)
         if f.start in inst.vd:
-            r = self._flow[f.start]
-            col[r] = col.get(r, 0.0) - 1.0
-            col[self._ls_row[f.start]] = float(f.ls)
-            col[self._load_ub[f.start]] = -float(f.demand)
-        if f.start in inst.vd and f.end in inst.vd:
-            u, v = f.start, f.end
-            col[self._trow[(u, v)]] = float(
-                f.dur + inst.beta[u] - inst.alpha[v])
-            col[self._lrow[(u, v)]] = float(
-                f.demand + inst.Q - inst.dem[u])
-        for ri, cut in zip(self._cut_rows, self.cuts):
+            yield self._flow[f.start], -1.0
+            yield self._ls_row[f.start], float(f.ls)
+            yield self._load_ub[f.start], -float(f.demand)
+            if f.end in inst.vd:
+                u, v = f.start, f.end
+                yield self._trow[(u, v)], float(
+                    f.dur + inst.beta[u] - inst.alpha[v])
+                yield self._lrow[(u, v)], float(
+                    f.demand + inst.Q - inst.dem[u])
+        for r, cut in zip(self._cut_rows, self.cuts):
             a = cut.fragment_coeff(f)
             if a:
-                col[ri] = float(a)
-        return col
+                yield r, float(a)
 
     def add_fragments(self, frags: Sequence[Fragment]) -> int:
+        rows, cols, vals = self._frag_ijv
         added = 0
         for f in frags:
             if f.tasks in self._frag_keys:
                 continue
-            self._frag_keys[f.tasks] = len(self.fragments)
+            i = len(self.fragments)
+            self._frag_keys[f.tasks] = i
             self.fragments.append(f)
-            self._fcols.append(self._fragment_column(f))
+            for r, a in self._fragment_entries(f):
+                rows.append(r)
+                cols.append(i)
+                vals.append(a)
             added += 1
         return added
 
@@ -216,21 +226,23 @@ class MasterModel:
         if key in self._cut_keys:
             return False
         self._cut_keys.add(key)
-        ri = len(self.rows)
-        static = {}
+        fixed = []
         if cut.p_pair is not None and cut.p_coeff:
-            k = self._dep_pos[cut.p_pair]
-            static[("p", k)] = float(cut.p_coeff)
+            fixed.append((self._p0 + self._dep_pos[cut.p_pair],
+                          float(cut.p_coeff)))
         if cut.sense == "G":
             # The artificial column must keep covering appended rows.
-            static["art"] = float(cut.rhs)
-        self.rows.append(_Row("cut", cut, cut.sense, float(cut.rhs), static))
+            fixed.append((ART, float(cut.rhs)))
+        r = self._row(cut.sense, float(cut.rhs), fixed)
         self.cuts.append(cut)
-        self._cut_rows.append(ri)
+        self._cut_rows.append(r)
+        rows, cols, vals = self._frag_ijv
         for i, f in enumerate(self.fragments):
             a = cut.fragment_coeff(f)
             if a:
-                self._fcols[i][ri] = float(a)
+                rows.append(r)
+                cols.append(i)
+                vals.append(float(a))
         return True
 
     def add_cuts(self, cuts) -> int:
@@ -243,106 +255,63 @@ class MasterModel:
 
     # -- assembly -----------------------------------------------------
 
-    def _layout(self):
-        nf = len(self.fragments)
-        art = nf
-        b0 = nf + 1
-        l0 = b0 + len(self.vd)
-        p0 = l0 + len(self.vd)
-        ncols = p0 + len(self.inst.deps)
-        bpos = {v: b0 + i for i, v in enumerate(self.vd)}
-        lpos = {v: l0 + i for i, v in enumerate(self.vd)}
-        return nf, art, bpos, lpos, p0, ncols
-
     def _assemble(self):
-        inst = self.inst
-        nf, art, bpos, lpos, p0, ncols = self._layout()
-        ri, ci, vals = [], [], []
-        for i in range(nf):
-            for r, a in self._fcols[i].items():
-                ri.append(r)
-                ci.append(i)
-                vals.append(a)
-        for r, row in enumerate(self.rows):
-            for key, a in row.static.items():
-                if key == "art":
-                    c = art
-                elif key[0] == "b":
-                    c = bpos[key[1]]
-                elif key[0] == "l":
-                    c = lpos[key[1]]
-                else:
-                    c = p0 + key[1]
-                ri.append(r)
-                ci.append(c)
-                vals.append(a)
-        A = sp.csr_matrix((vals, (ri, ci)), shape=(len(self.rows), ncols))
-        obj = np.zeros(ncols)
-        obj[:nf] = [f.cost for f in self.fragments]
-        obj[art] = self.art_cost
-        lb = np.zeros(ncols)
-        ub = np.full(ncols, np.inf)
-        for v in self.vd:
-            ub[lpos[v]] = float(inst.Q)
-        for k, dep in enumerate(inst.deps):
-            c = p0 + k
-            ub[c] = 1.0
-            if inst.forced_order(dep.u, dep.v):
-                lb[c] = 1.0
-            elif inst.forced_order(dep.v, dep.u):
-                ub[c] = 0.0
-        senses = [row.sense for row in self.rows]
-        rhs = np.array([row.rhs for row in self.rows])
-        return A, obj, lb, ub, senses, rhs
+        """The LP data, columns ordered fragments, artificial, b, l, p;
+        the CSR conversion sums repeated entries and sorts each row."""
+        nf = len(self.fragments)
+        fr, fc, fv = self._frag_ijv
+        xr, xc, xv = self._fixed_ijv
+        cols = np.concatenate((np.asarray(fc, dtype=np.int64),
+                               np.add(xc, nf)))
+        ncols = nf + len(self._fixed_obj)
+        A = sp.csr_matrix((fv + xv, (fr + xr, cols)),
+                          shape=(len(self.rhs), ncols))
+        obj = np.concatenate(([f.cost for f in self.fragments],
+                              self._fixed_obj))
+        lb = np.concatenate((np.zeros(nf), self._fixed_lb))
+        ub = np.concatenate((np.full(nf, np.inf), self._fixed_ub))
+        return A, obj, lb, ub, list(self.senses), np.array(self.rhs)
 
-    def _unpack(self, z: np.ndarray) -> Tuple[np.ndarray, float, dict, dict, dict]:
-        nf, art, bpos, lpos, p0, _ = self._layout()
-        x = np.asarray(z[:nf], dtype=float)
-        b = {v: float(z[c]) for v, c in bpos.items()}
-        l = {v: float(z[c]) for v, c in lpos.items()}
+    def _unpack(self, z: np.ndarray) -> Tuple[np.ndarray, float, dict]:
+        nf = len(self.fragments)
+        p0 = nf + self._p0
         p = {uv: float(z[p0 + k]) for uv, k in self._dep_pos.items()}
-        return x, float(z[art]), b, l, p
+        return np.asarray(z[:nf], dtype=float), float(z[nf + ART]), p
 
     # -- solving ------------------------------------------------------
 
     def solve_relaxation(self, forbid_artificial: bool = False) -> MasterSolution:
         A, obj, lb, ub, senses, rhs = self._assemble()
         if forbid_artificial:
-            ub = ub.copy()
-            ub[self._layout()[1]] = 0.0
+            ub[len(self.fragments) + ART] = 0.0
         res = lpback.solve_lp(obj, A, senses, rhs, lb, ub,
                               tol=self.cfg.lp_tolerance)
         if res.status == "infeasible":
             return MasterSolution("infeasible", float("inf"),
-                                  np.zeros(len(self.fragments)), 0.0,
-                                  {}, {}, {}, message=res.message)
+                                  np.zeros(len(self.fragments)), 0.0, {})
         if res.status != "optimal":
             raise MasterError("LP backend: %s (%s)" % (res.status, res.message))
-        x, art, b, l, p = self._unpack(res.x)
-        return MasterSolution("optimal", res.objective, x, art, b, l, p,
+        x, art, p = self._unpack(res.x)
+        return MasterSolution("optimal", res.objective, x, art, p,
                               duals=self._extract_duals(res.duals))
 
     def solve_integer(self, time_limit: Optional[float] = None) -> MasterSolution:
         A, obj, lb, ub, senses, rhs = self._assemble()
-        nf, art, bpos, lpos, p0, ncols = self._layout()
-        ub = ub.copy()
+        nf = len(self.fragments)
         ub[:nf] = 1.0
-        ub[art] = 0.0
-        integral = np.zeros(ncols, dtype=bool)
+        ub[nf + ART] = 0.0
+        integral = np.zeros(len(obj), dtype=bool)
         integral[:nf] = True
-        integral[p0:] = True
+        integral[nf + self._p0:] = True
         res = lpback.solve_milp(obj, A, senses, rhs, lb, ub, integral,
                                 time_limit=time_limit)
         if res.status in ("infeasible", "no_solution"):
             return MasterSolution(res.status, float("inf"),
-                                  np.zeros(nf), 0.0, {}, {}, {},
-                                  best_bound=res.best_bound,
-                                  message=res.message)
+                                  np.zeros(nf), 0.0, {})
         if res.status not in ("optimal", "feasible"):
             raise MasterError("MILP backend: %s (%s)" % (res.status, res.message))
-        x, artv, b, l, p = self._unpack(res.x)
-        return MasterSolution(res.status, res.objective, x, artv, b, l, p,
-                              best_bound=res.best_bound, message=res.message)
+        x, art, p = self._unpack(res.x)
+        return MasterSolution(res.status, res.objective, x, art, p)
 
     def _extract_duals(self, y: np.ndarray) -> DualValues:
         inst = self.inst

@@ -31,15 +31,19 @@ from __future__ import annotations
 def _propagate(lo, hi, edges):
     """Raises lo to the least solution of b_b >= b_a + w over the edges
     (a, b, w), in place.  False when some lo[v] passes hi[v] or when
-    |V| + 1 passes still change lo, which proves a positive cycle."""
+    |V| + 1 passes still change lo, which proves a positive cycle.  lo
+    only rises, so after the first check only a raised lo[b] can pass
+    its closing; lo is left part-raised when the answer is False."""
+    if any(lo[v] > hi[v] for v in lo):
+        return False
     for _ in range(len(lo) + 1):
         changed = False
         for a, b, w in edges:
             if lo[a] + w > lo[b]:
                 lo[b] = lo[a] + w
+                if lo[b] > hi[b]:
+                    return False
                 changed = True
-        if any(lo[v] > hi[v] for v in lo):
-            return False
         if not changed:
             return True
     return False

@@ -148,8 +148,8 @@ class TestComputeLowerBound:
 
     def test_unpack_shape(self):
         inst = line_instance(n=2)
-        lb, columns, duals, cuts = compute_lower_bound(inst, SolverConfig())
-        assert lb > 0 and len(columns) > 0 and duals is not None
+        res = compute_lower_bound(inst, SolverConfig())
+        assert res.lb > 0 and len(res.columns) > 0 and res.duals is not None
 
 
 class TestInitialUpperBound:

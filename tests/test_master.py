@@ -132,7 +132,7 @@ class TestRelaxation:
     def test_vehicle_lower_bound_row(self):
         inst = line_instance(2, demands=[10, 10], capacity=10)
         m = build_initial(inst, support_cfg())
-        assert m.rows[1].kind == "veh_lb" and m.rows[1].rhs == 2.0
+        assert m.senses[1] == "G" and m.rhs[1] == 2.0
         res = m.solve_relaxation()
         departures = sum(x for f, x in zip(m.fragments, res.x)
                          if f.start == 0)
@@ -183,6 +183,42 @@ class TestRelaxation:
         assert m.add_fragments(initial_fragments(inst)) == 0
         assert len(m.fragments) == before
         assert not m.add_cut(m.cuts[0])
+
+
+class TestAssembly:
+    def test_order_of_adds_leaves_the_matrix_unchanged(self):
+        # The lower bound's cuts (RCCs lifted to FRCCs) and its columns,
+        # given to one master cuts first and to another interleaved with
+        # the columns: every assembled array must come out the same.
+        from fragvrp import driver
+        from fragvrp.instance import SolverConfig
+        cfg = SolverConfig(frcc_size_cap_fraction=1.0)
+        # Seed 1 separates every family, an FRCC among them.
+        inst = support.random_instance(np.random.default_rng(1),
+                                       n_tasks=6, n_deps=3)
+        lb = driver.compute_lower_bound(inst, cfg)
+        cuts = [driver._lift_cut(c, inst, cfg) for c in lb.cuts]
+        frags = list(lb.columns)
+        assert any(c.sense == "G" for c in cuts)
+        assert any(c.p_pair is not None and c.p_coeff for c in cuts)
+        first = MasterModel(inst, cfg)
+        first.add_cuts(cuts)
+        first.add_fragments(frags)
+        mixed = MasterModel(inst, cfg)
+        step = -(-len(frags) // (len(cuts) + 1))
+        for i, cut in enumerate(cuts):
+            mixed.add_fragments(frags[i * step:(i + 1) * step])
+            mixed.add_cut(cut)
+        mixed.add_fragments(frags[len(cuts) * step:])
+        assert mixed.fragments == first.fragments
+        A, *rest = first._assemble()
+        B, *other = mixed._assemble()
+        nf = len(frags)
+        assert A[A.shape[0] - len(cuts):, :nf].nnz > 0
+        for a, b in [(A.data, B.data), (A.indices, B.indices),
+                     (A.indptr, B.indptr)] + list(zip(rest, other)):
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b)
 
 
 class TestInteger:
