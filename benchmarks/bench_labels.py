@@ -47,7 +47,7 @@ def test_labels_from(benchmark, priced):
     starts = [0] + sorted(inst.vd)
 
     def price():
-        return [labels_from(s, env, ng, inst, lbres.duals) for s in starts]
+        return [labels_from(s, env, ng) for s in starts]
 
     assert sum(len(labs) for labs in benchmark(price)) > 0
 

@@ -13,6 +13,10 @@ Five cut families strengthen the master relaxation:
 * TIFI: time infeasible fragment inequalities at a single task.
 * TDIFI: temporal dependency infeasible fragment inequalities at a
   dependent pair, in four variants (min/max difference per order).
+  TIFI and TDIFI share one row form, IntervalCut: late arrivals into
+  one task plus early departures from another, with an optional order
+  term.  Their separators only list candidate rows; one scoring loop
+  picks the most violated.
 * RCC: rounded capacity constraints counting S-entering arcs.
 * FRCC: fragment-based lifting of an RCC (coefficient 1 per entering
   fragment, regardless of how often it enters).
@@ -50,8 +54,8 @@ class FsecCut:
 
     kind = "FSEC"
     sense = "L"
-    p_pair: Optional[Tuple[int, int]] = None
-    p_coeff: float = 0.0
+    p_pair = None
+    p_coeff = 0.0
 
     @property
     def rhs(self) -> float:
@@ -68,64 +72,30 @@ class FsecCut:
 
 
 @dataclass(frozen=True)
-class TifiCut:
-    """Fragments into v finishing at or after t plus fragments out of v
-    that must start before t: at most one of them fits."""
+class IntervalCut:
+    """An infeasible-interval row: fragments into in_task finishing at or
+    after es_min plus fragments out of out_task that must start by
+    ls_max, plus p_coeff times the order variable of p_pair, at most rhs.
 
-    v: int
-    t: int
-
-    kind = "TIFI"
-    sense = "L"
-    rhs: float = 1.0
-    p_pair: Optional[Tuple[int, int]] = None
-    p_coeff: float = 0.0
-
-    def key(self):
-        return ("TIFI", self.v, self.t)
-
-    def completion_coeff(self, start: int, end: int, es: int, ls: int) -> int:
-        c = 0
-        if end == self.v and es >= self.t:
-            c += 1
-        if start == self.v and ls < self.t:
-            c += 1
-        return c
-
-    def fragment_coeff(self, f: Fragment) -> int:
-        return self.completion_coeff(f.start, f.end, f.es, f.ls)
-
-
-@dataclass(frozen=True)
-class TdifiCut:
-    """One of the four order-dependent incompatibility rows for a
-    dependent pair (u, v), u < v.
-
-    in_task/es_min select ingoing fragments finishing late, out_task and
-    ls_max select outgoing fragments forced to start early; strict
-    comparisons are folded into the inclusive integer thresholds.
+    TIFI and TDIFI rows both take this form; strict comparisons are
+    folded into the inclusive integer thresholds.  `tag` is the key after
+    the kind: (v, t) for a TIFI, (u, v, variant, t) for a TDIFI.
     """
 
-    u: int
-    v: int
-    variant: str
-    t: int
+    kind: str
+    tag: tuple
     in_task: int
     es_min: int
     out_task: int
     ls_max: int
-    p_coeff: float
     rhs: float
+    p_pair: Optional[Tuple[int, int]] = None
+    p_coeff: float = 0.0
 
-    kind = "TDIFI"
     sense = "L"
 
-    @property
-    def p_pair(self) -> Tuple[int, int]:
-        return (self.u, self.v)
-
     def key(self):
-        return ("TDIFI", self.u, self.v, self.variant, self.t)
+        return (self.kind,) + self.tag
 
     def completion_coeff(self, start: int, end: int, es: int, ls: int) -> int:
         c = 0
@@ -139,29 +109,34 @@ class TdifiCut:
         return self.completion_coeff(f.start, f.end, f.es, f.ls)
 
 
-def make_tdifi(u: int, v: int, variant: str, t: int, inst: Instance) -> TdifiCut:
-    """Instantiate a TDIFI row; (u, v) must be the canonical pair order."""
+def make_tifi(v: int, t: int) -> IntervalCut:
+    """Fragments into v finishing at or after t plus fragments out of v
+    that must start before t: at most one of them fits."""
+    return IntervalCut("TIFI", (v, t), in_task=v, es_min=t, out_task=v,
+                       ls_max=t - 1, rhs=1.0)
+
+
+def make_tdifi(u: int, v: int, variant: str, t: int,
+               inst: Instance) -> IntervalCut:
+    """One of the four order-dependent incompatibility rows for a
+    dependent pair (u, v), which must be in canonical order u < v."""
     if u > v:
         raise ValueError("pair must be in canonical order")
     if variant == "uv-min":
         # u starting at or after t and v before t + dmin forbids u-first.
-        return TdifiCut(u, v, variant, t, in_task=u, es_min=t,
-                        out_task=v, ls_max=t + inst.dmin(u, v) - 1,
-                        p_coeff=1.0, rhs=2.0)
-    if variant == "uv-max":
+        row = (u, t, v, t + inst.dmin(u, v) - 1, 1.0, 2.0)
+    elif variant == "uv-max":
         # u no later than t and v after t + dmax: incompatible outright.
-        return TdifiCut(u, v, variant, t, in_task=v,
-                        es_min=t + inst.dmax(u, v) + 1,
-                        out_task=u, ls_max=t, p_coeff=0.0, rhs=1.0)
-    if variant == "vu-min":
-        return TdifiCut(u, v, variant, t, in_task=v, es_min=t,
-                        out_task=u, ls_max=t + inst.dmin(v, u) - 1,
-                        p_coeff=-1.0, rhs=1.0)
-    if variant == "vu-max":
-        return TdifiCut(u, v, variant, t, in_task=u,
-                        es_min=t + inst.dmax(v, u) + 1,
-                        out_task=v, ls_max=t, p_coeff=0.0, rhs=1.0)
-    raise ValueError("unknown variant %r" % (variant,))
+        row = (v, t + inst.dmax(u, v) + 1, u, t, 0.0, 1.0)
+    elif variant == "vu-min":
+        row = (v, t, u, t + inst.dmin(v, u) - 1, -1.0, 1.0)
+    elif variant == "vu-max":
+        row = (u, t + inst.dmax(v, u) + 1, v, t, 0.0, 1.0)
+    else:
+        raise ValueError("unknown variant %r" % (variant,))
+    in_task, es_min, out_task, ls_max, p_coeff, rhs = row
+    return IntervalCut("TDIFI", (u, v, variant, t), in_task, es_min,
+                       out_task, ls_max, rhs, (u, v), p_coeff)
 
 
 @dataclass(frozen=True)
@@ -174,16 +149,20 @@ class RccCut:
 
     kind = "RCC"
     sense = "G"
-    p_pair: Optional[Tuple[int, int]] = None
-    p_coeff: float = 0.0
+    p_pair = None
+    p_coeff = 0.0
 
     def key(self):
         return ("RCC", tuple(sorted(self.S)))
 
     def fragment_coeff(self, f: Fragment) -> int:
-        S = self.S
-        return sum(1 for a, b in zip(f.tasks, f.tasks[1:])
-                   if a not in S and b in S)
+        return _entries(f, self.S)
+
+
+def _entries(f: Fragment, S) -> int:
+    """The arcs of f that enter S."""
+    return sum(1 for a, b in zip(f.tasks, f.tasks[1:])
+               if a not in S and b in S)
 
 
 @dataclass(frozen=True)
@@ -196,8 +175,8 @@ class FrccCut:
 
     kind = "FRCC"
     sense = "G"
-    p_pair: Optional[Tuple[int, int]] = None
-    p_coeff: float = 0.0
+    p_pair = None
+    p_coeff = 0.0
 
     def key(self):
         return ("FRCC", tuple(sorted(self.S)))
@@ -396,69 +375,72 @@ def _by_endpoint(support: Sequence[Tuple[Fragment, float]], inst: Instance):
     return incoming, outgoing
 
 
+def _most_violated(rows: Iterable[IntervalCut], incoming, outgoing,
+                   p_vals: Dict[Tuple[int, int], float], viol_tol: float,
+                   existing) -> Optional[IntervalCut]:
+    """The first row violated by more than viol_tol whose key is new to
+    the model, replaced only by a later one violated more by EPS."""
+    best = None
+    for cut in rows:
+        lhs = cut.p_coeff * p_vals.get(cut.p_pair, 0.0)
+        lhs += sum(x for f, x in incoming.get(cut.in_task, ())
+                   if f.es >= cut.es_min)
+        lhs += sum(x for f, x in outgoing.get(cut.out_task, ())
+                   if f.ls <= cut.ls_max)
+        viol = lhs - cut.rhs
+        if viol > viol_tol and (best is None or viol > best[0] + EPS) \
+                and cut.key() not in existing:
+            best = (viol, cut)
+    return None if best is None else best[1]
+
+
 def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
-                  viol_tol: float, existing: Iterable = ()) -> List[TifiCut]:
+                  viol_tol: float,
+                  existing: Iterable = ()) -> List[IntervalCut]:
     """At most one cut per dependent task, the most violated over the
     candidate time points (earliest completions of ingoing fragments)."""
     existing = set(existing)
     incoming, outgoing = _by_endpoint(support, inst)
-    out: List[TifiCut] = []
+    out: List[IntervalCut] = []
     for v in sorted(inst.vd):
-        cands = sorted({f.es for f, _ in incoming.get(v, ())})
-        best = None
-        for t in cands:
-            lhs = sum(x for f, x in incoming.get(v, ()) if f.es >= t)
-            lhs += sum(x for f, x in outgoing.get(v, ()) if f.ls < t)
-            viol = lhs - 1.0
-            if viol > viol_tol and (best is None or viol > best[0] + EPS):
-                cut = TifiCut(v=v, t=int(t))
-                if cut.key() not in existing:
-                    best = (viol, cut)
-        if best is not None:
-            out.append(best[1])
+        times = sorted({f.es for f, _ in incoming.get(v, ())})
+        cut = _most_violated((make_tifi(v, int(t)) for t in times),
+                             incoming, outgoing, {}, viol_tol, existing)
+        if cut is not None:
+            out.append(cut)
     return out
 
 
 def separate_tdifi(support: Sequence[Tuple[Fragment, float]],
                    p_vals: Dict[Tuple[int, int], float], inst: Instance,
-                   viol_tol: float, existing: Iterable = ()) -> List[TdifiCut]:
+                   viol_tol: float,
+                   existing: Iterable = ()) -> List[IntervalCut]:
     """At most one cut per dependent pair: the most violated among the
     four variants over their respective candidate time points."""
     existing = set(existing)
     incoming, outgoing = _by_endpoint(support, inst)
-    out: List[TdifiCut] = []
+    out: List[IntervalCut] = []
     for dep in inst.deps:
         u, v = dep.u, dep.v
-        pv = p_vals.get((u, v), 0.0)
-        cand = {
+        times = {
             "uv-min": sorted({f.es for f, _ in incoming.get(u, ())}),
             "uv-max": sorted({f.ls for f, _ in outgoing.get(u, ())}),
             "vu-min": sorted({f.es for f, _ in incoming.get(v, ())}),
             "vu-max": sorted({f.ls for f, _ in outgoing.get(v, ())}),
         }
-        best = None
-        for variant in TDIFI_VARIANTS:
-            for t in cand[variant]:
-                cut = make_tdifi(u, v, variant, int(t), inst)
-                lhs = cut.p_coeff * pv
-                lhs += sum(x for f, x in incoming.get(cut.in_task, ())
-                           if f.es >= cut.es_min)
-                lhs += sum(x for f, x in outgoing.get(cut.out_task, ())
-                           if f.ls <= cut.ls_max)
-                viol = lhs - cut.rhs
-                if viol > viol_tol and (best is None or viol > best[0] + EPS):
-                    if cut.key() not in existing:
-                        best = (viol, cut)
-        if best is not None:
-            out.append(best[1])
+        rows = (make_tdifi(u, v, variant, int(t), inst)
+                for variant in TDIFI_VARIANTS for t in times[variant])
+        cut = _most_violated(rows, incoming, outgoing, p_vals, viol_tol,
+                             existing)
+        if cut is not None:
+            out.append(cut)
     return out
 
 
 def _entering_weight(support, S) -> float:
     lhs = 0.0
     for f, x in support:
-        cnt = sum(1 for a, b in zip(f.tasks, f.tasks[1:])
-                  if a not in S and b in S)
+        cnt = _entries(f, S)
         if cnt:
             lhs += cnt * x
     return lhs

@@ -274,8 +274,10 @@ def _decode(m, sol, inst):
 def _solve_restricted(m, inst, clock, counts, time_cap=None):
     """Integer solve; decodes and verifies the incumbent, adding a repair
     subtour row in the degenerate case of a depot-free cycle that the
-    big-M timing rows cannot exclude."""
-    for _ in range(1 + len(inst.vd)):
+    big-M timing rows cannot exclude.  Raises MasterError when the
+    last of 1 + |V_D| solves still needs a repair row."""
+    solves = 1 + len(inst.vd)
+    for _ in range(solves):
         limit = clock.remaining()
         if time_cap is not None:
             limit = min(limit, time_cap)
@@ -297,7 +299,8 @@ def _solve_restricted(m, inst, clock, counts, time_cap=None):
         if not m.add_cut(cutlib.FsecCut(S=frozenset(stuck), vmin=vmin)):
             raise MasterError("repair row already present; giving up")
         counts["FSEC"] = counts.get("FSEC", 0) + 1
-    return float("inf"), None, False
+    raise MasterError("integer master still undecodable after %d solves"
+                      % solves)
 
 
 def initial_upper_bound(columns, cuts, inst, cfg, clock=None,

@@ -135,7 +135,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     while stack:
         lab = stack.pop()
         for u in reversed(env.succ[lab.end]):
-            child = extend_label(lab, u, duals, ng, inst, env=env)
+            child = extend_label(lab, u, env, ng)
             if isinstance(child, Infeasible):
                 continue
             if is_complete(child, inst):
@@ -162,8 +162,7 @@ def reduce_by_route_bound(frags: Sequence[Fragment], duals: DualValues,
     """
     env = CostEnv(duals, inst)
     alive: Dict[tuple, Fragment] = {f.tasks: f for f in frags}
-    rc = {f.tasks: fragment_reduced_cost(f, duals, inst, env=env)
-          for f in frags}
+    rc = {f.tasks: fragment_reduced_cost(f, env) for f in frags}
     while True:
         by_end: Dict[int, List[Fragment]] = {}
         by_start: Dict[int, List[Fragment]] = {}
@@ -206,10 +205,8 @@ def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
     budget = ub_cand - lb
     tol = master.cfg.lp_tolerance
     protect = set(keep)
-    inst = master.inst
-    env = CostEnv(sol.duals, inst)
+    env = CostEnv(sol.duals, master.inst)
     out = [f for f in frags
            if f.tasks in protect
-           or fragment_reduced_cost(f, sol.duals, inst, env=env)
-           <= budget + tol]
+           or fragment_reduced_cost(f, env) <= budget + tol]
     return out, sol.duals, lb

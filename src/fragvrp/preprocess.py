@@ -109,12 +109,6 @@ def _merge(old, new, tmax):
     return tuple(out)
 
 
-def _oriented(dep: TemporalDependency, u, v):
-    if dep.u == u and dep.v == v:
-        return (dep.dmin_uv, dep.dmax_uv, dep.dmin_vu, dep.dmax_vu)
-    return (dep.dmin_vu, dep.dmax_vu, dep.dmin_uv, dep.dmax_uv)
-
-
 def close_dependencies(inst: Instance) -> PreprocessResult:
     tmax = inst.tmax
     quads = {}

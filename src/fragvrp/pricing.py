@@ -105,7 +105,9 @@ def exact_memory(inst: Instance) -> dict:
 
 
 class CostEnv:
-    """Dual prices rearranged for labeling.
+    """Dual prices rearranged for labeling, and the one pricing context:
+    the label kernel, dominance and fragment_reduced_cost read the duals
+    and the instance from it.
 
     cbar[i, j] is the reduced arc cost: travel cost minus the assignment
     price of i and the flow price of a dependent j, minus the price of
@@ -185,8 +187,7 @@ class CostEnv:
         return th
 
 
-def extend_label(lab: Label, u: int, duals: DualValues, ng: dict,
-                 inst: Instance, env=None):
+def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
     """One forward extension of an incomplete label.
 
     Check order: structural rules (start revisit, empty depot loop, ng
@@ -198,6 +199,7 @@ def extend_label(lab: Label, u: int, duals: DualValues, ng: dict,
     the completion charge; the start-side credit is part of the initial
     label.  Every u outside env.succ[lab.end] is rejected.
     """
+    inst = env.inst
     if is_complete(lab, inst):
         raise ValueError("complete labels are not extended")
     start, end, tasks = lab.start, lab.end, lab.tasks
@@ -222,8 +224,6 @@ def extend_label(lab: Label, u: int, duals: DualValues, ng: dict,
         return Infeasible("schedule summary left the endpoint windows")
     if ls + dur > b_u or es - dur < a_s:
         return Infeasible("duration incompatible with the endpoint windows")
-    if env is None:
-        env = CostEnv(duals, inst)
     rc = lab.rcost + env.cbar_list[end][u]
     if closing:
         rc += env.completion_charge(start, u, es, ls, dur, load)
@@ -233,14 +233,11 @@ def extend_label(lab: Label, u: int, duals: DualValues, ng: dict,
     return Label(tasks + (u,), mem, load, b, rc)
 
 
-def fragment_reduced_cost(f: Fragment, duals: DualValues, inst: Instance,
-                          env=None) -> float:
+def fragment_reduced_cost(f: Fragment, env: CostEnv) -> float:
     """Reduced cost of a finished fragment: start credit, arc walk,
     completion charge, and the fragment-capacity rows' prices.  The one
     place duals become a finished fragment's reduced cost: it equals the
     objective coefficient minus the dual-weighted master column."""
-    if env is None:
-        env = CostEnv(duals, inst)
     rc = env.init_cost(f.start)
     for a, b in zip(f.tasks, f.tasks[1:]):
         rc += env.cbar_list[a][b]
@@ -283,28 +280,28 @@ def _implied_latest_start(g: Label, inst: Instance) -> int:
     return best
 
 
-def _phi(f: Label, g: Label, duals: DualValues, inst: Instance) -> float:
+def _phi(f: Label, g: Label, env: CostEnv) -> float:
     """Lower bound on the completion-charge gap between g and f when f
     beats g on every resource but reduced cost (same endpoints, f.mem a
     subset of g.mem, no more load, es or dur, no less ls).
 
     The ls term anticipates the worst clamp a dependent completion could
     still apply to g's latest start; the load term is exact.  Charges of
-    the infeasible-interval cut families only widen the gap (their
-    coefficients grow along the dominance order while their row prices
-    are nonpositive), so they contribute zero here.
+    interval rows (TIFI and TDIFI, cuts.IntervalCut) only widen the gap
+    (their coefficients grow along the dominance order while their row
+    prices are nonpositive), so they contribute zero here.
     """
     s = f.start
-    tau = duals.tau_ub.get(s, 0.0)
-    kap = duals.kap_ub.get(s, 0.0)
+    tau = env.duals.tau_ub.get(s, 0.0)
+    kap = env.duals.kap_ub.get(s, 0.0)
     if tau == 0.0 and kap == 0.0:
         return 0.0
-    lam_min = _implied_latest_start(g, inst)
+    lam_min = _implied_latest_start(g, env.inst)
     ls_term = min(f.ls, g.ls + g.dur - f.dur, max(g.ls, lam_min)) - g.ls
     return ls_term * tau + (g.load - f.load) * kap
 
 
-def _dominates(f: Label, g: Label, duals: DualValues, inst: Instance) -> bool:
+def _dominates(f: Label, g: Label, env: CostEnv) -> bool:
     """Every completion of g is matched by f at no larger reduced cost."""
     if f.dur > g.dur or f.ls < g.ls or f.es > g.es or f.load > g.load:
         return False
@@ -312,7 +309,7 @@ def _dominates(f: Label, g: Label, duals: DualValues, inst: Instance) -> bool:
         return False
     if f.rcost <= g.rcost:
         return True
-    return f.rcost <= g.rcost + _phi(f, g, duals, inst)
+    return f.rcost <= g.rcost + _phi(f, g, env)
 
 
 # --- the labeling loop ---------------------------------------------------
@@ -322,7 +319,7 @@ def _heap_key(lab: Label):
     return (lab.dur, lab.rcost, len(lab.tasks), lab.tasks)
 
 
-def _insert(buckets, heap, lab, duals, inst) -> None:
+def _insert(buckets, heap, lab, env) -> None:
     """One scan of the bucket: drop lab if a kept label dominates it,
     else delete the kept labels lab dominates.  A dominator has no
     larger dur, so only ties in dur are tested both ways."""
@@ -330,9 +327,9 @@ def _insert(buckets, heap, lab, duals, inst) -> None:
     doomed = []
     dur = lab.dur
     for seq, kept in bucket.items():
-        if kept.dur <= dur and _dominates(kept, lab, duals, inst):
+        if kept.dur <= dur and _dominates(kept, lab, env):
             return
-        if dur <= kept.dur and _dominates(lab, kept, duals, inst):
+        if dur <= kept.dur and _dominates(lab, kept, env):
             doomed.append(seq)
     for seq in doomed:
         del bucket[seq]
@@ -340,13 +337,13 @@ def _insert(buckets, heap, lab, duals, inst) -> None:
     heapq.heappush(heap, _heap_key(lab) + (lab,))
 
 
-def labels_from(start: int, env: CostEnv, ng: dict, inst: Instance,
-                duals: DualValues) -> List[Label]:
+def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
     """All complete labels grown from one start task, dominance pruned.
 
     Deterministic: the queue pops in (dur, rcost, length, sequence)
     order and candidate tasks are scanned by index, over the successor
     list of the label's end."""
+    inst = env.inst
     if inst.alpha_list[start] > inst.beta_list[start]:
         return []
     init = Label((start,), frozenset(), 0, initial_bounds(start, inst),
@@ -354,7 +351,7 @@ def labels_from(start: int, env: CostEnv, ng: dict, inst: Instance,
     heap: list = []
     buckets: Dict[int, Dict[tuple, Label]] = {}
     done: List[Label] = []
-    _insert(buckets, heap, init, duals, inst)
+    _insert(buckets, heap, init, env)
     while heap:
         entry = heapq.heappop(heap)
         lab = entry[-1]
@@ -362,13 +359,13 @@ def labels_from(start: int, env: CostEnv, ng: dict, inst: Instance,
         if bucket is None or bucket.get(lab.tasks) is not lab:
             continue
         for u in env.succ[lab.end]:
-            child = extend_label(lab, u, duals, ng, inst, env=env)
+            child = extend_label(lab, u, env, ng)
             if isinstance(child, Infeasible):
                 continue
             if is_complete(child, inst):
                 done.append(child)
             else:
-                _insert(buckets, heap, child, duals, inst)
+                _insert(buckets, heap, child, env)
     return done
 
 
@@ -390,7 +387,7 @@ def solve_pricing(duals: DualValues, inst: Instance,
     tol = cfg.lp_tolerance
     negatives: List[Label] = []
     for s in [0] + sorted(inst.vd):
-        for lab in labels_from(s, env, ng, inst, duals):
+        for lab in labels_from(s, env, ng):
             if lab.rcost < -tol:
                 negatives.append(lab)
     negatives.sort(key=_output_order)

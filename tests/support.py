@@ -323,6 +323,82 @@ def reference_fsec(support, inst, k_max, vmin, viol_tol, existing=()):
     return sorted(out)
 
 
+def _first_most_violated(rows, viol_tol, existing):
+    """From (violation, key, rhs, p_coeff) rows in candidate order, the
+    first of largest violation above viol_tol whose key is new."""
+    rows = [r for r in rows if r[0] > viol_tol and r[1] not in existing]
+    return [max(rows, key=lambda r: r[0])] if rows else []
+
+
+def reference_tifi(support, inst, viol_tol, existing=()):
+    """TIFI separation from the row definition: per dependent task v and
+    time t among the earliest completions into v, fragments into v with
+    es >= t plus fragments out of v with ls < t, at most 1.  Sums over
+    the whole support.  Returns (violation, key, rhs, p_coeff) rows."""
+    out = []
+    for v in sorted(inst.vd):
+        rows = []
+        for t in sorted({f.es for f, _ in support if f.end == v}):
+            lhs = sum(x for f, x in support if f.end == v and f.es >= t) \
+                + sum(x for f, x in support if f.start == v and f.ls < t)
+            rows.append((lhs - 1.0, ("TIFI", v, t), 1.0, 0.0))
+        out += _first_most_violated(rows, viol_tol, existing)
+    return out
+
+
+def reference_tdifi(support, p_vals, inst, viol_tol, existing=()):
+    """TDIFI separation from the row definitions, per dependency (u, v)
+    with order variable p (1 when u starts first), at time t:
+
+    * uv-min: u done at or after t, v started before t + dmin(u, v):
+      into(u, es >= t) + out(v, ls < t + dmin(u, v)) + p <= 2;
+    * uv-max: u started by t, v reached after t + dmax(u, v):
+      out(u, ls <= t) + into(v, es > t + dmax(u, v)) <= 1;
+    * vu-min and vu-max: the same with u and v swapped, the first with
+      - p and right-hand side 1.
+
+    Candidate times are the earliest completions into, or latest starts
+    out of, the task the row anchors at t.  Returns (violation, key, rhs,
+    p_coeff) rows."""
+    def into(w, after):
+        return sum(x for f, x in support if f.end == w and after(f.es))
+
+    def out_of(w, before):
+        return sum(x for f, x in support if f.start == w and before(f.ls))
+
+    def es_into(w):
+        return sorted({f.es for f, _ in support if f.end == w})
+
+    def ls_out(w):
+        return sorted({f.ls for f, _ in support if f.start == w})
+
+    out = []
+    for d in inst.deps:
+        u, v = d.u, d.v
+        p = p_vals.get((u, v), 0.0)
+        rows = []
+        for t in es_into(u):
+            lo = t + inst.dmin(u, v)
+            lhs = into(u, lambda es: es >= t) \
+                + out_of(v, lambda ls: ls < lo) + p
+            rows.append((lhs - 2.0, ("TDIFI", u, v, "uv-min", t), 2.0, 1.0))
+        for t in ls_out(u):
+            hi = t + inst.dmax(u, v)
+            lhs = out_of(u, lambda ls: ls <= t) + into(v, lambda es: es > hi)
+            rows.append((lhs - 1.0, ("TDIFI", u, v, "uv-max", t), 1.0, 0.0))
+        for t in es_into(v):
+            lo = t + inst.dmin(v, u)
+            lhs = into(v, lambda es: es >= t) \
+                + out_of(u, lambda ls: ls < lo) - p
+            rows.append((lhs - 1.0, ("TDIFI", u, v, "vu-min", t), 1.0, -1.0))
+        for t in ls_out(v):
+            hi = t + inst.dmax(v, u)
+            lhs = out_of(v, lambda ls: ls <= t) + into(u, lambda es: es > hi)
+            rows.append((lhs - 1.0, ("TDIFI", u, v, "vu-max", t), 1.0, 0.0))
+        out += _first_most_violated(rows, viol_tol, existing)
+    return out
+
+
 def route_cost(route, inst):
     cost = int(inst.c[0, route[0]]) + int(inst.c[route[-1], 0])
     for a, b in zip(route, route[1:]):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fragvrp.cuts as cutlib
-from fragvrp.cuts import (FrccCut, FsecCut, RccCut, TifiCut, VminCalculator,
-                          lift_rcc_to_frcc, make_tdifi, rcc_rhs,
+from fragvrp.cuts import (FrccCut, FsecCut, RccCut, VminCalculator,
+                          lift_rcc_to_frcc, make_tdifi, make_tifi, rcc_rhs,
                           separate_fsec, separate_rcc, separate_tdifi,
                           separate_tifi)
 from fragvrp.fragments import build_fragment
@@ -45,18 +45,44 @@ class TestCoefficients:
         inst = line_instance(3, deps=[dep(1, 2, (0, 60, 0, 60))])
         incoming = frag((0, 3, 1), inst)   # ends at task 1
         outgoing = frag((1, 0), inst)      # starts at task 1
-        cut = TifiCut(v=1, t=incoming.es)
+        t = incoming.es
+        cut = make_tifi(1, t)
+        assert cut.key() == ("TIFI", 1, t)
+        assert (cut.in_task, cut.es_min, cut.out_task, cut.ls_max) == \
+            (1, t, 1, t - 1)
+        assert (cut.p_pair, cut.p_coeff, cut.rhs) == (None, 0.0, 1.0)
         assert cut.fragment_coeff(incoming) == 1
         assert cut.fragment_coeff(frag((0, 1), inst)) == (
-            1 if frag((0, 1), inst).es >= cut.t else 0)
+            1 if frag((0, 1), inst).es >= t else 0)
         # The outgoing side counts only fragments that must start earlier.
-        assert cut.fragment_coeff(outgoing) == (1 if outgoing.ls < cut.t else 0)
-        late = TifiCut(v=1, t=outgoing.ls + 1)
+        assert cut.fragment_coeff(outgoing) == (1 if outgoing.ls < t else 0)
+        late = make_tifi(1, outgoing.ls + 1)
         assert late.fragment_coeff(outgoing) == 1
+
+    def test_tifi_matches_its_definition(self):
+        # [f.end == v and f.es >= t] + [f.start == v and f.ls < t] over
+        # every exhaustive fragment, at every es and ls and one either side
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(4):
+            inst = support.random_instance(rng, n_tasks=5, n_deps=2)
+            frags = support.exhaustive_fragments(inst, build_fragment)
+            times = {f.es for f in frags} | {f.ls for f in frags}
+            for v in sorted(inst.vd):
+                for t in sorted({t + d for t in times for d in (-1, 0, 1)}):
+                    cut = make_tifi(v, t)
+                    for f in frags:
+                        want = int(f.end == v and f.es >= t) \
+                            + int(f.start == v and f.ls < t)
+                        assert cut.fragment_coeff(f) == want, (v, t, f.tasks)
+                        checked += want
+        assert checked > 1000
 
     def test_tdifi_variant_thresholds(self):
         inst = line_instance(4, deps=[dep(1, 2, (2, 5, 1, 7))])
         a = make_tdifi(1, 2, "uv-min", 10, inst)
+        assert a.key() == ("TDIFI", 1, 2, "uv-min", 10)
+        assert a.p_pair == (1, 2)
         assert (a.in_task, a.es_min, a.out_task, a.ls_max) == (1, 10, 2, 11)
         assert (a.p_coeff, a.rhs) == (1.0, 2.0)
         b = make_tdifi(1, 2, "uv-max", 10, inst)
@@ -314,7 +340,7 @@ class TestSeparation:
         sup = [(into, 0.7), (out, 0.7)]
         cuts = separate_tifi(sup, inst, viol_tol=0.25)
         assert len(cuts) == 1
-        assert cuts[0].v == 1 and cuts[0].t == into.es
+        assert cuts[0].key() == ("TIFI", 1, into.es)
         assert cuts[0].fragment_coeff(into) == 1
         assert cuts[0].fragment_coeff(out) == 1
         # Below the violation threshold nothing is returned.
@@ -333,12 +359,45 @@ class TestSeparation:
         cuts = separate_tdifi(sup, {(1, 2): 1.0}, inst, viol_tol=0.25)
         assert len(cuts) == 1
         cut = cuts[0]
-        assert (cut.u, cut.v, cut.variant) == (1, 2, "uv-min")
-        assert cut.t == into_u.es
+        assert cut.key() == ("TDIFI", 1, 2, "uv-min", into_u.es)
         assert cut.fragment_coeff(into_u) == 1
         assert cut.fragment_coeff(out_v) == 1
         # With p = 0 the same support is not violated (rhs stays at 2).
         assert separate_tdifi(sup, {(1, 2): 0.0}, inst, viol_tol=0.25) == []
+
+    def test_interval_rows_match_reference_separators(self):
+        # dyadic weights and order values keep every sum exact, so the
+        # EPS tie-break reduces to "first of largest violation"
+        rng = np.random.default_rng(43)
+        found = collections.Counter()
+        for trial in range(30):
+            inst = support.random_instance(
+                rng, n_tasks=int(rng.integers(5, 7)),
+                n_deps=int(rng.integers(1, 4)))
+            frags = support.exhaustive_fragments(inst, build_fragment)
+            sup = [(f, int(rng.integers(1, 9)) / 8.0) for f in frags
+                   if rng.random() < 0.3]
+            p_vals = {(d.u, d.v): int(rng.integers(0, 9)) / 8.0
+                      for d in inst.deps}
+            tol = [0.0, 0.125, 1e-6][trial % 3]
+            keys = [r[1] for r in support.reference_tifi(sup, inst, tol)
+                    + support.reference_tdifi(sup, p_vals, inst, tol)]
+            for existing in (set(), set(keys[::2])):
+                want = support.reference_tifi(sup, inst, tol, existing) \
+                    + support.reference_tdifi(sup, p_vals, inst, tol,
+                                              existing)
+                got = separate_tifi(sup, inst, tol, existing) \
+                    + separate_tdifi(sup, p_vals, inst, tol, existing)
+                rows = []
+                for cut in got:
+                    lhs = sum(cut.fragment_coeff(f) * x for f, x in sup)
+                    if cut.p_pair is not None:
+                        lhs += cut.p_coeff * p_vals[cut.p_pair]
+                    rows.append((lhs - cut.rhs, cut.key(), cut.rhs,
+                                 cut.p_coeff))
+                assert rows == want, trial
+                found.update(cut.kind for cut in got)
+        assert found["TIFI"] > 20 and found["TDIFI"] > 20, found
 
     def test_rcc_exchange_merges_singletons(self):
         # Two half-used round trips cannot cover demand 12 with Q = 10;

@@ -11,7 +11,7 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
                             solution_to_json)
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
-from fragvrp.master import MasterModel
+from fragvrp.master import MasterError, MasterModel
 from fragvrp.scheduling import schedule_routes
 
 from support import (all_feasible_solutions, line_instance, random_instance,
@@ -324,6 +324,23 @@ class TestRun:
         assert st.status == "optimal"
         assert st.ub_sol == 16
         assert check_solution(st.incumbent, inst)
+
+    def test_repair_rounds_used_up_raise(self, monkeypatch):
+        # every decode needs a new repair row: after 1 + |V_D| integer
+        # solves the driver must fail loudly, not report a time limit.
+        # Each stuck set holds task 3, which no separated FSEC contains.
+        inst = line_instance(n=3, deps=[TemporalDependency(1, 2, 0, 60,
+                                                           0, 60)])
+        stuck = []
+
+        def undecodable(m, sol, inst):
+            stuck.append(frozenset(range(3 - len(stuck), 4)))
+            return None, stuck[-1]
+
+        monkeypatch.setattr(driver, "_decode", undecodable)
+        with pytest.raises(MasterError, match="after 3 solves"):
+            run(inst, SolverConfig())
+        assert len(stuck) == 1 + len(inst.vd)
 
     def test_stats_shape(self):
         inst = line_instance(n=2)

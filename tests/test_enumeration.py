@@ -57,8 +57,7 @@ class TestEnumerate:
                 continue
             env = CostEnv(sol.duals, inst)
             exh = exhaustive_fragments(inst, build_fragment)
-            top = max(fragment_reduced_cost(f, sol.duals, inst, env=env)
-                      for f in exh)
+            top = max(fragment_reduced_cost(f, env) for f in exh)
             got = enumerate_fragments(sol.duals, top + 1.0, inst, cfg)
             assert sorted(f.tasks for f in got) == \
                 sorted(f.tasks for f in exh)
@@ -91,8 +90,7 @@ class TestEnumerate:
                       enumerate_fragments(sol.duals, 0.0, inst, cfg))
             env = CostEnv(sol.duals, inst)
             for f in (build_fragment(s, inst) for s in got):
-                assert fragment_reduced_cost(f, sol.duals, inst, env=env) \
-                    <= 1e-5
+                assert fragment_reduced_cost(f, env) <= 1e-5
             for routes, _, _ in sols:
                 if solution_cost(routes, inst) != best:
                     continue

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from fragvrp.cuts import FsecCut, TifiCut, VminCalculator, separate_tifi
+from fragvrp.cuts import FsecCut, VminCalculator, make_tifi, separate_tifi
 from fragvrp.fragments import build_fragment
 from fragvrp.instance import Instance, Task, TemporalDependency
 from fragvrp.master import (DualValues, MasterModel, build_initial,
                             initial_fragments)
-from fragvrp.pricing import fragment_reduced_cost
+from fragvrp.pricing import CostEnv, fragment_reduced_cost
 from fragvrp.scheduling import schedule_routes
 
 import support
@@ -98,8 +98,9 @@ class TestRelaxation:
         inst = line_instance(4, deps=[dep(1, 2, (1, 20, 1, 20))], horizon=40)
         m, res = solved(inst)
         assert res.status == "optimal"
+        env = CostEnv(res.duals, inst)
         for i, f in enumerate(m.fragments):
-            rc = fragment_reduced_cost(f, res.duals, inst)
+            rc = fragment_reduced_cost(f, env)
             assert rc >= -1e-5, f.tasks
             if res.x[i] > TOL:
                 assert abs(rc) <= 1e-5
@@ -109,9 +110,9 @@ class TestRelaxation:
         m, res = solved(inst)
         zero = DualValues(0.0, np.zeros(inst.n + 1), {}, {}, {}, {}, {},
                           {}, {}, [])
+        env = CostEnv(zero, inst)
         for f in m.fragments:
-            assert fragment_reduced_cost(f, zero, inst) == \
-                pytest.approx(f.cost)
+            assert fragment_reduced_cost(f, env) == pytest.approx(f.cost)
 
     def test_sign_conventions(self):
         inst = line_instance(4, deps=[dep(1, 2, (2, 10, 2, 10))], horizon=30)
@@ -167,7 +168,7 @@ class TestRelaxation:
     def test_rebuild_reproduces_value(self):
         inst = line_instance(3, deps=[dep(1, 2, (0, 20, 4, 20))], horizon=30)
         m, res = solved(inst)
-        m.add_cut(TifiCut(v=1, t=5))
+        m.add_cut(make_tifi(1, 5))
         val = m.solve_relaxation().objective
         fresh = MasterModel(inst, support_cfg())
         fresh.add_fragments(m.fragments)

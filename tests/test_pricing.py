@@ -45,7 +45,7 @@ def random_sign_duals(rng, inst, with_cuts=False):
     if with_cuts and vd:
         v = vd[0]
         t = int((inst.alpha[v] + inst.beta[v]) // 2)
-        d.cut_duals.append((cuts.TifiCut(v, t),
+        d.cut_duals.append((cuts.make_tifi(v, t),
                             -float(np.round(rng.uniform(0, 5), 3))))
         for dep in inst.deps:
             lo, hi = int(inst.alpha[dep.u]), int(inst.beta[dep.u])
@@ -63,7 +63,7 @@ def fold(seq, inst, duals, ng=None):
     lab = Label((seq[0],), frozenset(), 0, initial_bounds(seq[0], inst),
                 env.init_cost(seq[0]))
     for u in seq[1:]:
-        lab = extend_label(lab, u, duals, ng, inst, env=env)
+        lab = extend_label(lab, u, env, ng)
         if isinstance(lab, Infeasible):
             return None
     return lab
@@ -83,7 +83,7 @@ def all_labels_no_dominance(inst, duals, ng):
         if is_complete(lab, inst):
             continue
         for u in range(inst.n + 1):
-            child = extend_label(lab, u, duals, ng, inst, env=env)
+            child = extend_label(lab, u, env, ng)
             if not isinstance(child, Infeasible):
                 stack.append(child)
     return out
@@ -119,7 +119,7 @@ def check_dense_reduced_costs(m, inst, extra=()):
     dense = obj - A.T @ res.duals
     env = CostEnv(duals, inst)
     for i, f in enumerate(m.fragments):
-        got = fragment_reduced_cost(f, duals, inst, env=env)
+        got = fragment_reduced_cost(f, env)
         assert got == pytest.approx(dense[i], abs=1e-7), f.tasks
     return m.fragments, duals
 
@@ -208,7 +208,7 @@ class TestExtendLabel:
             Task(v, 0, 35, 1, 4) for v in range(1, 5)])
         d = zero_duals(heavy)
         lab = fold((1, 2), heavy, d)
-        out = extend_label(lab, 3, d, exact_memory(heavy), heavy)
+        out = extend_label(lab, 3, CostEnv(d, heavy), exact_memory(heavy))
         assert isinstance(out, Infeasible)
 
     def test_structural_rejects(self):
@@ -217,16 +217,14 @@ class TestExtendLabel:
         ng = exact_memory(inst)
         env = CostEnv(d, inst)
         depot = Label((0,), frozenset(), 0, initial_bounds(0, inst), 0.0)
-        assert isinstance(extend_label(depot, 0, d, ng, inst, env=env),
-                          Infeasible)
+        assert isinstance(extend_label(depot, 0, env, ng), Infeasible)
         lab = fold((1, 2), inst, d)
-        assert isinstance(extend_label(lab, 1, d, ng, inst, env=env),
-                          Infeasible)       # start revisit
-        assert isinstance(extend_label(lab, 2, d, ng, inst, env=env),
-                          Infeasible)       # held in memory
+        # start revisit, then held in memory
+        assert isinstance(extend_label(lab, 1, env, ng), Infeasible)
+        assert isinstance(extend_label(lab, 2, env, ng), Infeasible)
         done = fold((1, 2, 4), inst, d)
         with pytest.raises(ValueError):
-            extend_label(done, 0, d, ng, inst, env=env)
+            extend_label(done, 0, env, ng)
 
     def test_chain_equals_fragment_recursion(self):
         rng = np.random.default_rng(5)
@@ -272,7 +270,7 @@ class TestExtendLabel:
                 if is_complete(lab, inst):
                     continue
                 for u in range(inst.n + 1):
-                    child = extend_label(lab, u, d, ng, inst, env=env)
+                    child = extend_label(lab, u, env, ng)
                     if isinstance(child, Infeasible):
                         continue
                     assert child.es >= lab.es
@@ -293,7 +291,7 @@ class TestCompletionBound:
         inst = line_dep_instance()
         d = zero_duals(inst)
         f, g = self.two_labels(inst, d)
-        assert _phi(f, g, d, inst) == 0.0
+        assert _phi(f, g, CostEnv(d, inst)) == 0.0
 
     def test_equal_resources_no_dependencies(self):
         inst = line_dep_instance()
@@ -307,7 +305,7 @@ class TestCompletionBound:
         b = Label((1, 3, 2), frozenset((2, 3)), 2,
                   fold((1, 3, 2), inst, zero_duals(inst)).bounds, 5.0)
         eq = Label(b.tasks, b.mem, a.load, a.bounds, b.rcost)
-        assert _phi(a, eq, d, free) == 0.0
+        assert _phi(a, eq, env) == 0.0
 
     def test_precondition_enforced(self):
         # reduced cost and bound count only once every resource favors
@@ -317,11 +315,12 @@ class TestCompletionBound:
         d.tau_ub[1] = 1000.0
         d.kap_ub[1] = 1000.0
         f, g = self.two_labels(inst, d)
-        assert _phi(g, f, d, inst) < 0.0
-        assert _dominates(f, g, d, inst)
-        assert not _dominates(g, f, d, inst)
+        env = CostEnv(d, inst)
+        assert _phi(g, f, env) < 0.0
+        assert _dominates(f, g, env)
+        assert not _dominates(g, f, env)
         cheap = Label(g.tasks, g.mem, g.load, g.bounds, f.rcost - 1.0)
-        assert not _dominates(cheap, f, d, inst)
+        assert not _dominates(cheap, f, env)
 
     @pytest.mark.parametrize("with_cuts", [False, True])
     def test_bound_below_every_completion_gap(self, with_cuts):
@@ -349,26 +348,26 @@ class TestCompletionBound:
                                 and f.es <= g.es and f.ls >= g.ls
                                 and f.dur <= g.dur):
                             continue
-                        phi = _phi(f, g, duals, inst)
+                        phi = _phi(f, g, env)
                         if f.rcost > g.rcost:
-                            assert _dominates(f, g, duals, inst) == \
+                            assert _dominates(f, g, env) == \
                                 (f.rcost <= g.rcost + phi)
                         pairs += 1
-                        suffixes += self.check_suffixes(f, g, phi, duals,
-                                                        ng, inst, env)
+                        suffixes += self.check_suffixes(f, g, phi, ng, env)
         assert pairs > 20 and suffixes > 20
 
-    def check_suffixes(self, f, g, phi, duals, ng, inst, env):
+    def check_suffixes(self, f, g, phi, ng, env):
         """Enumerates every completion of g and compares charge gaps."""
+        inst = env.inst
         seen = 0
         stack = [(f, g)]
         while stack:
             lf, lg = stack.pop()
             for u in range(inst.n + 1):
-                cg = extend_label(lg, u, duals, ng, inst, env=env)
+                cg = extend_label(lg, u, env, ng)
                 if isinstance(cg, Infeasible):
                     continue
-                cf = extend_label(lf, u, duals, ng, inst, env=env)
+                cf = extend_label(lf, u, env, ng)
                 assert not isinstance(cf, Infeasible), \
                     "dominant label lost a completion"
                 if is_complete(cg, inst):
@@ -427,15 +426,14 @@ class TestSuccessorLists:
             if is_complete(lab, inst):
                 continue
             for u in set(nodes) - set(env.succ[lab.end]):
-                assert isinstance(extend_label(lab, u, duals, ng, inst,
-                                               env=env), Infeasible)
+                assert isinstance(extend_label(lab, u, env, ng), Infeasible)
         # pricing and enumeration equal a full scan of the same kernel
         full = FullScanEnv(duals, inst)
         for s in [0] + sorted(inst.vd):
             assert [label_record(lab)
-                    for lab in labels_from(s, env, ng, inst, duals)] == \
+                    for lab in labels_from(s, env, ng)] == \
                 [label_record(lab)
-                 for lab in labels_from(s, full, ng, inst, duals)]
+                 for lab in labels_from(s, full, ng)]
         cfg = SolverConfig()
         for gap in (0.0, 25.0):
             pool = enumeration.enumerate_fragments(duals, gap, inst, cfg)
@@ -470,12 +468,11 @@ class TestSolvePricing:
             if sol.status != "optimal":
                 continue
             env = CostEnv(sol.duals, inst)
-            want = min(fragment_reduced_cost(f, sol.duals, inst, env=env)
+            want = min(fragment_reduced_cost(f, env)
                        for f in exhaustive_fragments(inst, build_fragment))
             cols = solve_pricing(sol.duals, inst, cfg, ng=exact_memory(inst))
             if want < -cfg.lp_tolerance:
-                got = min(fragment_reduced_cost(f, sol.duals, inst, env=env)
-                          for f in cols)
+                got = min(fragment_reduced_cost(f, env) for f in cols)
                 assert got == pytest.approx(want, abs=1e-7)
             else:
                 assert cols == []
@@ -499,8 +496,7 @@ class TestSolvePricing:
             seqs = [f.tasks for f in cols]
             assert len(set(seqs)) == len(seqs)
             env = CostEnv(sol.duals, inst)
-            rcs = {f.tasks: fragment_reduced_cost(f, sol.duals, inst, env=env)
-                   for f in full}
+            rcs = {f.tasks: fragment_reduced_cost(f, env) for f in full}
             assert all(rcs[s] < -cfg.lp_tolerance for s in seqs if s in rcs)
             # every start with a negative fragment keeps its cheapest one
             best = {}
@@ -532,7 +528,7 @@ class TestSolvePricing:
 
             def best(ng):
                 out = [lab.rcost for s in [0] + sorted(inst.vd)
-                       for lab in labels_from(s, env, ng, inst, sol.duals)]
+                       for lab in labels_from(s, env, ng)]
                 return min(out) if out else 0.0
 
             relaxed = best(ng_neighborhoods(inst, 1))
@@ -556,7 +552,7 @@ class TestSolvePricing:
             for ng in (ng_neighborhoods(inst, 2), exact_memory(inst)):
                 env = CostEnv(sol.duals, inst)
                 pruned = [lab.rcost for s in [0] + sorted(inst.vd)
-                          for lab in labels_from(s, env, ng, inst, sol.duals)]
+                          for lab in labels_from(s, env, ng)]
                 plain = [lab.rcost
                          for lab in all_labels_no_dominance(inst, sol.duals,
                                                             ng)
@@ -586,8 +582,7 @@ class TestSolvePricing:
         assert env.fragment_duals == [(frcc, -3.0)]
         f = build_fragment((0, 2, 4), inst)
         assert frcc.fragment_coeff(f) == 1
-        assert fragment_reduced_cost(f, d, inst, env=env) == \
-            pytest.approx(f.cost + 3.0)
+        assert fragment_reduced_cost(f, env) == pytest.approx(f.cost + 3.0)
         cfg = SolverConfig()
         with pytest.raises(ValueError):
             solve_pricing(d, inst, cfg)
