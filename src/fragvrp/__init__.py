@@ -10,8 +10,7 @@ fragments whose reduced cost fits within the remaining gap.
 from .instance import (Instance, SolverConfig, Task, TemporalDependency,
                        dependency_from_type, load_instance, save_instance,
                        validate)
-from .fragments import (Fragment, Infeasible, ScheduleBounds, build_fragment,
-                        duration_at)
+from .fragments import Fragment, Infeasible, build_fragment, duration_at
 from .preprocess import preprocess
 from .driver import (BoundsState, check_solution, incumbent_from_json, run,
                      solution_to_json)
@@ -22,7 +21,7 @@ from .bench import (SolomonData, SolomonFormatError, generate_dependencies,
 __all__ = [
     "Instance", "SolverConfig", "Task", "TemporalDependency",
     "dependency_from_type", "load_instance", "save_instance", "validate",
-    "Fragment", "Infeasible", "ScheduleBounds", "build_fragment",
+    "Fragment", "Infeasible", "build_fragment",
     "duration_at", "preprocess",
     "BoundsState", "check_solution", "incumbent_from_json", "run",
     "solution_to_json",

@@ -29,6 +29,9 @@ from .pricing import solve_pricing
 from .preprocess import preprocess
 from .scheduling import schedule_routes
 
+# capacity cuts separated over a whole lower-bound solve, at most
+RCC_TOTAL_LIMIT = 200
+
 
 @dataclass(frozen=True)
 class Incumbent:
@@ -156,7 +159,7 @@ def compute_lower_bound(inst, cfg, clock=None, vmin_calc=None) -> LowerBound:
     if sol.status != "optimal":
         return LowerBound(float("inf"), (), None, (), "infeasible")
     tol = cfg.lp_tolerance
-    rcc_left = cfg.rcc_total_limit
+    rcc_left = RCC_TOTAL_LIMIT
     iters = 0
     status = "optimal"
     # value of the last fully priced relaxation; a restricted master that
@@ -294,8 +297,7 @@ def _solve_restricted(m, inst, clock, counts, time_cap=None):
             return float(round(isol.objective)), inc, proven
         if not stuck:
             raise MasterError("integer master produced an unusable solution")
-        q = sum(int(inst.dem[v]) for v in stuck)
-        vmin = max(1, -(-q // inst.Q))
+        vmin = max(1, cutlib.rcc_rhs(stuck, inst))
         if not m.add_cut(cutlib.FsecCut(S=frozenset(stuck), vmin=vmin)):
             raise MasterError("repair row already present; giving up")
         counts["FSEC"] = counts.get("FSEC", 0) + 1

@@ -23,11 +23,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .fragments import Fragment, Infeasible, assemble, initial_bounds
+from .fragments import Fragment, assemble, initial_bounds
 from .instance import Instance, SolverConfig
 from .master import DualValues, MasterError, MasterModel
 from .pricing import (CostEnv, Label, exact_memory, extend_label,
-                      fragment_reduced_cost, is_complete)
+                      fragment_reduced_cost, interior_tasks, is_complete)
 
 
 class LimitExceeded(Exception):
@@ -50,16 +50,16 @@ class _CompletionLB:
     and cut terms collapse to zero or small negatives.
     """
 
-    def __init__(self, env: CostEnv, inst: Instance):
+    def __init__(self, env: CostEnv):
         self.env = env
-        self.inst = inst
+        inst = self.inst = env.inst
         d = env.duals
         n = inst.n
         cbar = env.cbar
         off = cbar + np.where(np.eye(n + 1, dtype=bool), np.inf, 0.0)
         self.neg_out = np.minimum(off.min(axis=1), 0.0).tolist()
-        self.interior = [v for v in range(1, n + 1) if v not in inst.vd]
-        self.total_interior = float(sum(self.neg_out[v] for v in self.interior))
+        self.total_interior = float(sum(self.neg_out[v]
+                                        for v in interior_tasks(inst)))
         self.cut_pen = -2.0 * sum(max(0.0, y)
                                   for _, y in env.completion_duals)
         ends = [0] + sorted(inst.vd)
@@ -120,7 +120,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     env = CostEnv(duals, inst)
     env.check_labelable()
     ng = exact_memory(inst)
-    bound = _CompletionLB(env, inst)
+    bound = _CompletionLB(env)
     tol = cfg.lp_tolerance
     kept: List[Tuple[tuple, Label]] = []
     stack: List[Label] = []
@@ -128,7 +128,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
                     reverse=True):
         if inst.alpha_list[s] > inst.beta_list[s]:
             continue
-        lab = Label((s,), frozenset(), 0, initial_bounds(s, inst),
+        lab = Label((s,), frozenset(), 0, *initial_bounds(s, inst),
                     env.init_cost(s))
         if lab.rcost + bound.remaining(lab) <= gap + tol:
             stack.append(lab)
@@ -136,7 +136,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
         lab = stack.pop()
         for u in reversed(env.succ[lab.end]):
             child = extend_label(lab, u, env, ng)
-            if isinstance(child, Infeasible):
+            if child is None:
                 continue
             if is_complete(child, inst):
                 if child.rcost <= gap + tol:
@@ -146,7 +146,8 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
             elif child.rcost + bound.remaining(child) <= gap + tol:
                 stack.append(child)
     kept.sort(key=lambda p: p[0])
-    return [assemble(seq, inst, lab.bounds) for seq, lab in kept]
+    return [assemble(seq, inst, (lab.es, lab.ls, lab.dur))
+            for seq, lab in kept]
 
 
 def reduce_by_route_bound(frags: Sequence[Fragment], duals: DualValues,

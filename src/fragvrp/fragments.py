@@ -12,7 +12,6 @@ per extension and is exact for compact schedules, which are sufficient.
 from __future__ import annotations
 
 import dataclasses
-from typing import NamedTuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -23,18 +22,14 @@ class Infeasible:
         return False
 
 
-class ScheduleBounds(NamedTuple):
-    es: int
-    ls: int
-    dur: int
-
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Fragment:
     tasks: tuple
     cost: int
     demand: int
-    bounds: ScheduleBounds
+    es: int
+    ls: int
+    dur: int
 
     @property
     def start(self):
@@ -44,24 +39,12 @@ class Fragment:
     def end(self):
         return self.tasks[-1]
 
-    @property
-    def es(self):
-        return self.bounds.es
-
-    @property
-    def ls(self):
-        return self.bounds.ls
-
-    @property
-    def dur(self):
-        return self.bounds.dur
-
     def __len__(self):
         return len(self.tasks)
 
 
 def initial_bounds(v, inst):
-    return ScheduleBounds(inst.alpha_list[v], inst.beta_list[v], 0)
+    return inst.alpha_list[v], inst.beta_list[v], 0
 
 
 def step(es, ls, dur, frm, to, start, inst):
@@ -70,8 +53,8 @@ def step(es, ls, dur, frm, to, start, inst):
     `start` is the first task of the sequence; when {start, to} is a
     dependent pair, `to` closes the fragment and the duration window
     [dmin, dmax] of that pair applies.  Returns the new (es, ls, dur) as
-    a plain tuple, or an Infeasible.  Reads the instance's plain-Python
-    tables only.
+    a plain tuple, or None when the extension is infeasible.  Reads the
+    instance's plain-Python tables only.
     """
     t = inst.t_list[frm][to]
     d = inst.dur_list[frm]
@@ -93,20 +76,15 @@ def step(es, ls, dur, frm, to, start, inst):
     if pair is not None:
         forbidden, dmin, dmax = pair
         if forbidden:
-            return Infeasible("dependency forbids %d before %d" % (start, to))
+            return None
         if dur_to < dmin:
             es_to = max(es_to, a_s + dmin)
             ls_to = min(ls_to, b_to - dmin)
             dur_to = dmin
         if dur_to > dmax:
-            return Infeasible("minimum duration %d above dependency maximum %d"
-                              % (dur_to, dmax))
-    if es_to > b_to:
-        return Infeasible("earliest completion %d after window close %d"
-                          % (es_to, b_to))
-    if ls_to < a_s:
-        return Infeasible("latest start %d before window open %d"
-                          % (ls_to, a_s))
+            return None
+    if es_to > b_to or ls_to < a_s:
+        return None
     return es_to, ls_to, dur_to
 
 
@@ -130,12 +108,12 @@ def duration_at(f: Fragment, t: int, inst) -> int:
 
 
 def assemble(seq, inst, bounds) -> Fragment:
-    """Fragment record from a sequence with already-computed bounds."""
+    """Fragment record from a sequence and its (es, ls, dur) triple."""
     cost = 0
     for a, b in zip(seq, seq[1:]):
         cost += int(inst.c[a, b])
     demand = sum(inst.dem_list[v] for v in seq[:-1])
-    return Fragment(tuple(seq), cost, demand, bounds)
+    return Fragment(tuple(seq), cost, demand, *bounds)
 
 
 def build_fragment(seq, inst):
@@ -163,6 +141,7 @@ def build_fragment(seq, inst):
     b = initial_bounds(seq[0], inst)
     for frm, to in zip(seq, seq[1:]):
         b = step(*b, frm, to, seq[0], inst)
-        if isinstance(b, Infeasible):
-            return b
-    return assemble(seq, inst, ScheduleBounds(*b))
+        if b is None:
+            return Infeasible("no schedule meets the windows and the "
+                              "dependency bounds")
+    return assemble(seq, inst, b)

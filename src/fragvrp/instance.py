@@ -167,7 +167,6 @@ class SolverConfig:
     f_max: int = 20_000_000
     ng_size: int = 10
     cols_per_iter: int = 100
-    rcc_total_limit: int = 200
     frcc_size_cap_fraction: float = 0.25
     lp_tolerance: float = 1e-6
     time_limit: float = float("inf")
@@ -267,7 +266,7 @@ def validate(inst: Instance):
             if not (0 <= lo <= inst.tmax and 0 <= hi <= inst.tmax):
                 report.append("dependency (%d,%d): %s parameters outside"
                               " [0, horizon]" % (d.u, d.v, tag))
-            elif lo > hi and not (lo == hi == inst.tmax):
+            elif lo > hi:
                 report.append("dependency (%d,%d): %s lower bound above upper"
                               % (d.u, d.v, tag))
     return report

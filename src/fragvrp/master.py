@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lpback
-from .cuts import FsecCut, VminCalculator
+from .cuts import FsecCut, VminCalculator, rcc_rhs
 from .fragments import Fragment, build_fragment
 from .instance import Instance, SolverConfig
 
@@ -120,7 +120,7 @@ class MasterModel:
         l = {v: 1 + len(self.vd) + i for i, v in enumerate(self.vd)}
         pairs = [(u, v) for u in self.vd for v in self.vd if u != v]
         self._row("L", float(inst.K))
-        veh_lb = max(-(-int(inst.dem.sum()) // inst.Q), 1 if inst.n else 0)
+        veh_lb = max(rcc_rhs(range(inst.n + 1), inst), 1 if inst.n else 0)
         self._row("G", float(veh_lb), [(ART, float(veh_lb))])
         self._cover = {v: self._row("E", 1.0, [(ART, 1.0)])
                        for v in range(1, inst.n + 1)}
@@ -377,6 +377,6 @@ def build_initial(inst: Instance, cfg: SolverConfig,
         if len(vd) <= cfg.k_max:
             vmin = calc.vmin(vd)
         else:
-            vmin = max(1, -(-int(sum(inst.dem[v] for v in vd)) // inst.Q))
+            vmin = max(1, rcc_rhs(vd, inst))
         m.add_cut(FsecCut(S=frozenset(vd), vmin=vmin))
     return m

@@ -38,8 +38,7 @@ from typing import Dict, List
 import numpy as np
 
 from .cuts import FrccCut, RccCut
-from .fragments import (Fragment, Infeasible, ScheduleBounds, assemble,
-                        initial_bounds, step)
+from .fragments import Fragment, assemble, initial_bounds, step
 from .instance import Instance, SolverConfig
 from .master import DualValues
 
@@ -50,33 +49,31 @@ class Label:
     `mem` is the ng-projected visited set and holds dependency-free
     interior tasks only; `load` is the demand of tasks[:-1], so for a
     complete label it equals the fragment demand.  Endpoints and the
-    schedule summary are plain slots, set once: labels are never changed
-    after construction.  `bounds` (any (es, ls, dur) triple) is unpacked
-    on the way in and rebuilt as a ScheduleBounds on demand.
+    schedule summary (es, ls, dur, as on Fragment) are plain slots, set
+    once: labels are never changed after construction.
     """
 
     __slots__ = ("tasks", "mem", "load", "rcost", "start", "end",
                  "es", "ls", "dur")
 
-    def __init__(self, tasks, mem, load, bounds, rcost):
+    def __init__(self, tasks, mem, load, es, ls, dur, rcost):
         self.tasks = tasks
         self.mem = mem
         self.load = load
         self.rcost = rcost
         self.start = tasks[0]
         self.end = tasks[-1]
-        self.es, self.ls, self.dur = bounds
-
-    @property
-    def bounds(self):
-        return ScheduleBounds(self.es, self.ls, self.dur)
+        self.es = es
+        self.ls = ls
+        self.dur = dur
 
     def __len__(self):
         return len(self.tasks)
 
     def __repr__(self):
-        return "Label(tasks=%r, mem=%r, load=%r, bounds=%r, rcost=%r)" % (
-            self.tasks, self.mem, self.load, self.bounds, self.rcost)
+        return ("Label(tasks=%r, mem=%r, load=%r, es=%r, ls=%r, dur=%r, "
+                "rcost=%r)" % (self.tasks, self.mem, self.load, self.es,
+                               self.ls, self.dur, self.rcost))
 
 
 def is_complete(lab: Label, inst: Instance) -> bool:
@@ -188,49 +185,40 @@ class CostEnv:
 
 
 def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
-    """One forward extension of an incomplete label.
+    """One forward extension of an incomplete label, or None when u
+    cannot follow it.
 
     Check order: structural rules (start revisit, empty depot loop, ng
-    memory), capacity, the (es, ls, dur) recursion with its dependent
-    duration clamp, then the explicit window system: ls within the start
-    window, es within the end window, ls + dur and es - dur inside the
-    span.  The last two hold by construction and are enforced anyway.
-    Appending a dependent task or the depot completes the label and adds
-    the completion charge; the start-side credit is part of the initial
-    label.  Every u outside env.succ[lab.end] is rejected.
+    memory), capacity, then the (es, ls, dur) recursion with its
+    dependent duration clamp and window checks.  Appending a dependent
+    task or the depot completes the label and adds the completion
+    charge; the start-side credit is part of the initial label.  Every u
+    outside env.succ[lab.end] is rejected.
     """
     inst = env.inst
     if is_complete(lab, inst):
         raise ValueError("complete labels are not extended")
     start, end, tasks = lab.start, lab.end, lab.tasks
     if u == start and not (u == 0 and len(tasks) >= 2):
-        return Infeasible("start task revisited")
+        return None
     closing = u == 0 or u in inst.vd
     if not closing and u in lab.mem:
-        return Infeasible("task held in the ng memory")
+        return None
     dem = inst.dem_list
     load = lab.load + dem[end]
     if load + dem[u] > inst.Q:
-        return Infeasible("capacity exceeded")
+        return None
     b = step(lab.es, lab.ls, lab.dur, end, u, start, inst)
-    if isinstance(b, Infeasible):
-        return b
+    if b is None:
+        return None
     es, ls, dur = b
-    a_s = inst.alpha_list[start]
-    b_s = inst.beta_list[start]
-    a_u = inst.alpha_list[u]
-    b_u = inst.beta_list[u]
-    if not (a_s <= ls <= b_s and a_u <= es <= b_u):
-        return Infeasible("schedule summary left the endpoint windows")
-    if ls + dur > b_u or es - dur < a_s:
-        return Infeasible("duration incompatible with the endpoint windows")
     rc = lab.rcost + env.cbar_list[end][u]
     if closing:
         rc += env.completion_charge(start, u, es, ls, dur, load)
         mem = lab.mem
     else:
         mem = (lab.mem & ng.get(u, frozenset())) | frozenset((u,))
-    return Label(tasks + (u,), mem, load, b, rc)
+    return Label(tasks + (u,), mem, load, es, ls, dur, rc)
 
 
 def fragment_reduced_cost(f: Fragment, env: CostEnv) -> float:
@@ -346,7 +334,7 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
     inst = env.inst
     if inst.alpha_list[start] > inst.beta_list[start]:
         return []
-    init = Label((start,), frozenset(), 0, initial_bounds(start, inst),
+    init = Label((start,), frozenset(), 0, *initial_bounds(start, inst),
                  env.init_cost(start))
     heap: list = []
     buckets: Dict[int, Dict[tuple, Label]] = {}
@@ -360,7 +348,7 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
             continue
         for u in env.succ[lab.end]:
             child = extend_label(lab, u, env, ng)
-            if isinstance(child, Infeasible):
+            if child is None:
                 continue
             if is_complete(child, inst):
                 done.append(child)
@@ -402,4 +390,5 @@ def solve_pricing(duals: DualValues, inst: Instance,
             lead.append(lab)
     chosen = (lead + rest)[: max(0, int(cfg.cols_per_iter))]
     chosen.sort(key=_output_order)
-    return [assemble(lab.tasks, inst, lab.bounds) for lab in chosen]
+    return [assemble(lab.tasks, inst, (lab.es, lab.ls, lab.dur))
+            for lab in chosen]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fragvrp import cuts, enumeration, lpback
 from fragvrp.driver import _restricted_master, compute_lower_bound
-from fragvrp.fragments import Fragment, Infeasible, build_fragment, initial_bounds
+from fragvrp.fragments import Fragment, build_fragment, initial_bounds
 from fragvrp.instance import Instance, SolverConfig, Task, TemporalDependency
 from fragvrp.master import DualValues, build_initial
 from fragvrp.pricing import (CostEnv, Label, _dominates, _phi,
@@ -60,13 +60,17 @@ def fold(seq, inst, duals, ng=None):
     if ng is None:
         ng = exact_memory(inst)
     env = CostEnv(duals, inst)
-    lab = Label((seq[0],), frozenset(), 0, initial_bounds(seq[0], inst),
+    lab = Label((seq[0],), frozenset(), 0, *initial_bounds(seq[0], inst),
                 env.init_cost(seq[0]))
     for u in seq[1:]:
         lab = extend_label(lab, u, env, ng)
-        if isinstance(lab, Infeasible):
+        if lab is None:
             return None
     return lab
+
+
+def summary(lab):
+    return lab.es, lab.ls, lab.dur
 
 
 def all_labels_no_dominance(inst, duals, ng):
@@ -75,7 +79,7 @@ def all_labels_no_dominance(inst, duals, ng):
     out = []
     stack = []
     for s in [0] + sorted(inst.vd):
-        stack.append(Label((s,), frozenset(), 0, initial_bounds(s, inst),
+        stack.append(Label((s,), frozenset(), 0, *initial_bounds(s, inst),
                            env.init_cost(s)))
     while stack:
         lab = stack.pop()
@@ -84,7 +88,7 @@ def all_labels_no_dominance(inst, duals, ng):
             continue
         for u in range(inst.n + 1):
             child = extend_label(lab, u, env, ng)
-            if not isinstance(child, Infeasible):
+            if child is not None:
                 stack.append(child)
     return out
 
@@ -209,19 +213,19 @@ class TestExtendLabel:
         d = zero_duals(heavy)
         lab = fold((1, 2), heavy, d)
         out = extend_label(lab, 3, CostEnv(d, heavy), exact_memory(heavy))
-        assert isinstance(out, Infeasible)
+        assert out is None
 
     def test_structural_rejects(self):
         inst = line_dep_instance()
         d = zero_duals(inst)
         ng = exact_memory(inst)
         env = CostEnv(d, inst)
-        depot = Label((0,), frozenset(), 0, initial_bounds(0, inst), 0.0)
-        assert isinstance(extend_label(depot, 0, env, ng), Infeasible)
+        depot = Label((0,), frozenset(), 0, *initial_bounds(0, inst), 0.0)
+        assert extend_label(depot, 0, env, ng) is None
         lab = fold((1, 2), inst, d)
         # start revisit, then held in memory
-        assert isinstance(extend_label(lab, 1, env, ng), Infeasible)
-        assert isinstance(extend_label(lab, 2, env, ng), Infeasible)
+        assert extend_label(lab, 1, env, ng) is None
+        assert extend_label(lab, 2, env, ng) is None
         done = fold((1, 2, 4), inst, d)
         with pytest.raises(ValueError):
             extend_label(done, 0, env, ng)
@@ -238,6 +242,28 @@ class TestExtendLabel:
                 assert (lab.es, lab.ls, lab.dur) == (f.es, f.ls, f.dur)
                 assert lab.load == f.demand
                 assert lab.rcost == pytest.approx(float(f.cost))
+                checked += 1
+        assert checked > 100
+
+    def test_complete_labels_are_fragments(self):
+        # the converse: the kernel accepts only what build_fragment
+        # accepts, with the same schedule summary and demand; every other
+        # instance gets a capacity that binds on task pairs
+        rng = np.random.default_rng(11)
+        checked = 0
+        for i in range(12):
+            inst = random_instance(rng, n_tasks=6, n_deps=2)
+            if i % 2:
+                top = max(int(inst.dem.max()), 1)
+                inst = inst.replace(capacity=int(rng.integers(top, 2 * top)))
+            for lab in all_labels_no_dominance(inst, zero_duals(inst),
+                                               exact_memory(inst)):
+                if not is_complete(lab, inst):
+                    continue
+                f = build_fragment(lab.tasks, inst)
+                assert isinstance(f, Fragment), (lab.tasks, f.reason)
+                assert (f.es, f.ls, f.dur, f.demand) == \
+                    (lab.es, lab.ls, lab.dur, lab.load)
                 checked += 1
         assert checked > 100
 
@@ -271,7 +297,7 @@ class TestExtendLabel:
                     continue
                 for u in range(inst.n + 1):
                     child = extend_label(lab, u, env, ng)
-                    if isinstance(child, Infeasible):
+                    if child is None:
                         continue
                     assert child.es >= lab.es
                     assert child.ls <= lab.ls
@@ -301,10 +327,10 @@ class TestCompletionBound:
         d.kap_ub[1] = 1.5
         env = CostEnv(d, free)
         a = Label((1, 2), frozenset((2,)), 1,
-                  fold((1, 2), inst, zero_duals(inst)).bounds, 0.0)
+                  *summary(fold((1, 2), inst, zero_duals(inst))), 0.0)
         b = Label((1, 3, 2), frozenset((2, 3)), 2,
-                  fold((1, 3, 2), inst, zero_duals(inst)).bounds, 5.0)
-        eq = Label(b.tasks, b.mem, a.load, a.bounds, b.rcost)
+                  *summary(fold((1, 3, 2), inst, zero_duals(inst))), 5.0)
+        eq = Label(b.tasks, b.mem, a.load, *summary(a), b.rcost)
         assert _phi(a, eq, env) == 0.0
 
     def test_precondition_enforced(self):
@@ -319,7 +345,7 @@ class TestCompletionBound:
         assert _phi(g, f, env) < 0.0
         assert _dominates(f, g, env)
         assert not _dominates(g, f, env)
-        cheap = Label(g.tasks, g.mem, g.load, g.bounds, f.rcost - 1.0)
+        cheap = Label(g.tasks, g.mem, g.load, *summary(g), f.rcost - 1.0)
         assert not _dominates(cheap, f, env)
 
     @pytest.mark.parametrize("with_cuts", [False, True])
@@ -365,11 +391,10 @@ class TestCompletionBound:
             lf, lg = stack.pop()
             for u in range(inst.n + 1):
                 cg = extend_label(lg, u, env, ng)
-                if isinstance(cg, Infeasible):
+                if cg is None:
                     continue
                 cf = extend_label(lf, u, env, ng)
-                assert not isinstance(cf, Infeasible), \
-                    "dominant label lost a completion"
+                assert cf is not None, "dominant label lost a completion"
                 if is_complete(cg, inst):
                     gap_g = cg.rcost - g.rcost
                     gap_f = cf.rcost - f.rcost
@@ -426,7 +451,7 @@ class TestSuccessorLists:
             if is_complete(lab, inst):
                 continue
             for u in set(nodes) - set(env.succ[lab.end]):
-                assert isinstance(extend_label(lab, u, env, ng), Infeasible)
+                assert extend_label(lab, u, env, ng) is None
         # pricing and enumeration equal a full scan of the same kernel
         full = FullScanEnv(duals, inst)
         for s in [0] + sorted(inst.vd):
