@@ -4,9 +4,10 @@
 
 The file name keeps it out of a plain ``pytest`` run, which only collects
 ``test_*.py``; naming the file on the command line collects it.  The
-instance is the ``few-deps`` S101 one of the end-to-end benchmark (S101,
-first 25 tasks, synchronization, sigma 0.1, dependency seed 7), after
-preprocessing, priced at the duals its lower bound ends with.  Pricing
+instances are the two ``few-deps`` ones of the end-to-end benchmark
+(S101 and S102, first 25 tasks, synchronization, sigma 0.1, dependency
+seed 7), after preprocessing, each priced at the duals its lower bound
+ends with.  S102 makes the most dominance tests of the two.  Pricing
 runs ``labels_from`` from every start task; enumeration runs at the
 driver's first gap, ``gap_init`` times the lower bound.
 """
@@ -28,9 +29,9 @@ from fragvrp.pricing import CostEnv, labels_from, ng_neighborhoods
 DATA = Path(fragvrp.__file__).resolve().parent / "data"
 
 
-@pytest.fixture(scope="module")
-def priced():
-    data = bench.load_solomon(DATA / "S101.txt")
+@pytest.fixture(scope="module", params=["S101", "S102"])
+def priced(request):
+    data = bench.load_solomon(DATA / ("%s.txt" % request.param))
     inst = bench.generate_dependencies(data.instance(take=25),
                                        "synchronization", 0.1, 7)
     pinst = preprocess(inst).instance

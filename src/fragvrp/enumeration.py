@@ -98,8 +98,12 @@ class _CompletionLB:
         return out
 
     def remaining(self, lab: Label) -> float:
+        """The bound for an incomplete label.  Its visited interior
+        tasks are left out of the departures still to come.  Enumeration's
+        memory is exact, so an incomplete label's mem holds exactly
+        lab.tasks[1:], and the sum runs over that tuple."""
         arcs = self.neg_out[lab.end] + self.total_interior \
-            - sum(self.neg_out[v] for v in lab.mem)
+            - sum(self.neg_out[v] for v in lab.tasks[1:])
         return arcs + self.start_terms(lab) + self.end_lb[lab.start] \
             + self.cut_pen
 
@@ -128,7 +132,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
                     reverse=True):
         if inst.alpha_list[s] > inst.beta_list[s]:
             continue
-        lab = Label((s,), frozenset(), 0, *initial_bounds(s, inst),
+        lab = Label((s,), 0, 0, *initial_bounds(s, inst),
                     env.init_cost(s))
         if lab.rcost + bound.remaining(lab) <= gap + tol:
             stack.append(lab)

@@ -23,11 +23,13 @@ anyway, so skipping them changes no label and no order.
 
 Elementarity is relaxed to ng form: a label remembers a visited task
 only while it stays inside the neighborhood of the tasks appended after
-it.  Neighborhoods never contain dependent tasks; a cycle through one
-cannot occur inside a fragment anyway, so nothing is lost.  Dominance
-keeps, per (start, end) bucket, the labels not beaten on every resource.
-A label beaten everywhere but on reduced cost is still discarded when
-its advantage cannot survive any completion, see _phi.
+it.  Memory and neighborhoods are int bitmasks over task ids (bit v set
+when task v is held).  Neighborhoods never contain dependent tasks; a
+cycle through one cannot occur inside a fragment anyway, so nothing is
+lost.  Dominance keeps, per (start, end) bucket, the labels not beaten
+on every resource; _insert is its one statement.  A label beaten
+everywhere but on reduced cost is still discarded when its advantage
+cannot survive any completion, see _phi.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ from .master import DualValues
 class Label:
     """A fragment under construction, plus its accumulated reduced cost.
 
-    `mem` is the ng-projected visited set and holds dependency-free
-    interior tasks only; `load` is the demand of tasks[:-1], so for a
-    complete label it equals the fragment demand.  Endpoints and the
-    schedule summary (es, ls, dur, as on Fragment) are plain slots, set
-    once: labels are never changed after construction.
+    `mem` is the ng-projected visited set as an int bitmask (bit v set
+    when task v is remembered) and holds dependency-free interior tasks
+    only; `load` is the demand of tasks[:-1], so for a complete label
+    it equals the fragment demand.  Endpoints and the schedule summary
+    (es, ls, dur, as on Fragment) are plain slots, set once: labels are
+    never changed after construction.
     """
 
     __slots__ = ("tasks", "mem", "load", "rcost", "start", "end",
@@ -67,9 +70,6 @@ class Label:
         self.ls = ls
         self.dur = dur
 
-    def __len__(self):
-        return len(self.tasks)
-
     def __repr__(self):
         return ("Label(tasks=%r, mem=%r, load=%r, es=%r, ls=%r, dur=%r, "
                 "rcost=%r)" % (self.tasks, self.mem, self.load, self.es,
@@ -85,20 +85,23 @@ def interior_tasks(inst: Instance) -> list:
 
 
 def ng_neighborhoods(inst: Instance, ng_size: int) -> dict:
-    """Per dependency-free task, the ng_size nearest such tasks by travel
-    cost (ties by index).  Dependent tasks are excluded throughout."""
+    """Per dependency-free task u, the bitmask of the ng_size nearest
+    such tasks by travel cost (ties by index): {u: mask}.  Dependent
+    tasks are excluded throughout."""
     pool = interior_tasks(inst)
     hoods = {}
     for u in pool:
         ranked = sorted((int(inst.c[u, w]), w) for w in pool if w != u)
-        hoods[u] = frozenset(w for _, w in ranked[: max(0, int(ng_size))])
+        hoods[u] = sum(1 << w for _, w in ranked[: max(0, int(ng_size))])
     return hoods
 
 
 def exact_memory(inst: Instance) -> dict:
-    """Neighborhoods so wide the memory never forgets: elementary labeling."""
-    full = frozenset(interior_tasks(inst))
-    return {u: full for u in full}
+    """Neighborhoods so wide the memory never forgets: elementary
+    labeling.  {u: mask of every dependency-free task}."""
+    pool = interior_tasks(inst)
+    full = sum(1 << v for v in pool)
+    return {u: full for u in pool}
 
 
 class CostEnv:
@@ -202,7 +205,7 @@ def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
     if u == start and not (u == 0 and len(tasks) >= 2):
         return None
     closing = u == 0 or u in inst.vd
-    if not closing and u in lab.mem:
+    if not closing and lab.mem >> u & 1:
         return None
     dem = inst.dem_list
     load = lab.load + dem[end]
@@ -217,7 +220,7 @@ def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
         rc += env.completion_charge(start, u, es, ls, dur, load)
         mem = lab.mem
     else:
-        mem = (lab.mem & ng.get(u, frozenset())) | frozenset((u,))
+        mem = (lab.mem & ng.get(u, 0)) | 1 << u
     return Label(tasks + (u,), mem, load, es, ls, dur, rc)
 
 
@@ -271,7 +274,9 @@ def _implied_latest_start(g: Label, inst: Instance) -> int:
 def _phi(f: Label, g: Label, env: CostEnv) -> float:
     """Lower bound on the completion-charge gap between g and f when f
     beats g on every resource but reduced cost (same endpoints, f.mem a
-    subset of g.mem, no more load, es or dur, no less ls).
+    subset of g.mem, no more load, es or dur, no less ls).  It is 0.0
+    unless the start carries a tau_ub or kap_ub price, so the scan in
+    _insert calls it only for such starts.
 
     The ls term anticipates the worst clamp a dependent completion could
     still apply to g's latest start; the load term is exact.  Charges of
@@ -289,17 +294,6 @@ def _phi(f: Label, g: Label, env: CostEnv) -> float:
     return ls_term * tau + (g.load - f.load) * kap
 
 
-def _dominates(f: Label, g: Label, env: CostEnv) -> bool:
-    """Every completion of g is matched by f at no larger reduced cost."""
-    if f.dur > g.dur or f.ls < g.ls or f.es > g.es or f.load > g.load:
-        return False
-    if not f.mem <= g.mem:
-        return False
-    if f.rcost <= g.rcost:
-        return True
-    return f.rcost <= g.rcost + _phi(f, g, env)
-
-
 # --- the labeling loop ---------------------------------------------------
 
 def _heap_key(lab: Label):
@@ -307,18 +301,33 @@ def _heap_key(lab: Label):
     return (lab.dur, lab.rcost, len(lab.tasks), lab.tasks)
 
 
-def _insert(buckets, heap, lab, env) -> None:
-    """One scan of the bucket: drop lab if a kept label dominates it,
-    else delete the kept labels lab dominates.  A dominator has no
-    larger dur, so only ties in dur are tested both ways."""
+def _insert(buckets, heap, lab, env, priced) -> None:
+    """The dominance rule, as one scan of lab's bucket: drop lab if a
+    kept label dominates it, else delete the kept labels lab dominates.
+
+    f dominates g when f has no more dur, es or load, no less ls, a
+    memory that is a subset of g's (f.mem | g.mem == g.mem), and a
+    reduced cost no larger than g's plus _phi(f, g), the least charge
+    gap any completion opens.  `priced` says whether the start carries
+    a tau_ub or kap_ub price; without one _phi is 0.0, so the scan skips
+    the call.  A dominator has no larger dur, so only ties in dur are
+    tested both ways."""
     bucket = buckets.setdefault(lab.end, {})
     doomed = []
-    dur = lab.dur
-    for seq, kept in bucket.items():
-        if kept.dur <= dur and _dominates(kept, lab, env):
-            return
-        if dur <= kept.dur and _dominates(lab, kept, env):
-            doomed.append(seq)
+    dur, ls, es, load, mem, rc = (lab.dur, lab.ls, lab.es, lab.load,
+                                  lab.mem, lab.rcost)
+    for kept in bucket.values():
+        kdur = kept.dur
+        if (kdur <= dur and kept.ls >= ls and kept.es <= es
+                and kept.load <= load and kept.mem | mem == mem):
+            krc = kept.rcost
+            if krc <= rc or priced and krc <= rc + _phi(kept, lab, env):
+                return
+        if (dur <= kdur and ls >= kept.ls and es <= kept.es
+                and load <= kept.load and mem | kept.mem == kept.mem):
+            krc = kept.rcost
+            if rc <= krc or priced and rc <= krc + _phi(lab, kept, env):
+                doomed.append(kept.tasks)
     for seq in doomed:
         del bucket[seq]
     bucket[lab.tasks] = lab
@@ -334,12 +343,14 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
     inst = env.inst
     if inst.alpha_list[start] > inst.beta_list[start]:
         return []
-    init = Label((start,), frozenset(), 0, *initial_bounds(start, inst),
+    init = Label((start,), 0, 0, *initial_bounds(start, inst),
                  env.init_cost(start))
+    priced = (env.duals.tau_ub.get(start, 0.0) != 0.0
+              or env.duals.kap_ub.get(start, 0.0) != 0.0)
     heap: list = []
     buckets: Dict[int, Dict[tuple, Label]] = {}
     done: List[Label] = []
-    _insert(buckets, heap, init, env)
+    _insert(buckets, heap, init, env, priced)
     while heap:
         entry = heapq.heappop(heap)
         lab = entry[-1]
@@ -353,7 +364,7 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
             if is_complete(child, inst):
                 done.append(child)
             else:
-                _insert(buckets, heap, child, env)
+                _insert(buckets, heap, child, env, priced)
     return done
 
 

@@ -1,8 +1,11 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import fragvrp
+from fragvrp import bench
 from fragvrp import cuts as cutlib
 from fragvrp import driver
 from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
@@ -12,6 +15,7 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
 from fragvrp.master import MasterError, MasterModel
+from fragvrp.oracle import arc_model_solve
 from fragvrp.scheduling import schedule_routes
 
 from support import (all_feasible_solutions, line_instance, random_instance,
@@ -350,6 +354,28 @@ class TestRun:
         assert "lower_bound" in st.stats["wall_times"]
         assert st.stats["lb_certified"] <= st.ub_sol + 1e-6
         assert st.stats["rounds"] == []
+
+
+class TestArcModelAgreement:
+    # seeded Solomon-derived instances, each with a gap round: the
+    # fragment solver and the compact arc MILP must prove one optimum
+    @pytest.mark.parametrize("solomon,kind,sigma,n", [
+        ("S101", "synchronization", 0.5, 12),
+        ("S102", "min-diff", 0.3, 14),
+        ("S103", "overlap", 0.3, 12),
+    ])
+    def test_same_optimum(self, solomon, kind, sigma, n):
+        data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent
+                                  / "data" / ("%s.txt" % solomon))
+        inst = bench.generate_dependencies(data.instance(take=n), kind,
+                                           sigma, 7)
+        st = run(inst, SolverConfig())
+        lb, ub, _ = arc_model_solve(inst)
+        assert st.status == "optimal"
+        assert st.stats["rounds"]
+        assert lb == pytest.approx(ub)
+        assert st.ub_sol == ub
+        assert check_solution(st.incumbent, inst)
 
 
 class TestIntegralCandidateBound:

@@ -1,3 +1,4 @@
+import heapq
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from fragvrp.driver import _restricted_master, compute_lower_bound
 from fragvrp.fragments import Fragment, build_fragment, initial_bounds
 from fragvrp.instance import Instance, SolverConfig, Task, TemporalDependency
 from fragvrp.master import DualValues, build_initial
-from fragvrp.pricing import (CostEnv, Label, _dominates, _phi,
+from fragvrp.pricing import (CostEnv, Label, _insert, _phi,
                              exact_memory, extend_label, fragment_reduced_cost,
                              interior_tasks, is_complete, labels_from,
                              ng_neighborhoods, solve_pricing)
@@ -60,7 +61,7 @@ def fold(seq, inst, duals, ng=None):
     if ng is None:
         ng = exact_memory(inst)
     env = CostEnv(duals, inst)
-    lab = Label((seq[0],), frozenset(), 0, *initial_bounds(seq[0], inst),
+    lab = Label((seq[0],), 0, 0, *initial_bounds(seq[0], inst),
                 env.init_cost(seq[0]))
     for u in seq[1:]:
         lab = extend_label(lab, u, env, ng)
@@ -73,13 +74,28 @@ def summary(lab):
     return lab.es, lab.ls, lab.dur
 
 
+def bits(mask):
+    """The task set an ng-memory bitmask holds."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def scan_drops(f, g, env):
+    """Whether the production dominance scan deletes g when f joins its
+    bucket: g is inserted first, then f.  The scan always asks _phi
+    here, which is itself 0.0 at an unpriced start."""
+    buckets, heap = {}, []
+    _insert(buckets, heap, g, env, True)
+    _insert(buckets, heap, f, env, True)
+    return g.tasks not in buckets[g.end]
+
+
 def all_labels_no_dominance(inst, duals, ng):
     """Reference labeling without any pruning: every reachable label."""
     env = CostEnv(duals, inst)
     out = []
     stack = []
     for s in [0] + sorted(inst.vd):
-        stack.append(Label((s,), frozenset(), 0, *initial_bounds(s, inst),
+        stack.append(Label((s,), 0, 0, *initial_bounds(s, inst),
                            env.init_cost(s)))
     while stack:
         lab = stack.pop()
@@ -220,7 +236,7 @@ class TestExtendLabel:
         d = zero_duals(inst)
         ng = exact_memory(inst)
         env = CostEnv(d, inst)
-        depot = Label((0,), frozenset(), 0, *initial_bounds(0, inst), 0.0)
+        depot = Label((0,), 0, 0, *initial_bounds(0, inst), 0.0)
         assert extend_label(depot, 0, env, ng) is None
         lab = fold((1, 2), inst, d)
         # start revisit, then held in memory
@@ -309,7 +325,7 @@ class TestCompletionBound:
     def two_labels(self, inst, duals):
         f = fold((1, 2), inst, duals)
         g = fold((1, 3, 2), inst, duals)
-        assert f.mem <= g.mem and f.load <= g.load
+        assert f.mem | g.mem == g.mem and f.load <= g.load
         assert f.es <= g.es and f.ls >= g.ls and f.dur <= g.dur
         return f, g
 
@@ -326,9 +342,9 @@ class TestCompletionBound:
         d.tau_ub[1] = 2.5      # prices on a task no longer dependent
         d.kap_ub[1] = 1.5
         env = CostEnv(d, free)
-        a = Label((1, 2), frozenset((2,)), 1,
+        a = Label((1, 2), 1 << 2, 1,
                   *summary(fold((1, 2), inst, zero_duals(inst))), 0.0)
-        b = Label((1, 3, 2), frozenset((2, 3)), 2,
+        b = Label((1, 3, 2), 1 << 2 | 1 << 3, 2,
                   *summary(fold((1, 3, 2), inst, zero_duals(inst))), 5.0)
         eq = Label(b.tasks, b.mem, a.load, *summary(a), b.rcost)
         assert _phi(a, eq, env) == 0.0
@@ -343,10 +359,10 @@ class TestCompletionBound:
         f, g = self.two_labels(inst, d)
         env = CostEnv(d, inst)
         assert _phi(g, f, env) < 0.0
-        assert _dominates(f, g, env)
-        assert not _dominates(g, f, env)
+        assert scan_drops(f, g, env)
+        assert not scan_drops(g, f, env)
         cheap = Label(g.tasks, g.mem, g.load, *summary(g), f.rcost - 1.0)
-        assert not _dominates(cheap, f, env)
+        assert not scan_drops(cheap, f, env)
 
     @pytest.mark.parametrize("with_cuts", [False, True])
     def test_bound_below_every_completion_gap(self, with_cuts):
@@ -370,13 +386,13 @@ class TestCompletionBound:
                     for g in bucket:
                         if f is g or f.tasks == g.tasks:
                             continue
-                        if not (f.mem <= g.mem and f.load <= g.load
+                        if not (f.mem | g.mem == g.mem and f.load <= g.load
                                 and f.es <= g.es and f.ls >= g.ls
                                 and f.dur <= g.dur):
                             continue
                         phi = _phi(f, g, env)
                         if f.rcost > g.rcost:
-                            assert _dominates(f, g, env) == \
+                            assert scan_drops(f, g, env) == \
                                 (f.rcost <= g.rcost + phi)
                         pairs += 1
                         suffixes += self.check_suffixes(f, g, phi, ng, env)
@@ -465,6 +481,83 @@ class TestSuccessorLists:
             with mock.patch.object(enumeration, "CostEnv", FullScanEnv):
                 assert pool == enumeration.enumerate_fragments(duals, gap,
                                                                inst, cfg)
+
+
+def reference_labels_from(start, env, ng):
+    """labels_from under the pairwise dominance rule over frozenset
+    memory, asking _phi at every start.  Resources and costs come from
+    extend_label; the memory is kept as a set beside each label's mask,
+    and the two must agree.  Returns (label, memory set) pairs."""
+    inst = env.inst
+    if inst.alpha_list[start] > inst.beta_list[start]:
+        return []
+    hoods = {u: bits(mask) for u, mask in ng.items()}
+
+    def dominates(f, fmem, g, gmem):
+        if f.dur > g.dur or f.ls < g.ls or f.es > g.es or f.load > g.load:
+            return False
+        if not fmem <= gmem:
+            return False
+        return f.rcost <= g.rcost or f.rcost <= g.rcost + _phi(f, g, env)
+
+    heap, buckets, done = [], {}, []
+
+    def insert(lab, mem):
+        bucket = buckets.setdefault(lab.end, {})
+        doomed = []
+        for seq, (kept, kmem) in bucket.items():
+            if kept.dur <= lab.dur and dominates(kept, kmem, lab, mem):
+                return
+            if lab.dur <= kept.dur and dominates(lab, mem, kept, kmem):
+                doomed.append(seq)
+        for seq in doomed:
+            del bucket[seq]
+        bucket[lab.tasks] = (lab, mem)
+        heapq.heappush(heap, (lab.dur, lab.rcost, len(lab.tasks), lab.tasks,
+                              lab, mem))
+
+    insert(Label((start,), 0, 0, *initial_bounds(start, inst),
+                 env.init_cost(start)), frozenset())
+    while heap:
+        lab, mem = heapq.heappop(heap)[-2:]
+        if buckets[lab.end].get(lab.tasks, (None,))[0] is not lab:
+            continue
+        for u in env.succ[lab.end]:
+            child = extend_label(lab, u, env, ng)
+            closing = u == 0 or u in inst.vd
+            if not closing and u in mem:
+                assert child is None
+                continue
+            if child is None:
+                continue
+            cmem = mem if closing else \
+                (mem & hoods.get(u, frozenset())) | {u}
+            assert bits(child.mem) == cmem
+            if is_complete(child, inst):
+                done.append((child, cmem))
+            else:
+                insert(child, cmem)
+    return done
+
+
+class TestDominanceScan:
+    @settings(max_examples=200, deadline=None)
+    @given(priced_cases())
+    def test_scan_equals_pairwise_rule_over_sets(self, case):
+        # the bitmask scan, with _phi skipped at unpriced starts, keeps
+        # exactly the labels of the pairwise rule over set memory, in
+        # the same order; random_sign_duals prices every dependent start
+        # and leaves the depot unpriced, so both branches run
+        inst, duals, ng_size = case
+        env = CostEnv(duals, inst)
+        for ng in (ng_neighborhoods(inst, ng_size), exact_memory(inst)):
+            for s in [0] + sorted(inst.vd):
+                got = labels_from(s, env, ng)
+                want = reference_labels_from(s, env, ng)
+                assert [label_record(lab) for lab in got] == \
+                    [label_record(lab) for lab, _ in want]
+                assert [bits(lab.mem) for lab in got] == \
+                    [mem for _, mem in want]
 
 
 class TestSolvePricing:
@@ -594,7 +687,7 @@ class TestSolvePricing:
         hoods = ng_neighborhoods(inst, 10)
         assert set(hoods) == set(interior_tasks(inst))
         for hood in hoods.values():
-            assert not (hood & inst.vd)
+            assert not (bits(hood) & inst.vd)
 
     def test_fragment_capacity_rows_rejected(self):
         # a fragment-capacity price is charged on finished fragments but
