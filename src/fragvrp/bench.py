@@ -4,10 +4,12 @@ The generator follows the published recipe: repeatedly pick a random task
 pair that is not yet linked, explicitly or through a chain of existing
 dependencies, and attach a dependency of the requested kind that provably
 restricts at least one of the two tasks' start-time domains (checked via
-the preprocessing propagation) without emptying any domain.  Difference
-parameters are drawn uniformly from the restrictive-and-feasible value
-range, located by binary search since both feasibility and restrictiveness
-are monotone in the parameter.
+exact arc consistency over interval-union domains) without emptying any
+domain.  Difference parameters are drawn uniformly from the
+restrictive-and-feasible value range, located by binary search since both
+feasibility and restrictiveness are monotone in the parameter.  No step
+is linear in the horizon value: a domain holds as many intervals as the
+dependencies cut it into, and a parameter costs O(log horizon) probes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .driver import run
 from .instance import (Instance, SolverConfig, Task, _euclid_matrix,
                        dependency_from_type, load_instance, normalize_kind,
                        validate)
-from .preprocess import preprocess
+from .preprocess import diff_ranges, preprocess
 
 log = logging.getLogger(__name__)
 
@@ -167,25 +169,30 @@ def load_solomon(path) -> SolomonData:
 DEAD, LOOSE, TIGHT = 0, 1, 2
 
 
-def _supported(dom_other, cum_other, dmin, dmax, T):
-    """Bit mask over t of: some s in the other domain has s - t within
-    [dmin, dmax].  cum_other is the padded prefix sum of dom_other."""
-    t = np.arange(T + 1)
-    lo = np.clip(t + dmin, 0, T + 1)
-    hi = np.clip(t + dmax + 1, 0, T + 1)
-    return (cum_other[hi] - cum_other[lo]) > 0
+def _union(intervals):
+    """Sorted, disjoint, touching-merged tuple of integer intervals, so
+    equal sets give equal tuples."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
 
 
 class _DomainState:
     """Exact integer feasible-start domains over the dependency forest.
 
-    Domains start from the propagated hull windows and are kept arc
-    consistent under the pairwise difference bands.  The generator only
-    links tasks from distinct components, so the dependency graph is a
-    forest, where arc consistency is complete: all domains nonempty means
-    a joint schedule exists.  Hull propagation alone misses both the bands
-    that minimum-difference kinds carve from window interiors and the
-    joint infeasibilities those bands can create along a chain.
+    Each domain is a union of intervals, kept as the sorted, disjoint,
+    touching-merged tuple of (lo, hi) pairs that _union returns.  Domains
+    start from the propagated hull windows and are kept arc consistent
+    under the pairwise difference bands.  The generator only links tasks
+    from distinct components, so the dependency graph is a forest, where
+    arc consistency is complete: all domains nonempty means a joint
+    schedule exists.  Hull propagation alone misses both the bands that
+    minimum-difference kinds carve from window interiors and the joint
+    infeasibilities those bands can create along a chain.
     """
 
     def __init__(self, inst: Instance):
@@ -195,11 +202,8 @@ class _DomainState:
                              + base.reason)
         p = base.instance
         self.T = inst.tmax
-        self.dom = {}
-        for v in range(1, inst.n + 1):
-            d = np.zeros(self.T + 1, dtype=bool)
-            d[int(p.alpha[v]):int(p.beta[v]) + 1] = True
-            self.dom[v] = d
+        self.dom = {v: ((int(p.alpha[v]), int(p.beta[v])),)
+                    for v in range(1, inst.n + 1)}
         self.edges = [(d.u, d.v,
                        (d.dmin_uv, d.dmax_uv, d.dmin_vu, d.dmax_vu))
                       for d in inst.deps]
@@ -208,18 +212,14 @@ class _DomainState:
                              "schedule")
 
     def _revise(self, dom, u, v, quad):
-        """Drops unsupported values from u's domain; returns True if any."""
-        T = self.T
-        dmin_uv, dmax_uv, dmin_vu, dmax_vu = quad
-        cum = np.zeros(T + 2, dtype=np.int64)
-        np.cumsum(dom[v], out=cum[1:])
-        mask = np.zeros(T + 1, dtype=bool)
-        if not (dmin_uv == T and dmax_uv == T):
-            mask |= _supported(dom[v], cum, dmin_uv, dmax_uv, T)
-        if not (dmin_vu == T and dmax_vu == T):
-            mask |= _supported(dom[v], cum, -dmax_vu, -dmin_vu, T)
-        new = dom[u] & mask
-        if new.sum() == dom[u].sum():
+        """Drops unsupported values from u's domain; returns True if any.
+        Interval (a, b) of v's domain supports exactly t in [a - hi, b - lo]
+        per nonempty range (lo, hi) of b_v - b_u."""
+        bands = [r for r in diff_ranges(quad, self.T) if r[0] <= r[1]]
+        support = [(a - hi, b - lo) for a, b in dom[v] for lo, hi in bands]
+        new = _union((max(a, c), min(b, d)) for a, b in dom[u]
+                     for c, d in support if max(a, c) <= min(b, d))
+        if new == dom[u]:
             return False
         dom[u] = new
         return True
@@ -237,22 +237,23 @@ class _DomainState:
             changed = self._revise(dom, u, v, quad)
             changed |= self._revise(dom, v, u, swapped)
             if changed:
-                if not dom[u].any() or not dom[v].any():
+                if not dom[u] or not dom[v]:
                     return False
                 for e in edges:
                     if e[0] in (u, v) or e[1] in (u, v):
                         if e not in work:
                             work.append(e)
-        return all(d.any() for d in dom.values())
+        return all(dom.values())
 
     def probe(self, dep) -> int:
+        """DEAD, TIGHT (the domain of u or v shrank) or LOOSE."""
         quad = (dep.dmin_uv, dep.dmax_uv, dep.dmin_vu, dep.dmax_vu)
-        trial = {k: d.copy() for k, d in self.dom.items()}
+        trial = dict(self.dom)
         edges = self.edges + [(dep.u, dep.v, quad)]
         if not self._propagate(trial, edges):
             return DEAD
         for w in (dep.u, dep.v):
-            if trial[w].sum() < self.dom[w].sum():
+            if trial[w] != self.dom[w]:
                 return TIGHT
         return LOOSE
 
@@ -277,18 +278,18 @@ def _search_edge(lo, hi, pred):
     return lo
 
 
-def _draw_restrictive(state, cur, kind, u, v, rng):
+def _draw_restrictive(state, skeleton, kind, u, v, rng):
     probe = state.probe
-    T = cur.tmax
+    T = skeleton.tmax
 
     def make(dmin=None, dmax=None):
-        return dependency_from_type(kind, u, v, cur,
+        return dependency_from_type(kind, u, v, skeleton,
                                     delta_min=dmin, delta_max=dmax)
 
     if kind in ("synchronization", "overlap", "non-overlap", "precedence"):
         first = (u, v) if rng.integers(2) == 0 else (v, u)
         for a, b in (first, (first[1], first[0])):
-            dep = dependency_from_type(kind, a, b, cur)
+            dep = dependency_from_type(kind, a, b, skeleton)
             if probe(dep) == TIGHT:
                 return dep
         return None
@@ -349,9 +350,9 @@ def generate_dependencies(skeleton: Instance, kind, sigma, seed) -> Instance:
             x = parent[x]
         return x
 
-    cur = skeleton
-    state = _DomainState(cur)
-    for d in cur.deps:
+    deps = list(skeleton.deps)
+    state = _DomainState(skeleton)
+    for d in deps:
         parent[find(d.u)] = find(d.v)
     added = 0
     dead = set()
@@ -363,11 +364,11 @@ def generate_dependencies(skeleton: Instance, kind, sigma, seed) -> Instance:
         if not cands:
             break
         u, v = cands[int(rng.integers(len(cands)))]
-        dep = _draw_restrictive(state, cur, kind, u, v, rng)
+        dep = _draw_restrictive(state, skeleton, kind, u, v, rng)
         if dep is None:
             dead.add((u, v))
             continue
-        cur = cur.replace(dependencies=list(cur.deps) + [dep])
+        deps.append(dep)
         state.commit(dep)
         parent[find(u)] = find(v)
         added += 1
@@ -379,7 +380,7 @@ def generate_dependencies(skeleton: Instance, kind, sigma, seed) -> Instance:
     meta.update({"kind": kind, "sigma": float(sigma), "seed": int(seed),
                  "rng": "pcg64", "dependencies_requested": target,
                  "dependencies_added": added})
-    return cur.replace(meta=meta)
+    return skeleton.replace(dependencies=deps, meta=meta)
 
 
 # --- batch running ---------------------------------------------------------

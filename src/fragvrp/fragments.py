@@ -39,9 +39,6 @@ class Fragment:
     def end(self):
         return self.tasks[-1]
 
-    def __len__(self):
-        return len(self.tasks)
-
 
 def initial_bounds(v, inst):
     return inst.alpha_list[v], inst.beta_list[v], 0

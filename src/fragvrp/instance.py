@@ -141,8 +141,7 @@ class Instance:
 
     def order_forbidden(self, u, v) -> bool:
         """True iff {u,v} is dependent and u-first is ruled out."""
-        d = self.dep_index.get((u, v))
-        return d is not None and d.dmin_uv == self.tmax and d.dmax_uv == self.tmax
+        return self.pair.get((u, v), (False,))[0]
 
     def forced_order(self, u, v) -> bool:
         """True iff u must start no later than v."""

@@ -57,7 +57,7 @@ def _order_intervals(quad, tmax):
     return uv, vu
 
 
-def _diff_ranges(quad, tmax):
+def diff_ranges(quad, tmax):
     """Feasible ranges of b_v - b_u over both orders (list of intervals)."""
     uv, vu = _order_intervals(quad, tmax)
     out = []
@@ -78,8 +78,8 @@ def _compose(quad_uv, quad_vw, tmax):
     """
     lo_uw = hi_uw = None   # bounds on b_w - b_u >= 0 (u starts first)
     lo_wu = hi_wu = None   # bounds on b_u - b_w >= 0 (w starts first)
-    for a_lo, a_hi in _diff_ranges(quad_uv, tmax):
-        for b_lo, b_hi in _diff_ranges(quad_vw, tmax):
+    for a_lo, a_hi in diff_ranges(quad_uv, tmax):
+        for b_lo, b_hi in diff_ranges(quad_vw, tmax):
             m = a_lo + b_lo
             M = a_hi + b_hi
             # u first: b_w - b_u in [max(0, m), min(M, tmax)]

@@ -199,8 +199,6 @@ def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
     outside env.succ[lab.end] is rejected.
     """
     inst = env.inst
-    if is_complete(lab, inst):
-        raise ValueError("complete labels are not extended")
     start, end, tasks = lab.start, lab.end, lab.tasks
     if u == start and not (u == 0 and len(tasks) >= 2):
         return None

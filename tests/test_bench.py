@@ -1,6 +1,7 @@
 """Solomon parsing, dependency generation, and batch-runner tests."""
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -8,13 +9,17 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fragvrp
-from fragvrp.bench import (CSV_COLUMNS, GENERATOR_KINDS, SolomonFormatError,
+from fragvrp.bench import (CSV_COLUMNS, DEAD, GENERATOR_KINDS, LOOSE, TIGHT,
+                           SolomonFormatError, _DomainState, _union,
                            generate_dependencies, load_solomon, parse_solomon,
                            run_batch)
-from fragvrp.instance import (Instance, SolverConfig, Task, instance_to_dict,
-                              save_instance)
+from fragvrp.instance import (Instance, SolverConfig, Task,
+                              TemporalDependency, dependency_from_type,
+                              instance_to_dict, save_instance)
 from fragvrp.oracle import brute_force_optimal
 
 DATA_DIR = pathlib.Path(fragvrp.__file__).parent / "data"
@@ -213,6 +218,179 @@ class TestGenerateDependencies:
         assert inst.deps == ()
         assert inst.meta["dependencies_added"] == 0
         assert inst.meta["dependencies_requested"] == 2
+
+
+def digest(inst):
+    text = json.dumps(instance_to_dict(inst), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def generated(solomon, kind, sigma, n, seed=7):
+    skel = load_solomon(DATA_DIR / ("%s.txt" % solomon)).instance(take=n)
+    return generate_dependencies(skel, kind, sigma, seed)
+
+
+class TestGenerationPinned:
+    """The benchmark's seven workload instances and the four 30-task
+    instances of the ROADMAP table, at dependency seed 7, hashed over
+    instance_to_dict; the digests were recorded with the boolean-array
+    domains that the interval unions replaced."""
+
+    @pytest.mark.parametrize("case, want", [
+        (("S101", "synchronization", 0.5, 15), "99ef9cc9ce660eca"),
+        (("S102", "min-diff", 0.5, 15), "81df159c799a6ae3"),
+        (("S102", "max-diff", 0.5, 15), "70417249764f759d"),
+        (("S102", "synchronization", 0.1, 25), "3c6f287005a2c977"),
+        (("S101", "synchronization", 0.1, 25), "863a399139e170aa"),
+        (("S101", "max-diff", 0.2, 22), "8cedb0842edbab94"),
+        (("S101", "synchronization", 0.2, 20), "2869d9194295357b"),
+        (("S101", "min-diff", 0.5, 30), "4e7cc5a7f3457913"),
+        (("S101", "non-overlap", 0.3, 30), "f6464da0f1b2fddf"),
+        (("S102", "synchronization", 0.3, 30), "f5a2cd6cd3424500"),
+        (("S103", "overlap", 0.3, 30), "a8f7c69d1ab7c43e"),
+    ])
+    def test_digest(self, case, want):
+        assert digest(generated(*case))[:16] == want
+
+    @pytest.mark.parametrize("solomon, kind, n", [
+        ("S101", "synchronization", 20), ("S103", "overlap", 15)])
+    def test_horizon_scale(self, solomon, kind, n):
+        """Kinds without a drawn parameter pick the same pairs, with
+        quadruples x1000, when every time of the skeleton is x1000."""
+        k = 1000
+        skel = load_solomon(DATA_DIR / ("%s.txt" % solomon)).instance(take=n)
+        big = Instance([Task(t.id, k * t.alpha, k * t.beta, k * t.duration,
+                             t.demand) for t in skel.tasks],
+                       k * skel.t, skel.c, skel.K, skel.Q, k * skel.tmax, [],
+                       coords=skel.coords, meta=skel.meta)
+        small = generate_dependencies(skel, kind, 0.5, 7)
+        large = generate_dependencies(big, kind, 0.5, 7)
+        assert len(small.deps) >= 3
+        assert [(d.u, d.v) for d in large.deps] == \
+            [(d.u, d.v) for d in small.deps]
+        for d, e in zip(small.deps, large.deps):
+            assert (e.dmin_uv, e.dmax_uv, e.dmin_vu, e.dmax_vu) == \
+                (k * d.dmin_uv, k * d.dmax_uv, k * d.dmin_vu, k * d.dmax_vu)
+
+
+def related(quad, T, diff):
+    """diff = b_v - b_u is allowed by the oriented quadruple (u, v);
+    an order whose two parameters both equal the horizon is forbidden."""
+    m_uv, M_uv, m_vu, M_vu = quad
+    if not m_uv == M_uv == T and m_uv <= diff <= M_uv:
+        return True
+    return not m_vu == M_vu == T and m_vu <= -diff <= M_vu
+
+
+def reference_ac(dom, edges, T):
+    """Arc consistency over plain sets of integers, to a fixed point."""
+    dom = {v: set(vals) for v, vals in dom.items()}
+    changed = True
+    while changed:
+        changed = False
+        for u, v, q in edges:
+            for a, b, quad in ((u, v, q), (v, u, (q[2], q[3], q[0], q[1]))):
+                keep = {t for t in dom[a]
+                        if any(related(quad, T, s - t) for s in dom[b])}
+                if keep != dom[a]:
+                    dom[a] = keep
+                    changed = True
+    return dom
+
+
+def intervals(vals):
+    """The sorted, disjoint, touching-merged intervals of a set."""
+    out = []
+    for t in sorted(vals):
+        if out and out[-1][1] == t - 1:
+            out[-1] = (out[-1][0], t)
+        else:
+            out.append((t, t))
+    return tuple(out)
+
+
+@st.composite
+def forest_cases(draw):
+    """A skeleton with zero travel (so preprocessing keeps its windows),
+    wide and narrow windows mixed so that bands cut holes, and a random
+    forest of dependencies in a random order: generator kinds through
+    dependency_from_type, precedences, and raw quadruples with forbidden
+    orders and narrow bands, some with the minimum above the maximum."""
+    T = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 6))
+    tasks = [Task(0, 0, T, 0, 0)]
+    for v in range(1, n + 1):
+        dur = draw(st.integers(0, min(T, 4)))
+        a = draw(st.integers(0, T - dur))
+        if draw(st.booleans()):
+            b = draw(st.integers(a, min(a + 3, T - dur)))
+        else:
+            a = min(a, 2)
+            b = draw(st.integers(max(a, T - dur - 2), T - dur))
+        tasks.append(Task(v, a, b, dur, 1))
+    zero = [[0] * (n + 1) for _ in range(n + 1)]
+    skel = Instance(tasks, zero, zero, n, n, T, [])
+    deps = []
+    for v in range(2, n + 1):
+        if not draw(st.booleans()):
+            continue
+        u = draw(st.integers(1, v - 1))
+        if draw(st.booleans()):
+            u, v = v, u
+        if draw(st.booleans()):
+            quad = []
+            for _ in range(2):
+                lo = draw(st.integers(0, T))
+                hi = lo + draw(st.integers(-2, 3))
+                quad += [lo, min(max(hi, 0), T)]
+            forbid = draw(st.sampled_from((None, 0, 2)))
+            if forbid is not None:
+                quad[forbid:forbid + 2] = [T, T]
+            deps.append(TemporalDependency(u, v, *quad))
+            continue
+        kind = draw(st.sampled_from(GENERATOR_KINDS + ("precedence",)))
+        lo = draw(st.integers(0, T))
+        hi = draw(st.integers(lo, T))
+        deps.append(dependency_from_type(kind, u, v, skel,
+                                         delta_min=lo, delta_max=hi))
+    return skel, draw(st.permutations(deps))
+
+
+class TestDomainState:
+    def test_union_form(self):
+        # contained, overlapping and touching intervals merge; gaps stay
+        got = _union([(14, 14), (0, 10), (2, 5), (11, 12), (9, 11)])
+        assert got == ((0, 12), (14, 14))
+        assert _union([]) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(forest_cases())
+    def test_matches_reference_arc_consistency(self, case):
+        skel, deps = case
+        T = skel.tmax
+        state = _DomainState(skel)
+        ref = {t.id: set(range(t.alpha, t.beta + 1)) for t in skel.tasks[1:]}
+        assert state.dom == {v: intervals(s) for v, s in ref.items()}
+        edges, committed = [], []
+        for d in deps:
+            quad = (d.dmin_uv, d.dmax_uv, d.dmin_vu, d.dmax_vu)
+            trial = reference_ac(ref, edges + [(d.u, d.v, quad)], T)
+            if not all(trial.values()):
+                want = DEAD
+            elif trial[d.u] != ref[d.u] or trial[d.v] != ref[d.v]:
+                want = TIGHT
+            else:
+                want = LOOSE
+            assert state.probe(d) == want
+            if want == DEAD:
+                continue
+            state.commit(d)
+            edges.append((d.u, d.v, quad))
+            committed.append(d)
+            ref = trial
+            assert state.dom == {v: intervals(s) for v, s in ref.items()}
+        rebuilt = _DomainState(skel.replace(dependencies=committed))
+        assert rebuilt.dom == state.dom
 
 
 def quick_instance(n=3):

@@ -105,6 +105,21 @@ class TestInstanceHelpers:
         assert inst.forced_order(1, 2)
         assert not inst.forced_order(2, 1)
 
+    def test_order_flags_read_only_the_horizon_marker(self):
+        inst = two_task_instance()
+        T = inst.tmax
+        assert not inst.order_forbidden(1, 2)      # no dependency
+        assert not inst.forced_order(1, 2)
+        for quad, forbidden in (((T, T, T, T), (True, True)),
+                                ((T - 1, T, T, T - 1), (False, False)),
+                                ((0, T, T, T), (False, True)),
+                                ((T, T, 0, 0), (True, False))):
+            dep = inst.replace(dependencies=[TemporalDependency(1, 2, *quad)])
+            assert (dep.order_forbidden(1, 2),
+                    dep.order_forbidden(2, 1)) == forbidden
+            assert dep.forced_order(1, 2) == (forbidden == (False, True))
+            assert dep.forced_order(2, 1) == (forbidden == (True, False))
+
 
 class TestValidate:
     def test_clean_instance(self):

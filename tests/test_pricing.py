@@ -242,9 +242,6 @@ class TestExtendLabel:
         # start revisit, then held in memory
         assert extend_label(lab, 1, env, ng) is None
         assert extend_label(lab, 2, env, ng) is None
-        done = fold((1, 2, 4), inst, d)
-        with pytest.raises(ValueError):
-            extend_label(done, 0, env, ng)
 
     def test_chain_equals_fragment_recursion(self):
         rng = np.random.default_rng(5)
