@@ -1,4 +1,5 @@
-"""Microbenchmarks of the restricted master: assembly and integer solve.
+"""Microbenchmarks of the restricted master: assembly, LP and integer
+solve.
 
     python -m pytest benchmarks/bench_master.py
 
@@ -7,9 +8,10 @@ Like ``bench_labels.py``, the file name keeps it out of a plain
 ``gap-loop`` S101 instance of the end-to-end benchmark (S101, first 22
 tasks, max-diff, sigma 0.2, dependency seed 7): the final integer solve
 of the solve's last gap round, over the fragments that round kept.
-``_assemble`` turns the master's stored (row, column, value) triplets
-into one CSR matrix and stacks the column bounds; ``solve_integer``
-assembles and runs HiGHS on it.
+``_assemble`` gathers the master's stored (row, column, value) triplets
+into arrays and stacks the column costs and bounds; ``solve_relaxation``
+and ``solve_integer`` assemble, build HiGHS's column-wise model from the
+triplets and run it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,17 @@ def last_master():
 
 def test_assemble(benchmark, last_master):
     m, _ = last_master
-    A, obj, lb, ub, senses, rhs = benchmark(m._assemble)
-    assert A.shape == (len(rhs), len(obj))
+    (rows, cols, vals), obj, lb, ub, senses, rhs = benchmark(m._assemble)
+    assert len(rows) == len(cols) == len(vals)
+    assert rows.max() < len(rhs) and cols.max() < len(obj)
     assert len(obj) > len(m.fragments)
+
+
+def test_solve_relaxation(benchmark, last_master):
+    m, state = last_master
+    sol = benchmark(m.solve_relaxation)
+    assert sol.status == "optimal"
+    assert sol.objective <= state.ub_sol
 
 
 def test_solve_integer(benchmark, last_master):

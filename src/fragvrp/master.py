@@ -10,18 +10,19 @@ constraints, and any number of appended cut rows.
 
 The matrix is kept as (row, column, value) triplets that only grow:
 ``add_fragments`` appends a column's entries, ``add_cut`` a row's, and
-every solve turns the triplets into one CSR matrix.  Every coefficient
-is a pure function of fragment and cut data, and a cut's coefficient on
-a fragment comes from ``cut.fragment_coeff`` alone.
+every solve hands the triplets to ``lpback``, which sums them into the
+one column-wise matrix HiGHS reads.  Every coefficient is a pure
+function of fragment and cut data, and a cut's coefficient on a fragment
+comes from ``cut.fragment_coeff`` alone.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lpback
 from .cuts import FsecCut, VminCalculator, rcc_rhs
@@ -90,11 +91,12 @@ class MasterModel:
         # The matrix as (row, column, value) triplets that only grow.  A
         # fragment entry's column is the fragment's index; a fixed entry's
         # column is its offset past the last fragment, so appending a
-        # fragment moves no stored entry.
+        # fragment moves no stored entry.  Typed arrays, so that each
+        # solve copies them into NumPy as whole buffers.
         self.senses: List[str] = []
         self.rhs: List[float] = []
-        self._frag_ijv: Tuple[list, list, list] = ([], [], [])
-        self._fixed_ijv: Tuple[list, list, list] = ([], [], [])
+        self._frag_ijv = (array("q"), array("q"), array("d"))
+        self._fixed_ijv = (array("q"), array("q"), array("d"))
         self._p0 = 1 + 2 * len(self.vd)
         self._build_static_rows()
         self._build_fixed_columns()
@@ -257,15 +259,14 @@ class MasterModel:
 
     def _assemble(self):
         """The LP data, columns ordered fragments, artificial, b, l, p;
-        the CSR conversion sums repeated entries and sorts each row."""
+        the matrix is its (row, column, value) triplets, whose repeated
+        entries lpback sums."""
         nf = len(self.fragments)
         fr, fc, fv = self._frag_ijv
         xr, xc, xv = self._fixed_ijv
-        cols = np.concatenate((np.asarray(fc, dtype=np.int64),
-                               np.add(xc, nf)))
-        ncols = nf + len(self._fixed_obj)
-        A = sp.csr_matrix((fv + xv, (fr + xr, cols)),
-                          shape=(len(self.rhs), ncols))
+        A = (np.concatenate((fr, xr)),
+             np.concatenate((fc, np.add(xc, nf))),
+             np.concatenate((fv, xv)))
         obj = np.concatenate(([f.cost for f in self.fragments],
                               self._fixed_obj))
         lb = np.concatenate((np.zeros(nf), self._fixed_lb))

@@ -269,10 +269,8 @@ def arc_model_solve(inst: Instance, time_limit=None):
     deadline = None if time_limit is None else time.monotonic() + time_limit
     lb_out = -math.inf
     for _ in range(60):
-        A = np.zeros((len(rows), ncols))
-        for r, coefs in enumerate(rows):
-            for j, c in coefs:
-                A[r, j] = c
+        A = tuple(zip(*[(r, j, c) for r, coefs in enumerate(rows)
+                        for j, c in coefs if c])) or None
         left = None
         if deadline is not None:
             left = deadline - time.monotonic()

@@ -35,6 +35,7 @@ cannot survive any completion, see _phi.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List
 
 import numpy as np
@@ -135,6 +136,7 @@ class CostEnv:
             cbar[:, v] -= ev
         self.completion_duals = []
         self.fragment_duals = []
+        self._completion_rows = {}
         for cut, y in duals.cut_duals:
             if y == 0.0:
                 continue
@@ -182,9 +184,23 @@ class CostEnv:
                     * d.rho.get(key, 0.0)
                 th -= (inst.Q - inst.dem_list[start] + load) \
                     * d.lam.get(key, 0.0)
-        for cut, y in self.completion_duals:
+        pair = (start, end)
+        rows = self._completion_rows.get(pair)
+        if rows is None:
+            rows = self._completion_rows[pair] = self._rows_at(start, end)
+        for cut, y in rows:
             th -= y * cut.completion_coeff(start, end, es, ls)
         return th
+
+    def _rows_at(self, start, end) -> list:
+        """The completion rows whose coefficient can be nonzero on a
+        (start, end) fragment, in completion_duals order.  A coefficient
+        is a nonnegative count that a later es or an earlier ls can only
+        raise, so those rows are the ones nonzero at es = inf, ls = -inf.
+        The other rows add zero terms, which leave every charge as it is
+        to the last bit (a charge starts at +0.0 and so never is -0.0)."""
+        return [(cut, y) for cut, y in self.completion_duals
+                if cut.completion_coeff(start, end, math.inf, -math.inf)]
 
 
 def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):

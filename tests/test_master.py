@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fragvrp.cuts import FsecCut, VminCalculator, make_tifi, separate_tifi
 from fragvrp.fragments import build_fragment
@@ -214,6 +215,9 @@ class TestAssembly:
         assert mixed.fragments == first.fragments
         A, *rest = first._assemble()
         B, *other = mixed._assemble()
+        # the triplets come in add order; the matrix they sum to must not
+        A, B = (sp.csr_matrix((v, (r, c)), shape=(len(rest[3]), len(rest[0])))
+                for r, c, v in (A, B))
         nf = len(frags)
         assert A[A.shape[0] - len(cuts):, :nf].nnz > 0
         for a, b in [(A.data, B.data), (A.indices, B.indices),

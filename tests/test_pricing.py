@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,7 +135,8 @@ def check_dense_reduced_costs(m, inst, extra=()):
         return [], None
     duals = m._extract_duals(res.duals)
     m.add_fragments(extra)
-    A, obj = m._assemble()[:2]
+    (rows, cols, vals), obj = m._assemble()[:2]
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(m.rhs), len(obj)))
     assert A.shape[0] == len(res.duals)
     dense = obj - A.T @ res.duals
     env = CostEnv(duals, inst)
@@ -212,6 +214,49 @@ class TestCompletionCost:
                 frcc_rows += len(priced_rows(duals, "FRCC"))
         assert checked > 500
         assert frcc_rows >= 1
+
+    def test_row_lists_keep_every_charge(self):
+        # completion_charge sums only the rows that can be nonzero at the
+        # (start, end) pair; the sum over every row, written out here,
+        # must come out the same to the last bit
+        def every_row(env, start, end, es, ls, dur, load):
+            inst, d = env.inst, env.duals
+            th = 0.0
+            if start in inst.vd:
+                th += load * d.kap_ub.get(start, 0.0)
+                th -= ls * d.tau_ub.get(start, 0.0)
+            if end in inst.vd:
+                th += es * d.tau_lb.get(end, 0.0)
+                th += load * d.kap_lb.get(end, 0.0)
+                if start in inst.vd:
+                    th -= (dur + inst.beta_list[start]
+                           - inst.alpha_list[end]) * d.rho.get((start, end),
+                                                               0.0)
+                    th -= (inst.Q - inst.dem_list[start] + load) \
+                        * d.lam.get((start, end), 0.0)
+            for cut, y in env.completion_duals:
+                th -= y * cut.completion_coeff(start, end, es, ls)
+            return th
+
+        rng = np.random.default_rng(7)
+        cfg = SolverConfig()
+        kinds = set()
+        skipped = 0
+        for _ in range(12):
+            inst = random_instance(rng, n_tasks=6, n_deps=3)
+            res = compute_lower_bound(inst, cfg)
+            if res.status != "optimal":
+                continue
+            env = CostEnv(res.duals, inst)
+            kinds |= {cut.kind for cut, _ in env.completion_duals}
+            for f in exhaustive_fragments(inst, build_fragment):
+                args = (f.start, f.end, f.es, f.ls, f.dur, f.demand)
+                assert env.completion_charge(*args).hex() == \
+                    every_row(env, *args).hex(), f.tasks
+            skipped += sum(len(env.completion_duals) - len(rows)
+                           for rows in env._completion_rows.values())
+        assert {"FSEC", "TIFI", "TDIFI"} <= kinds
+        assert skipped > 0
 
 
 class TestExtendLabel:
