@@ -10,7 +10,7 @@ fragments whose reduced cost fits within the remaining gap.
 from .instance import (Instance, SolverConfig, Task, TemporalDependency,
                        dependency_from_type, load_instance, save_instance,
                        validate)
-from .fragments import Fragment, Infeasible, build_fragment, duration_at
+from .fragments import Fragment, Infeasible, build_fragment
 from .preprocess import preprocess
 from .driver import (BoundsState, check_solution, incumbent_from_json, run,
                      solution_to_json)
@@ -21,8 +21,7 @@ from .bench import (SolomonData, SolomonFormatError, generate_dependencies,
 __all__ = [
     "Instance", "SolverConfig", "Task", "TemporalDependency",
     "dependency_from_type", "load_instance", "save_instance", "validate",
-    "Fragment", "Infeasible", "build_fragment",
-    "duration_at", "preprocess",
+    "Fragment", "Infeasible", "build_fragment", "preprocess",
     "BoundsState", "check_solution", "incumbent_from_json", "run",
     "solution_to_json",
     "arc_model_solve", "brute_force_optimal",

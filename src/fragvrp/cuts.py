@@ -215,9 +215,9 @@ class VminCalculator:
     Each set keeps proven bounds lo <= V_min(S) <= hi, starting from
     (1, |S| + 1): a search that succeeds with k routes sets hi = k, one
     that fails sets lo = k + 1, and lo == hi is the exact value.
-    ``exceeds`` answers V_min(S) > k with at most one search; ``vmin``
-    searches k = lo, lo + 1, ... below hi, so no k is searched twice for
-    the same set.
+    ``exceeds`` answers V_min(S) > k with at most one search, and none
+    outside [lo, hi); ``vmin`` asks it for k = 1, 2, ... until the answer
+    is no, so no k is searched twice for the same set.
 
     A branch dies at its first placement that does not schedule, and a
     placement propagates start times from its parent's order-free least
@@ -236,14 +236,11 @@ class VminCalculator:
         self._bounds: Dict[FrozenSet[int], Tuple[int, int]] = {}
 
     def vmin(self, S: Iterable[int]) -> int:
-        key = frozenset(S)
-        lo, hi = self._bounds.get(key) or (1, len(key) + 1)
-        if lo < hi:
-            tasks = sorted(key)
-            while lo < hi and not self._feasible_with(tasks, lo):
-                lo += 1
-            self._bounds[key] = (lo, lo)
-        return lo
+        S = frozenset(S)
+        k = 1
+        while self.exceeds(S, k):
+            k += 1
+        return k
 
     def exceeds(self, S: Iterable[int], k: int) -> bool:
         """Whether V_min(S) > k, by at most one search with k routes."""

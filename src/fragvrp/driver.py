@@ -83,7 +83,8 @@ def check_solution(incumbent, inst: Instance) -> bool:
 
     Works purely from the instance data; no scheduling or master code
     is consulted.  A missing order bit is derived from the start times
-    (ties read as the lower-id task starting first).
+    (ties read as the lower-id task starting first); a bit other than 0
+    or 1 fails.
     """
     routes = [list(r) for r in incumbent.routes if r]
     seen = set()
@@ -118,6 +119,8 @@ def check_solution(incumbent, inst: Instance) -> bool:
         p = incumbent.orders.get((d.u, d.v))
         if p is None:
             p = 1 if bu <= bv else 0
+        elif p not in (0, 1):
+            return False
         # the all-sentinel quadruple forbids the order outright
         if p == 1 and inst.order_forbidden(d.u, d.v):
             return False
@@ -474,14 +477,21 @@ def solution_to_json(state: BoundsState) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _whole(v) -> int:
+    """v as an int; ValueError when it has a fractional part."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError("%r is not an integer" % (v,))
+    return int(v)
+
+
 def incumbent_from_json(doc: dict) -> Incumbent:
-    routes = tuple(tuple(int(v) for v in r) for r in doc.get("routes", []))
-    starts = {int(k): int(v)
+    routes = tuple(tuple(_whole(v) for v in r) for r in doc.get("routes", []))
+    starts = {int(k): _whole(v)
               for k, v in doc.get("start_times", {}).items()}
     orders = {}
     for k, v in doc.get("order_vars", {}).items():
         u, w = k.split(",")
-        orders[(int(u), int(w))] = int(v)
+        orders[(int(u), int(w))] = _whole(v)
     ub = doc.get("ub")
     return Incumbent(routes, starts, orders, (),
                      float("inf") if ub is None else float(ub))

@@ -85,25 +85,6 @@ def step(es, ls, dur, frm, to, start, inst):
     return es_to, ls_to, dur_to
 
 
-def duration_at(f: Fragment, t: int, inst) -> int:
-    """Minimum duration of f when its first task starts exactly at t.
-
-    The feasible start domain is [max(alpha_start, es - dmax), ls], the
-    dmax term applying only to dependent endpoint pairs.  (The constant-
-    then-linear shape: starts in [es - dur, ls] keep the minimum duration,
-    earlier starts wait for the end task's release.)
-    """
-    lo = int(inst.alpha[f.start])
-    if inst.has_dep(f.start, f.end):
-        lo = max(lo, f.es - inst.dmax(f.start, f.end))
-    if t < lo or t > f.ls:
-        raise ValueError("start %d outside feasible domain [%d, %d]"
-                         % (t, lo, f.ls))
-    if t >= f.es - f.dur:
-        return f.dur
-    return f.es - t
-
-
 def assemble(seq, inst, bounds) -> Fragment:
     """Fragment record from a sequence and its (es, ls, dur) triple."""
     cost = 0

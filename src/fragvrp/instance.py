@@ -104,11 +104,14 @@ class Instance:
         deps = tuple(sorted((d.canonical() for d in dependencies),
                             key=lambda d: (d.u, d.v)))
         self.deps = deps
-        self.dep_index = {}
+        # oriented pair (u, v), u first -> (forbidden, dmin_uv, dmax_uv)
+        self.pair = {}
         adj = {}
         for d in deps:
-            self.dep_index[(d.u, d.v)] = d
-            self.dep_index[(d.v, d.u)] = d.swapped()
+            self.pair[(d.u, d.v)] = (d.dmin_uv == d.dmax_uv == self.tmax,
+                                     d.dmin_uv, d.dmax_uv)
+            self.pair[(d.v, d.u)] = (d.dmin_vu == d.dmax_vu == self.tmax,
+                                     d.dmin_vu, d.dmax_vu)
             adj.setdefault(d.u, []).append(d.v)
             adj.setdefault(d.v, []).append(d.u)
         self.dep_adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
@@ -121,23 +124,19 @@ class Instance:
         self.dur_list = self.dur.tolist()
         self.dem_list = self.dem.tolist()
         self.t_list = self.t.tolist()
-        # oriented pair (u, v), u first -> (forbidden, dmin_uv, dmax_uv)
-        self.pair = {
-            key: (d.dmin_uv == d.dmax_uv == self.tmax, d.dmin_uv, d.dmax_uv)
-            for key, d in self.dep_index.items()}
 
     # --- dependency helpers (oriented: first argument starts first) ---
 
     def has_dep(self, u, v) -> bool:
-        return (u, v) in self.dep_index
+        return (u, v) in self.pair
 
     def dmin(self, u, v) -> int:
-        d = self.dep_index.get((u, v))
-        return 0 if d is None else d.dmin_uv
+        p = self.pair.get((u, v))
+        return 0 if p is None else p[1]
 
     def dmax(self, u, v) -> int:
-        d = self.dep_index.get((u, v))
-        return self.tmax if d is None else d.dmax_uv
+        p = self.pair.get((u, v))
+        return self.tmax if p is None else p[2]
 
     def order_forbidden(self, u, v) -> bool:
         """True iff {u,v} is dependent and u-first is ruled out."""

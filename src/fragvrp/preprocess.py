@@ -5,6 +5,9 @@ clipping task windows by depot travel, transitive closure of temporal
 dependencies (every pair connected through a chain of dependencies receives
 an explicit, possibly strengthened quadruple), and window tightening from
 dependency parameters.  Each preserves the set of feasible solutions.
+
+The closure and the window tightening read a quadruple only through
+``diff_ranges``: the ranges of b_v - b_u its allowed starting orders give.
 """
 
 from __future__ import annotations
@@ -43,28 +46,20 @@ def tighten_depot_windows(inst: Instance) -> PreprocessResult:
 
 # --- transitive closure of dependencies ---------------------------------
 
-def _order_intervals(quad, tmax):
-    """Allowed values of b_second - b_first per starting order.
+def diff_ranges(quad, tmax):
+    """Feasible ranges of b_v - b_u, one per allowed starting order.
 
-    quad is (m_uv, M_uv, m_vu, M_vu) for the oriented pair (u, v); returns
-    (uv_interval, vu_interval) where uv_interval bounds b_v - b_u when u
-    starts first and vu_interval bounds b_u - b_v when v starts first, each
-    None when that order is forbidden.
+    quad is (dmin_uv, dmax_uv, dmin_vu, dmax_vu) for the oriented pair
+    (u, v): u first gives [dmin_uv, dmax_uv], v first gives
+    [-dmax_vu, -dmin_vu], and an order whose bounds both equal tmax is
+    forbidden and left out.
     """
     m_uv, M_uv, m_vu, M_vu = quad
-    uv = None if (m_uv == tmax and M_uv == tmax) else (m_uv, M_uv)
-    vu = None if (m_vu == tmax and M_vu == tmax) else (m_vu, M_vu)
-    return uv, vu
-
-
-def diff_ranges(quad, tmax):
-    """Feasible ranges of b_v - b_u over both orders (list of intervals)."""
-    uv, vu = _order_intervals(quad, tmax)
     out = []
-    if uv is not None:
-        out.append(uv)
-    if vu is not None:
-        out.append((-vu[1], -vu[0]))
+    if not m_uv == M_uv == tmax:
+        out.append((m_uv, M_uv))
+    if not m_vu == M_vu == tmax:
+        out.append((-M_vu, -m_vu))
     return out
 
 
@@ -121,12 +116,6 @@ def close_dependencies(inst: Instance) -> PreprocessResult:
         q = quads.get((v, u))
         return None if q is None else (q[2], q[3], q[0], q[1])
 
-    def put(u, v, quad):
-        if (v, u) in quads:
-            u, v = v, u
-            quad = (quad[2], quad[3], quad[0], quad[1])
-        quads[(u, v)] = quad
-
     changed = True
     while changed:
         changed = False
@@ -150,7 +139,8 @@ def close_dependencies(inst: Instance) -> PreprocessResult:
                             "dependency chain through %d forbids both "
                             "starting orders of (%d, %d)" % (v, u, w))
                     if old != merged:
-                        put(u, w, merged)
+                        # u < w and every stored key is ordered the same way
+                        quads[(u, w)] = merged
                         changed = True
 
     deps = [TemporalDependency(u, v, *q) for (u, v), q in quads.items()]
@@ -158,7 +148,12 @@ def close_dependencies(inst: Instance) -> PreprocessResult:
 
 
 def tighten_td_windows(inst: Instance) -> PreprocessResult:
-    """Window tightening from dependency parameters, run to a fixed point."""
+    """Window tightening from dependency parameters, run to a fixed point.
+
+    Every dependency bounds b_v - b_u by the hull [lo, hi] of its
+    diff_ranges, so alpha_u >= alpha_v - hi, beta_u <= beta_v - lo,
+    alpha_v >= alpha_u + lo and beta_v <= beta_u + hi.
+    """
     alpha = [int(a) for a in inst.alpha]
     beta = [int(b) for b in inst.beta]
     tmax = inst.tmax
@@ -167,34 +162,18 @@ def tighten_td_windows(inst: Instance) -> PreprocessResult:
         changed = False
         for d in inst.deps:
             u, v = d.u, d.v
-            uv, vu = _order_intervals(
+            ranges = diff_ranges(
                 (d.dmin_uv, d.dmax_uv, d.dmin_vu, d.dmax_vu), tmax)
-            if uv is None and vu is None:
+            if not ranges:
                 return PreprocessResult(inst, False,
                                         "both starting orders of (%d, %d) "
                                         "are forbidden" % (u, v))
-            if uv is not None and vu is not None:
-                cand = (
-                    (u, max(alpha[u], alpha[v] - d.dmax_uv),
-                     min(beta[u], beta[v] + d.dmax_vu)),
-                    (v, max(alpha[v], alpha[u] - d.dmax_vu),
-                     min(beta[v], beta[u] + d.dmax_uv)),
-                )
-            elif uv is not None:
-                # u must start first: b_v - b_u in [dmin_uv, dmax_uv]
-                cand = (
-                    (u, max(alpha[u], alpha[v] - d.dmax_uv),
-                     min(beta[u], beta[v] - d.dmin_uv)),
-                    (v, max(alpha[v], alpha[u] + d.dmin_uv),
-                     min(beta[v], beta[u] + d.dmax_uv)),
-                )
-            else:
-                cand = (
-                    (v, max(alpha[v], alpha[u] - d.dmax_vu),
-                     min(beta[v], beta[u] - d.dmin_vu)),
-                    (u, max(alpha[u], alpha[v] + d.dmin_vu),
-                     min(beta[u], beta[v] + d.dmax_vu)),
-                )
+            lo = min(r[0] for r in ranges)
+            hi = max(r[1] for r in ranges)
+            cand = ((u, max(alpha[u], alpha[v] - hi),
+                     min(beta[u], beta[v] - lo)),
+                    (v, max(alpha[v], alpha[u] + lo),
+                     min(beta[v], beta[u] + hi)))
             for w, a, b in cand:
                 if a > alpha[w]:
                     alpha[w] = a

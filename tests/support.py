@@ -129,6 +129,60 @@ def discretized_duration_at(seq, inst, t):
     return None if rng is None else rng[0] - t
 
 
+# --- window tightening reference ---------------------------------------
+
+def reference_tighten_td_windows(inst):
+    """Window tightening with one hand-written case per set of allowed
+    starting orders, run to a fixed point.  Returns (feasible, reason,
+    alpha, beta)."""
+    alpha = [int(a) for a in inst.alpha]
+    beta = [int(b) for b in inst.beta]
+    tmax = inst.tmax
+    changed = True
+    while changed:
+        changed = False
+        for d in inst.deps:
+            u, v = d.u, d.v
+            uv_ok = not d.dmin_uv == d.dmax_uv == tmax
+            vu_ok = not d.dmin_vu == d.dmax_vu == tmax
+            if not uv_ok and not vu_ok:
+                return (False, "both starting orders of (%d, %d) are "
+                        "forbidden" % (u, v), alpha, beta)
+            if uv_ok and vu_ok:
+                cand = (
+                    (u, max(alpha[u], alpha[v] - d.dmax_uv),
+                     min(beta[u], beta[v] + d.dmax_vu)),
+                    (v, max(alpha[v], alpha[u] - d.dmax_vu),
+                     min(beta[v], beta[u] + d.dmax_uv)),
+                )
+            elif uv_ok:
+                # u must start first: b_v - b_u in [dmin_uv, dmax_uv]
+                cand = (
+                    (u, max(alpha[u], alpha[v] - d.dmax_uv),
+                     min(beta[u], beta[v] - d.dmin_uv)),
+                    (v, max(alpha[v], alpha[u] + d.dmin_uv),
+                     min(beta[v], beta[u] + d.dmax_uv)),
+                )
+            else:
+                cand = (
+                    (v, max(alpha[v], alpha[u] - d.dmax_vu),
+                     min(beta[v], beta[u] - d.dmin_vu)),
+                    (u, max(alpha[u], alpha[v] + d.dmin_vu),
+                     min(beta[u], beta[v] + d.dmax_vu)),
+                )
+            for w, a, b in cand:
+                if a > alpha[w]:
+                    alpha[w] = a
+                    changed = True
+                if b < beta[w]:
+                    beta[w] = b
+                    changed = True
+                if alpha[w] > beta[w]:
+                    return (False, "dependency (%d, %d) empties the window "
+                            "of task %d" % (u, v, w), alpha, beta)
+    return True, "", alpha, beta
+
+
 # --- random instance generation -----------------------------------------
 
 def random_instance(rng, n_tasks=None, n_deps=None, kinds=SIX_KINDS,

@@ -210,6 +210,40 @@ class TestVerify:
         sol.write_text("{\"routes\": 7}")
         assert cli.main(["verify", inst_path, str(sol)]) == 3
 
+    def max_diff_case(self, tmp_path, starts, bit):
+        """Tasks 1 [0, 10] and 2 [20, 40] on separate routes under a
+        max-diff of 15; returns the (instance, solution) paths."""
+        tasks = [Task(0, 0, 100, 0, 0), Task(1, 0, 10, 0, 1),
+                 Task(2, 20, 40, 0, 1)]
+        t = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        dep = TemporalDependency(1, 2, 0, 15, 0, 15)
+        inst = tmp_path / "maxdiff.json"
+        save_instance(Instance(tasks, t, t, 2, 10, 100, [dep]), inst)
+        sol = tmp_path / "maxdiff-sol.json"
+        sol.write_text(json.dumps({
+            "routes": [[1], [2]], "order_vars": {"1,2": bit}, "ub": 4,
+            "start_times": {"1": starts[0], "2": starts[1]}}))
+        return str(inst), str(sol)
+
+    def test_order_bit_outside_zero_one_fails(self, tmp_path, capsys):
+        # b_2 - b_1 = 25 breaks the max-diff; a bit of 2 must not scale
+        # the order rows until they admit it
+        for bit in (1, 2, -1):
+            paths = self.max_diff_case(tmp_path, (1, 26), bit)
+            assert cli.main(["verify", *paths]) == 2
+        paths = self.max_diff_case(tmp_path, (10, 20), 1)
+        assert cli.main(["verify", *paths]) == 0
+
+    def test_fractional_values_are_malformed(self, tmp_path, capsys):
+        # 20.5 would be read as the feasible 20
+        paths = self.max_diff_case(tmp_path, (10, 20.5), 1)
+        assert cli.main(["verify", *paths]) == 3
+        assert "not an integer" in capsys.readouterr().err
+        paths = self.max_diff_case(tmp_path, (10, 20), 1.5)
+        assert cli.main(["verify", *paths]) == 3
+        paths = self.max_diff_case(tmp_path, (10.0, 20), 1)
+        assert cli.main(["verify", *paths]) == 0
+
 
 class TestBench:
     def test_manifest_to_csv(self, inst_path, tmp_path, capsys):

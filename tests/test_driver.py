@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -15,7 +16,7 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
 from fragvrp.master import MasterError, MasterModel
-from fragvrp.oracle import arc_model_solve
+from fragvrp.oracle import arc_model_solve, brute_force_optimal
 from fragvrp.scheduling import schedule_routes
 
 from support import (all_feasible_solutions, line_instance, random_instance,
@@ -354,6 +355,37 @@ class TestRun:
         assert "lower_bound" in st.stats["wall_times"]
         assert st.stats["lb_certified"] <= st.ub_sol + 1e-6
         assert st.stats["rounds"] == []
+
+
+class TestCapacityBinding:
+    def test_matches_brute_force(self):
+        """Demands in [Q/5, Q/2] and one vehicle per task: capacity, not
+        the fleet, decides which tasks share a route, so the master's
+        load linkage between dependent tasks must hold.  Without it the
+        integer master returns unusable solutions on ten of these."""
+        rng = np.random.default_rng(3)
+        optimal = infeasible = 0
+        for _ in range(50):
+            n = int(rng.integers(5, 8))
+            inst = random_instance(rng, n_tasks=n,
+                                   n_deps=int(rng.integers(2, 4)))
+            Q = inst.Q
+            tasks = [inst.tasks[0]] + [
+                dataclasses.replace(
+                    t, demand=int(rng.integers(Q // 5, Q // 2 + 1)))
+                for t in inst.tasks[1:]]
+            inst = inst.replace(tasks=tasks, vehicle_count=n)
+            best, _ = brute_force_optimal(inst)
+            st = run(inst, SolverConfig())
+            if best == float("inf"):
+                assert st.status == "infeasible"
+                infeasible += 1
+            else:
+                assert st.status == "optimal"
+                assert st.ub_sol == best
+                assert check_solution(st.incumbent, inst)
+                optimal += 1
+        assert optimal >= 30 and infeasible >= 10
 
 
 class TestArcModelAgreement:

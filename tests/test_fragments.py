@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from fragvrp.fragments import (Fragment, Infeasible, build_fragment,
-                               duration_at)
+from fragvrp.fragments import Fragment, Infeasible, build_fragment
 from fragvrp.instance import Instance, Task, TemporalDependency
 
 from support import (discretized_duration_at, discretized_summary,
@@ -33,16 +31,17 @@ class TestRecursion:
         assert f.cost == 2 and f.demand == 2
 
     def test_reference_duration_profile(self):
+        # the time-linkage rows read the least duration from a start t
+        # as max(dur, es - t): constant, then waiting for the end's release
         inst = three_task_instance()
         f = build_fragment((1, 2, 3), inst)
-        assert duration_at(f, 5, inst) == 4
-        assert duration_at(f, 3, inst) == 4
-        assert duration_at(f, 2, inst) == 5   # waits for the chain through 2
+        assert max(f.dur, f.es - 5) == 4
+        assert max(f.dur, f.es - 3) == 4
+        assert max(f.dur, f.es - 2) == 5      # waits for the chain through 2
         for t in range(0, 7):
-            assert duration_at(f, t, inst) == duration_at_oracle((1, 2, 3),
-                                                                 inst, t)
-        with pytest.raises(ValueError):
-            duration_at(f, 7, inst)           # past the latest start
+            assert max(f.dur, f.es - t) == duration_at_oracle((1, 2, 3),
+                                                              inst, t)
+        assert duration_at_oracle((1, 2, 3), inst, 7) is None  # past ls
 
     def test_dependency_minimum_lifts_duration(self):
         inst = three_task_instance(dep_quad=(6, 20, 0, 20))
@@ -135,9 +134,6 @@ class TestAgainstDiscretizedBruteForce:
             feasible += 1
             for t in range(int(inst.alpha[seq[0]]), int(inst.beta[seq[0]]) + 1):
                 want = discretized_duration_at(seq, inst, t)
-                if want is None:
-                    with pytest.raises(ValueError):
-                        duration_at(f, t, inst)
-                else:
-                    assert duration_at(f, t, inst) == want
+                if want is not None:
+                    assert max(f.dur, f.es - t) == want
         assert feasible > 60 and infeasible > 20

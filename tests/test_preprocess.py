@@ -1,13 +1,16 @@
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragvrp.instance import Instance, Task, TemporalDependency
 from fragvrp.preprocess import (close_dependencies, preprocess,
                                 tighten_depot_windows, tighten_td_windows)
 from fragvrp.scheduling import schedule_routes
 
-from support import random_instance, set_partitions
+from support import (random_instance, reference_tighten_td_windows,
+                     set_partitions)
 
 
 def chain_instance(deps, windows=None, horizon=40):
@@ -22,8 +25,9 @@ def chain_instance(deps, windows=None, horizon=40):
 
 
 def quad_of(inst, u, v):
-    d = inst.dep_index.get((u, v))
-    return None if d is None else (d.dmin_uv, d.dmax_uv, d.dmin_vu, d.dmax_vu)
+    if (u, v) not in inst.pair:
+        return None
+    return inst.pair[(u, v)][1:] + inst.pair[(v, u)][1:]
 
 
 class TestDepotClip:
@@ -139,6 +143,56 @@ class TestWindowTightening:
         assert res.feasible
         assert (res.instance.alpha[1], res.instance.beta[1]) == (4, 10)
         assert (res.instance.alpha[2], res.instance.beta[2]) == (4, 10)
+
+
+@st.composite
+def window_cases(draw):
+    """Two to four tasks with random windows and dependencies whose
+    orders may be forbidden (precedences, now and then both orders) and
+    whose bands may be a single value."""
+    T = draw(st.integers(10, 40))
+    n = draw(st.integers(2, 4))
+    windows = []
+    for _ in range(n):
+        a = draw(st.integers(0, T))
+        windows.append((a, draw(st.integers(a, T))))
+
+    def band():
+        kind = draw(st.sampled_from(("forbidden", "narrow", "band")))
+        if kind == "forbidden":
+            return T, T
+        lo = draw(st.integers(0, T))
+        return (lo, lo) if kind == "narrow" else \
+            (lo, draw(st.integers(lo, T)))
+
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                           max_size=len(pairs), unique=True))
+    deps = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        deps.append(TemporalDependency(u, v, *band(), *band()))
+    return chain_instance(deps, windows=windows, horizon=T)
+
+
+class TestWindowTighteningReference:
+    @settings(max_examples=400, deadline=None)
+    @given(window_cases())
+    def test_matches_case_split(self, inst):
+        """The hull rule gives the case-split rule's verdict and windows.
+        When one step empties both windows, the reason may name the
+        other endpoint of the same dependency."""
+        res = tighten_td_windows(inst)
+        ok, reason, alpha, beta = reference_tighten_td_windows(inst)
+        assert res.feasible == ok
+        if ok:
+            assert res.instance.alpha.tolist() == alpha
+            assert res.instance.beta.tolist() == beta
+        else:
+            # the same dependency; the task named last is one of its two
+            # endpoints, which the two rules check in different orders
+            assert res.reason.rsplit(" ", 1)[0] == reason.rsplit(" ", 1)[0]
 
 
 class TestPipeline:

@@ -49,10 +49,9 @@ def meets_orders(starts, inst, orders):
         if u not in starts or v not in starts:
             continue
         a, b = (u, v) if bit else (v, u)
-        d = inst.dep_index[(a, b)]
-        if inst.order_forbidden(a, b) or not (
-                starts[a] <= starts[b]
-                and d.dmin_uv <= starts[b] - starts[a] <= d.dmax_uv):
+        forbidden, dmin, dmax = inst.pair[(a, b)]
+        if forbidden or not (starts[a] <= starts[b]
+                             and dmin <= starts[b] - starts[a] <= dmax):
             return False
     return True
 
