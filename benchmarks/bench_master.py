@@ -6,8 +6,10 @@ solve.
 Like ``bench_labels.py``, the file name keeps it out of a plain
 ``pytest`` run.  The master is the last restricted MILP of the
 ``gap-loop`` S101 instance of the end-to-end benchmark (S101, first 22
-tasks, max-diff, sigma 0.2, dependency seed 7): the final integer solve
-of the solve's last gap round, over the fragments that round kept.
+tasks, max-diff, sigma 0.2, dependency seed 7): the last gap round's
+only master, which holds the initial columns and the fragments that
+round kept once ``reduce_by_resolve`` has dropped the rest, as its
+final integer solve leaves it.
 ``_assemble`` gathers the master's stored (row, column, value) triplets
 into arrays and stacks the column costs and bounds; ``solve_relaxation``
 and ``solve_integer`` assemble, build HiGHS's column-wise model from the
@@ -28,6 +30,9 @@ DATA = Path(fragvrp.__file__).resolve().parent / "data"
 
 @pytest.fixture(scope="module")
 def last_master():
+    """The last master ``_restricted_master`` built in the solve: the
+    last gap round's one master, after its rejected columns were
+    dropped."""
     data = bench.load_solomon(DATA / "S101.txt")
     inst = bench.generate_dependencies(data.instance(take=22), "max-diff",
                                        0.2, 7)

@@ -413,15 +413,14 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         merged = {f.tasks: f for f in alive}
         for f in sol_frags:
             merged.setdefault(f.tasks, f)
-        m_red = _restricted_master(pinst, cfg, calc, lbres.cuts)
+        m = _restricted_master(pinst, cfg, calc, lbres.cuts)
         kept, _, _ = reduce_by_resolve(sorted(merged.values(),
                                               key=lambda f: f.tasks),
-                                       m_red, ub_cand, keep=sol_seqs)
+                                       m, ub_cand, keep=sol_seqs)
         mark("reduce", t0)
 
         t0 = time.monotonic()
-        m_fin = _restricted_master(pinst, cfg, calc, lbres.cuts, kept)
-        val, inc, proven = _solve_restricted(m_fin, pinst, clock, counts)
+        val, inc, proven = _solve_restricted(m, pinst, clock, counts)
         stats["rounds"].append({"ub_cand": ub_cand, "enumerated": len(pool),
                                 "kept": len(kept), "milp_value": _num(val),
                                 "milp_s": mark("final_milp", t0)})

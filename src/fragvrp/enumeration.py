@@ -11,10 +11,10 @@ already exceeds the budget, which no completion of the branch can undo.
 
 Two reduction passes follow.  The route bound removes fragments that no
 schedulable predecessor/successor pair can embed in a route within the
-budget, iterated to a fixed point.  The re-solve pass rebuilds the master
-over the surviving set (capacity cuts lifted to their fragment form),
+budget, iterated to a fixed point.  The re-solve pass adds the surviving
+set to a restricted master (capacity cuts lifted to their fragment form),
 prices every column against the fresh duals, and drops those above the
-new, usually tighter, budget.
+new, usually tighter, budget, from the pool and from the master alike.
 """
 
 from __future__ import annotations
@@ -200,8 +200,10 @@ def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
 
     Returns (kept fragments, duals, objective).  The budget becomes
     ub_cand minus the new objective; fragments listed in `keep` survive
-    regardless, incumbent solutions must stay representable.
+    regardless, incumbent solutions must stay representable.  The master
+    ends up holding its earlier columns plus the kept fragments.
     """
+    held = len(master.fragments)
     master.add_fragments(frags)
     sol = master.solve_relaxation()
     if sol.status != "optimal":
@@ -214,4 +216,6 @@ def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
     out = [f for f in frags
            if f.tasks in protect
            or fragment_reduced_cost(f, env) <= budget + tol]
+    master.drop_fragments({f.tasks for f in master.fragments[held:]}
+                          - {f.tasks for f in out})
     return out, sol.duals, lb

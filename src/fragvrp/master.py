@@ -8,12 +8,12 @@ covering, flow conservation at dependent tasks, big-M start-time and
 load linkage between consecutive fragments, per-dependency order
 constraints, and any number of appended cut rows.
 
-The matrix is kept as (row, column, value) triplets that only grow:
-``add_fragments`` appends a column's entries, ``add_cut`` a row's, and
-every solve hands the triplets to ``lpback``, which sums them into the
-one column-wise matrix HiGHS reads.  Every coefficient is a pure
-function of fragment and cut data, and a cut's coefficient on a fragment
-comes from ``cut.fragment_coeff`` alone.
+The matrix is kept as (row, column, value) triplets: ``add_fragments``
+appends a column's entries, ``add_cut`` a row's, ``drop_fragments``
+filters columns out, and every solve hands the triplets to ``lpback``,
+which sums them into the one column-wise matrix HiGHS reads.  Every
+coefficient is a pure function of fragment and cut data, and a cut's
+coefficient on a fragment comes from ``cut.fragment_coeff`` alone.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class MasterModel:
         self._cut_keys: set = set()
         self._dep_pos = {(d.u, d.v): k for k, d in enumerate(inst.deps)}
         self.art_cost = artificial_cost(inst)
-        # The matrix as (row, column, value) triplets that only grow.  A
+        # The matrix as (row, column, value) triplets.  A
         # fragment entry's column is the fragment's index; a fixed entry's
         # column is its offset past the last fragment, so appending a
         # fragment moves no stored entry.  Typed arrays, so that each
@@ -221,6 +221,20 @@ class MasterModel:
                 vals.append(a)
             added += 1
         return added
+
+    def drop_fragments(self, doomed) -> None:
+        """Removes the columns of the fragments whose task sequences are
+        in doomed; the triplets left are those of a model that added only
+        the other columns, in their order."""
+        gone = np.array([f.tasks in doomed for f in self.fragments], bool)
+        rows, cols, vals = (np.asarray(a) for a in self._frag_ijv)
+        live = ~gone[cols]
+        renum = np.cumsum(~gone) - 1
+        self._frag_ijv = (array("q", rows[live].tobytes()),
+                          array("q", renum[cols[live]].tobytes()),
+                          array("d", vals[live].tobytes()))
+        self.fragments = [f for f, g in zip(self.fragments, gone) if not g]
+        self._frag_keys = {f.tasks: i for i, f in enumerate(self.fragments)}
 
     def add_cut(self, cut) -> bool:
         """Append a cut row; returns False when already present."""

@@ -15,7 +15,7 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
                             solution_to_json)
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
-from fragvrp.master import MasterError, MasterModel
+from fragvrp.master import MasterError, MasterModel, initial_fragments
 from fragvrp.oracle import arc_model_solve, brute_force_optimal
 from fragvrp.scheduling import schedule_routes
 
@@ -395,6 +395,9 @@ class TestArcModelAgreement:
         ("S101", "synchronization", 0.5, 12),
         ("S102", "min-diff", 0.3, 14),
         ("S103", "overlap", 0.3, 12),
+        # two gap rounds; the second drops 12 of the 91 columns its
+        # reduction added before the final MILP
+        ("S101", "max-diff", 0.2, 16),
     ])
     def test_same_optimum(self, solomon, kind, sigma, n):
         data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent
@@ -465,6 +468,99 @@ class TestIntegralCandidateBound:
         assert st.stats["iterations"] < 2
         [r] = st.stats["rounds"]
         assert r["ub_cand"] == 44 and r["milp_value"] == 45
+
+
+def lp_arrays(m):
+    """Every array _assemble hands to a solve, the triplets one by one."""
+    A, *rest = m._assemble()
+    return [np.asarray(a) for a in (*A, *rest)]
+
+
+def assert_same_lp(m, fresh):
+    assert [f.tasks for f in m.fragments] == [f.tasks for f in fresh.fragments]
+    assert m._frag_keys == fresh._frag_keys
+    for a, b in zip(lp_arrays(m), lp_arrays(fresh), strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestRoundMaster:
+    """A gap round builds one restricted master.  reduce_by_resolve adds
+    the pool to it, re-solves, and drops the columns it added and
+    rejected; the final MILP then solves that master.  It must be, array
+    for array, the master a fresh build over the kept fragments gives."""
+
+    @pytest.mark.parametrize("n_tasks,n_deps,seed", [
+        (5, 3, 1),    # rejects an initial fragment; a second round follows
+        (6, 2, 12),   # two rounds; the first rejects two fragments
+        (7, 3, 17),   # rejects eight, one of them an initial fragment
+    ])
+    def test_rounds_match_a_fresh_build(self, monkeypatch, n_tasks, n_deps,
+                                        seed):
+        make = driver._restricted_master
+        resolve = driver.reduce_by_resolve
+        solve = driver._solve_restricted
+        built, reduced, solved = [], [], []
+
+        def restricted_master(*args):
+            built.append((args, make(*args)))
+            return built[-1][1]
+
+        def reduce_by_resolve(frags, master, ub_cand, keep=()):
+            args, m = built[-1]
+            assert master is m
+            kept, duals, lb = resolve(frags, master, ub_cand, keep=keep)
+            assert_same_lp(master, make(*args, kept))
+            reduced.append(len(frags) - len(kept))
+            return kept, duals, lb
+
+        def solve_restricted(m, *args, **kwargs):
+            solved.append(m)
+            return solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "_restricted_master", restricted_master)
+        monkeypatch.setattr(driver, "reduce_by_resolve", reduce_by_resolve)
+        monkeypatch.setattr(driver, "_solve_restricted", solve_restricted)
+        inst = random_instance(np.random.default_rng(seed), n_tasks=n_tasks,
+                               n_deps=n_deps)
+        st = run(inst, SolverConfig())
+        assert st.status == "optimal"
+        rounds = len(st.stats["rounds"])
+        assert rounds == len(reduced) and any(reduced)
+        # one master for the first incumbent, then exactly one per round
+        assert len(built) == 1 + rounds
+        assert solved == [m for _, m in built]
+
+    def round_master(self):
+        """A round's master and a pool holding every initial fragment,
+        the lower bound's columns and those enumerated within 10."""
+        inst = random_instance(np.random.default_rng(9), n_tasks=6, n_deps=2)
+        cfg = SolverConfig()
+        calc = cutlib.VminCalculator(inst)
+        lb = compute_lower_bound(inst, cfg, vmin_calc=calc)
+        pool = {f.tasks: f for f in driver.enumerate_fragments(
+            lb.duals, 10.0, inst, cfg)}
+        for f in (*initial_fragments(inst), *lb.columns):
+            pool.setdefault(f.tasks, f)
+        args = (inst, cfg, calc, lb.cuts)
+        return args, _restricted_master(*args), lb.lb, \
+            sorted(pool.values(), key=lambda f: f.tasks)
+
+    def test_rejected_initial_fragments_stay(self):
+        args, m, lb, pool = self.round_master()
+        held = {f.tasks for f in m.fragments}
+        kept, _, _ = driver.reduce_by_resolve(pool, m, lb)
+        rejected = held - {f.tasks for f in kept}
+        assert rejected
+        assert held <= {f.tasks for f in m.fragments}
+        assert_same_lp(m, _restricted_master(*args, kept))
+
+    def test_kept_over_a_hopeless_budget(self):
+        args, m, _, pool = self.round_master()
+        keep = {pool[i].tasks for i in (0, len(pool) // 2, -1)}
+        kept, _, _ = driver.reduce_by_resolve(pool, m, -1000.0, keep=keep)
+        assert {f.tasks for f in kept} == keep
+        assert_same_lp(m, _restricted_master(*args, kept))
 
 
 class TestSolutionFile:

@@ -205,7 +205,8 @@ DATA = Path(fragvrp.__file__).resolve().parent / "data"
 def last_master():
     """The last restricted master of the gap-loop S101 instance (first
     22 tasks, max-diff, sigma 0.2, dependency seed 7), as in
-    benchmarks/bench_master.py."""
+    benchmarks/bench_master.py: the last gap round's only master, after
+    reduce_by_resolve dropped the columns it rejected."""
     data = bench.load_solomon(DATA / "S101.txt")
     inst = bench.generate_dependencies(data.instance(take=22), "max-diff",
                                        0.2, 7)

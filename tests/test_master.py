@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fragvrp.cuts import FsecCut, VminCalculator, make_tifi, separate_tifi
+from fragvrp.cuts import (FrccCut, FsecCut, RccCut, VminCalculator,
+                          make_tifi, separate_tifi)
 from fragvrp.fragments import build_fragment
 from fragvrp.instance import Instance, Task, TemporalDependency
 from fragvrp.master import (DualValues, MasterModel, build_initial,
@@ -141,6 +142,19 @@ class TestRelaxation:
         departures += 2.0 * res.artificial
         assert departures >= 2.0 - 1e-5
 
+    @pytest.mark.parametrize("cut", [RccCut(S=frozenset({1}), rhs=5),
+                                     FrccCut(S=frozenset({1}), rhs=5)])
+    def test_artificial_covers_appended_g_rows(self, cut):
+        # No fragment can meet a capacity row asking for 5 vehicles into
+        # {1}; the artificial column keeps the LP feasible, at weight 1.
+        inst = support.random_instance(np.random.default_rng(5),
+                                       n_tasks=5, n_deps=2)
+        m = build_initial(inst, support_cfg())
+        assert m.add_cut(cut)
+        res = m.solve_relaxation()
+        assert res.status == "optimal"
+        assert res.artificial == pytest.approx(1.0, abs=TOL)
+
     def test_forced_order_pins_p(self):
         # Precedence: task 2 may never start before task 1.
         T = 40
@@ -222,6 +236,41 @@ class TestAssembly:
         assert A[A.shape[0] - len(cuts):, :nf].nnz > 0
         for a, b in [(A.data, B.data), (A.indices, B.indices),
                      (A.indptr, B.indptr)] + list(zip(rest, other)):
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b)
+
+    def test_drop_then_add_matches_a_fresh_build(self):
+        # Drop every third column, initial ones among them, then add new
+        # columns and the dropped ones again: the triplets must be those
+        # of a fresh build that adds the columns in that order.
+        from fragvrp import driver
+        from fragvrp.instance import SolverConfig
+        cfg = SolverConfig(frcc_size_cap_fraction=1.0)
+        inst = support.random_instance(np.random.default_rng(1),
+                                       n_tasks=6, n_deps=3)
+        lb = driver.compute_lower_bound(inst, cfg)
+        m = build_initial(inst, cfg)
+        initial = len(m.fragments)
+        m.add_cuts(driver._lift_cut(c, inst, cfg) for c in lb.cuts)
+        m.add_fragments(lb.columns)
+        first = [f for i, f in enumerate(m.fragments) if i % 3 and i < initial]
+        rest = [f for i, f in enumerate(m.fragments) if i % 3 and i >= initial]
+        dropped = m.fragments[::3]
+        m.drop_fragments({f.tasks for f in dropped})
+        assert m.fragments == first + rest and rest
+        new = [f for f in support.exhaustive_fragments(inst, build_fragment)
+               if f.tasks not in m._frag_keys and f not in dropped][:20]
+        assert m.add_fragments(new + dropped) == len(new) + len(dropped)
+        fresh = MasterModel(inst, cfg)
+        fresh.add_fragments(first)
+        fresh.add_cuts(m.cuts)
+        fresh.add_fragments(rest + new + dropped)
+        assert fresh.fragments == m.fragments
+        assert fresh._frag_keys == m._frag_keys
+        A, *arrays = m._assemble()
+        B, *other = fresh._assemble()
+        assert len(A[0]) > 0
+        for a, b in zip((*A, *arrays), (*B, *other), strict=True):
             assert np.asarray(a).dtype == np.asarray(b).dtype
             assert np.array_equal(a, b)
 
