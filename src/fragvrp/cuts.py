@@ -219,16 +219,18 @@ class VminCalculator:
     outside [lo, hi); ``vmin`` asks it for k = 1, 2, ... until the answer
     is no, so no k is searched twice for the same set.
 
-    A branch dies at its first placement that does not schedule, and a
-    placement propagates start times from its parent's order-free least
-    starts (``scheduling.extend_schedule``) rather than from the window
-    openings.  Both rest on one fact: placing a task only adds
-    constraints, its window, its dependencies, and a chain through it
-    that, under the triangle inequality and non-negative durations
-    (``Instance`` documents both, ``validate`` checks them), is no looser
-    than the depot leg or link it replaces.  So the parent's least starts
-    lie below the child's, and a child of an unschedulable placement
-    never schedules.
+    Each node of the search carries its network state (least starts,
+    closings, edges; ``scheduling.extend_schedule``), and a placement
+    builds its child from it by the one inserted task: its window, the
+    chain edges through it and its dependency bands, propagated from the
+    parent's order-free least starts.  A branch dies at its first
+    placement that does not schedule.  Both rest on one fact: placing a
+    task only adds constraints, and a chain through it is, under the
+    triangle inequality and non-negative durations (``Instance``
+    documents both, ``validate`` checks them), no looser than the depot
+    leg or link it replaces, which therefore stays in the state.  So the
+    parent's least starts lie below the child's, and a child of an
+    unschedulable placement never schedules.
     """
 
     def __init__(self, inst: Instance):
@@ -271,21 +273,20 @@ class VminCalculator:
         routes: List[List[int]] = [[] for _ in range(k)]
         loads = [0] * k
 
-        def place(i: int, lo: dict, dep_edges: list, free: list) -> bool:
+        def place(i: int, state: tuple, free: list) -> bool:
             if i == len(tasks):
                 return True
             v = tasks[i]
-            dep_edges = dep_edges + brought[i][0]
-            free = free + brought[i][1]
+            dep_edges, more, _ = brought[i]
+            free = free + more
             for r, route in enumerate(routes):
                 if loads[r] + dem[v] <= cap:
                     loads[r] += dem[v]
                     for pos in range(len(route) + 1):
                         route.insert(pos, v)
-                        child = extend_schedule(lo, routes, inst, dep_edges,
-                                                free)
-                        if child is not None and \
-                                place(i + 1, child, dep_edges, free):
+                        child = extend_schedule(state, route, pos, inst,
+                                                dep_edges, free)
+                        if child is not None and place(i + 1, child, free):
                             return True
                         del route[pos]
                     loads[r] -= dem[v]
@@ -293,7 +294,7 @@ class VminCalculator:
                     break   # the first unopened route stands for them all
             return False
 
-        return place(0, {}, [], [])
+        return place(0, ({}, {}, []), [])
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,17 @@ parent's earliest starts, so a subtree dies at its first conflicting
 order.  A synchronization (both orders give the same band) is not
 branched: its second order could only repeat the first one's subtree.
 
-``extend_schedule`` gives the verdict of ``schedule_routes`` for routes
-that grew by one task, propagating from the least starts of the routes
-before the task was placed instead of from the window openings.
+``extend_schedule`` answers the same question for routes that grew by one
+task, without rebuilding the network.  Its state is the network itself:
+least starts lo (order-free: under the decided orders alone), closings hi
+and the edge list.  A placement adds the task's window (clamped by the
+depot leg when it opens its route, by the horizon return when it ends
+it), the at most two chain edges through it and its decided dependency
+bands, then propagates from the parent's fixed point.  The link or depot
+leg the task replaced stays in the state: under the triangle inequality
+and non-negative durations a chain through the task implies it, so the
+solution set, the least starts and the verdict are those of a rebuilt
+network.
 """
 
 from __future__ import annotations
@@ -32,10 +40,8 @@ def _propagate(lo, hi, edges):
     """Raises lo to the least solution of b_b >= b_a + w over the edges
     (a, b, w), in place.  False when some lo[v] passes hi[v] or when
     |V| + 1 passes still change lo, which proves a positive cycle.  lo
-    only rises, so after the first check only a raised lo[b] can pass
-    its closing; lo is left part-raised when the answer is False."""
-    if any(lo[v] > hi[v] for v in lo):
-        return False
+    must start within hi: it only rises, so only a raised lo[b] can pass
+    its closing.  lo is left part-raised when the answer is False."""
     for _ in range(len(lo) + 1):
         changed = False
         for a, b, w in edges:
@@ -146,7 +152,7 @@ def schedule_routes(routes, inst, forced_orders=None):
         return False, {}, {}
     dep_edges, free, orders = split
     edges += dep_edges
-    if not _propagate(lo, hi, edges):
+    if any(lo[v] > hi[v] for v in lo) or not _propagate(lo, hi, edges):
         return False, {}, {}
     lo = _branch(0, lo, hi, edges, free, orders)
     if lo is None:
@@ -154,30 +160,39 @@ def schedule_routes(routes, inst, forced_orders=None):
     return True, lo, orders
 
 
-def extend_schedule(parent_lo, routes, inst, dep_edges, free):
-    """The verdict of ``schedule_routes(routes, inst)`` for routes that
-    hold one task more than the routes parent_lo was computed for.
+def extend_schedule(parent, route, pos, inst, dep_edges, free):
+    """The verdict of ``schedule_routes`` after placing v = route[pos].
 
-    parent_lo: the parent routes' order-free least starts, those under
-    windows, chain edges and dep_edges alone; never starts found after
-    branching on a free order.  dep_edges and free: ``dependency_orders``
-    of every dependency among the tasks now on the routes.
+    parent: the state (lo, hi, edges) of the routes before v was inserted
+    into route; ``({}, {}, [])`` for empty routes.  Its lo must be the
+    order-free least starts, never starts found after branching on a free
+    order.  dep_edges: the decided bands (``dependency_orders``) of v's
+    dependencies with tasks already placed.  free: every free dependency
+    among the tasks now placed, v's included.
 
-    The child network is rebuilt from its routes (windows, closings, chain
-    edges) and propagated from parent_lo, plus the new task's opening.
-    That is sound when travel times meet the triangle inequality and
-    durations are non-negative: a placement then only adds constraints,
-    since a chain through the new task is no looser than the depot leg or
-    link it replaces, so parent_lo lies below the child's least starts
-    and Bellman-Ford from it reaches the same fixed point.
-
-    Returns the child's order-free least starts when the routes schedule,
-    else None.
+    Returns the child's state when the routes schedule, else None.  The
+    parent's state is not changed.
     """
-    lo, hi, edges = _network(routes, inst)
-    lo.update(parent_lo)
-    edges += dep_edges
-    if not _propagate(lo, hi, edges) or \
+    lo, hi, edges = parent
+    dur, t = inst.dur_list, inst.t_list
+    v = route[pos]
+    lo = dict(lo)
+    hi = dict(hi)
+    lo[v] = inst.alpha_list[v]
+    hi[v] = inst.beta_list[v]
+    edges = edges + dep_edges
+    if pos:
+        prev = route[pos - 1]
+        edges.append((prev, v, dur[prev] + t[prev][v]))
+    else:
+        lo[v] = max(lo[v], t[0][v])
+    if pos + 1 < len(route):
+        nxt = route[pos + 1]
+        edges.append((v, nxt, dur[v] + t[v][nxt]))
+    else:
+        hi[v] = min(hi[v], inst.tmax - dur[v] - t[v][0])
+    # the parent's starts lie within their closings: only v's can pass
+    if lo[v] > hi[v] or not _propagate(lo, hi, edges) or \
             _branch(0, lo, hi, edges, free, {}) is None:
         return None
-    return lo
+    return lo, hi, edges

@@ -13,6 +13,7 @@ import numpy as np
 
 from fragvrp.instance import (Instance, Task, TemporalDependency,
                               dependency_from_type, instance_from_dict)
+from fragvrp.scheduling import _branch, _network, _propagate
 
 SIX_KINDS = ("synchronization", "min-diff", "max-diff", "minmax-diff",
              "overlap", "non-overlap")
@@ -181,6 +182,27 @@ def reference_tighten_td_windows(inst):
                     return (False, "dependency (%d, %d) empties the window "
                             "of task %d" % (u, v, w), alpha, beta)
     return True, "", alpha, beta
+
+
+# --- placement reference -----------------------------------------------
+
+def reference_extend_schedule(parent_lo, routes, inst, dep_edges, free):
+    """The verdict of ``schedule_routes(routes, inst)`` for routes that
+    hold one task more than the routes parent_lo was computed for, with
+    the child network rebuilt from its routes (windows, closings, chain
+    edges) and propagated from parent_lo.
+
+    parent_lo: the parent routes' order-free least starts.  dep_edges and
+    free: ``dependency_orders`` of every dependency among the tasks now
+    on the routes.  Returns the child's order-free least starts when the
+    routes schedule, else None."""
+    lo, hi, edges = _network(routes, inst)
+    lo.update(parent_lo)
+    edges += dep_edges
+    if any(lo[v] > hi[v] for v in lo) or not _propagate(lo, hi, edges) or \
+            _branch(0, lo, hi, edges, free, {}) is None:
+        return None
+    return lo
 
 
 # --- random instance generation -----------------------------------------

@@ -231,9 +231,10 @@ class TestVmin:
         placed = []
         extend = cutlib.extend_schedule
 
-        def counted(parent_lo, routes, inst, dep_edges, free):
-            placed.append(sorted(v for r in routes for v in r))
-            return extend(parent_lo, routes, inst, dep_edges, free)
+        def counted(parent, route, pos, inst, dep_edges, free):
+            # the tasks of the parent's state and the one placed now
+            placed.append(sorted([*parent[0], route[pos]]))
+            return extend(parent, route, pos, inst, dep_edges, free)
 
         monkeypatch.setattr(cutlib, "extend_schedule", counted)
         assert VminCalculator(inst).vmin(range(1, 6)) == 6

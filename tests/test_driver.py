@@ -390,7 +390,9 @@ class TestCapacityBinding:
 
 class TestArcModelAgreement:
     # seeded Solomon-derived instances, each with a gap round: the
-    # fragment solver and the compact arc MILP must prove one optimum
+    # fragment solver and the compact arc MILP must prove one optimum,
+    # and the lower bound separates FSEC rows beyond the len(deps) + 1
+    # the master starts with, so the V_min search decides rows on the way
     @pytest.mark.parametrize("solomon,kind,sigma,n", [
         ("S101", "synchronization", 0.5, 12),
         ("S102", "min-diff", 0.3, 14),
@@ -398,6 +400,10 @@ class TestArcModelAgreement:
         # two gap rounds; the second drops 12 of the 91 columns its
         # reduction added before the final MILP
         ("S101", "max-diff", 0.2, 16),
+        # FSEC-heavy: 19 rows against 7 up front, optimum 335
+        ("S103", "min-diff", 0.5, 12),
+        # 11 dependent tasks, optimum 345
+        ("S102", "min-diff", 0.5, 14),
     ])
     def test_same_optimum(self, solomon, kind, sigma, n):
         data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent
@@ -408,6 +414,7 @@ class TestArcModelAgreement:
         lb, ub, _ = arc_model_solve(inst)
         assert st.status == "optimal"
         assert st.stats["rounds"]
+        assert st.stats["cuts_by_kind"]["FSEC"] > len(inst.deps) + 1
         assert lb == pytest.approx(ub)
         assert st.ub_sol == ub
         assert check_solution(st.incumbent, inst)

@@ -9,7 +9,8 @@ from fragvrp.instance import Instance, Task, TemporalDependency
 from fragvrp.scheduling import (dependency_orders, extend_schedule,
                                 schedule_routes)
 
-from support import random_instance, set_partitions
+from support import (random_instance, reference_extend_schedule,
+                     set_partitions)
 
 
 def starts_feasible(routes, starts, inst):
@@ -277,35 +278,69 @@ def growing_routes(draw):
     return inst, placements
 
 
+def placed_states(inst, placements):
+    """Places the tasks one at a time with extend_schedule, carrying each
+    state down; yields the routes and the state after every placement,
+    None from the first placement that does not schedule on."""
+    routes = [[], [], []]
+    state = ({}, {}, [])
+    free = []
+    for v, r, pos in placements:
+        routes[r].insert(pos, v)
+        if state is not None:
+            placed = {u for route in routes for u in route}
+            split = dependency_orders(
+                [d for d in inst.deps if v in (d.u, d.v)
+                 and d.u in placed and d.v in placed], inst)
+            if split is None:
+                state = None
+            else:
+                free = free + split[1]
+                state = extend_schedule(state, routes[r], routes[r].index(v),
+                                        inst, split[0], free)
+        yield routes, state
+
+
 # carrying starts found under a branched order would be unsound: with
 # tasks 1 and 2 placed, u first (b2 >= b1 + 5) is tried first and
 # schedules, but task 3, synchronized with 2 and closing at 2, needs
 # 2 first
-@example((tiny_instance([(0, 20), (0, 20), (0, 2)],
-                        [TemporalDependency(1, 2, 5, 10, 0, 10),
-                         TemporalDependency(2, 3, 0, 0, 0, 0)], horizon=24),
-          [(1, 0, 0), (2, 1, 0), (3, 2, 0)]))
+SYNC_AFTER_BRANCH = (
+    tiny_instance([(0, 20), (0, 20), (0, 2)],
+                  [TemporalDependency(1, 2, 5, 10, 0, 10),
+                   TemporalDependency(2, 3, 0, 0, 0, 0)], horizon=24),
+    [(1, 0, 0), (2, 1, 0), (3, 2, 0)])
+
+
+@example(SYNC_AFTER_BRANCH)
 @settings(max_examples=300, deadline=None)
 @given(growing_routes())
 def test_extend_schedule_matches_a_fresh_schedule(case):
-    """Propagating each placement from its parent's order-free least
-    starts gives the verdict of a from-scratch call; once a placement
-    fails, every later one fails from scratch too."""
-    inst, placements = case
-    routes = [[], [], []]
+    """Building each placement's network from its parent's state gives
+    the verdict of a from-scratch call; once a placement fails, every
+    later one fails from scratch too."""
+    inst = case[0]
+    for routes, state in placed_states(*case):
+        assert (state is not None) == schedule_routes(routes, inst)[0]
+
+
+@example(SYNC_AFTER_BRANCH)
+@settings(max_examples=300, deadline=None)
+@given(growing_routes())
+def test_extend_schedule_matches_the_rebuilt_network(case):
+    """The state carried down the placements gives the verdict and the
+    least starts of the network rebuilt from the routes at every
+    placement (``support.reference_extend_schedule``), exactly."""
+    inst = case[0]
     lo = {}
-    for v, r, pos in placements:
-        routes[r].insert(pos, v)
-        fresh = schedule_routes(routes, inst)[0]
-        if lo is None:
-            assert not fresh
-            continue
-        present = {u for route in routes for u in route}
-        split = dependency_orders(
-            [d for d in inst.deps if d.u in present and d.v in present],
-            inst)
-        if split is None:
-            lo = None
-        else:
-            lo = extend_schedule(lo, routes, inst, split[0], split[1])
-        assert (lo is not None) == fresh
+    for routes, state in placed_states(*case):
+        if lo is not None:
+            placed = {u for route in routes for u in route}
+            split = dependency_orders(
+                [d for d in inst.deps if d.u in placed and d.v in placed],
+                inst)
+            lo = None if split is None else reference_extend_schedule(
+                lo, routes, inst, split[0], split[1])
+        assert (state is None) == (lo is None)
+        if state is not None:
+            assert state[0] == lo
