@@ -6,10 +6,12 @@ The file name keeps it out of a plain ``pytest`` run, which only collects
 ``test_*.py``; naming the file on the command line collects it.  The
 instances are the two ``few-deps`` ones of the end-to-end benchmark
 (S101 and S102, first 25 tasks, synchronization, sigma 0.1, dependency
-seed 7), after preprocessing, each priced at the duals its lower bound
-ends with.  S102 makes the most dominance tests of the two.  Pricing
-runs ``labels_from`` from every start task; enumeration runs at the
-driver's first gap, ``gap_init`` times the lower bound.
+seed 7), after preprocessing.  Pricing runs ``labels_from`` from every
+start task at two sets of duals: those of the initial master, which is
+the first pricing call of every solve and the one with the fullest
+dominance buckets (138-151 labels at an insertion, on average), and
+those the lower bound ends with (8-18).  Enumeration runs at the final
+duals and the driver's first gap, ``gap_init`` times the lower bound.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import pytest
 
 import fragvrp
 from fragvrp import bench
+from fragvrp.cuts import VminCalculator
 from fragvrp.driver import compute_lower_bound
 from fragvrp.enumeration import enumerate_fragments
 from fragvrp.instance import SolverConfig
+from fragvrp.master import build_initial
 from fragvrp.preprocess import preprocess
 from fragvrp.pricing import CostEnv, labels_from, ng_neighborhoods
 
@@ -30,20 +34,31 @@ DATA = Path(fragvrp.__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module", params=["S101", "S102"])
-def priced(request):
+def prepared(request):
     data = bench.load_solomon(DATA / ("%s.txt" % request.param))
     inst = bench.generate_dependencies(data.instance(take=25),
                                        "synchronization", 0.1, 7)
-    pinst = preprocess(inst).instance
-    cfg = SolverConfig()
-    lbres = compute_lower_bound(pinst, cfg)
+    return preprocess(inst).instance, SolverConfig()
+
+
+@pytest.fixture(scope="module")
+def priced(prepared):
+    inst, cfg = prepared
+    lbres = compute_lower_bound(inst, cfg)
     assert lbres.status == "optimal"
-    return pinst, lbres, cfg
+    return inst, lbres, cfg
 
 
-def test_labels_from(benchmark, priced):
-    inst, lbres, cfg = priced
-    env = CostEnv(lbres.duals, inst)
+@pytest.fixture(scope="module")
+def first_duals(prepared):
+    inst, cfg = prepared
+    sol = build_initial(inst, cfg, VminCalculator(inst)).solve_relaxation()
+    assert sol.status == "optimal"
+    return sol.duals
+
+
+def price_every_start(benchmark, inst, duals, cfg):
+    env = CostEnv(duals, inst)
     ng = ng_neighborhoods(inst, cfg.ng_size)
     starts = [0] + sorted(inst.vd)
 
@@ -51,6 +66,16 @@ def test_labels_from(benchmark, priced):
         return [labels_from(s, env, ng) for s in starts]
 
     assert sum(len(labs) for labs in benchmark(price)) > 0
+
+
+def test_labels_from(benchmark, priced):
+    inst, lbres, cfg = priced
+    price_every_start(benchmark, inst, lbres.duals, cfg)
+
+
+def test_labels_from_first_call(benchmark, prepared, first_duals):
+    inst, cfg = prepared
+    price_every_start(benchmark, inst, first_duals, cfg)
 
 
 def test_enumerate_fragments(benchmark, priced):

@@ -7,7 +7,12 @@ Unlike pricing, the search must be complete: elementarity is exact (no ng
 forgetting) and no label is discarded on cost grounds.  The only pruning
 is an admissible completion bound: a branch dies when its accumulated
 reduced cost plus a provable lower bound on the cheapest way to finish
-already exceeds the budget, which no completion of the branch can undo.
+already exceeds the budget, which no completion of the branch can undo
+(Baldacci, Christofides & Mingozzi, Math. Prog. 2008).  The bound charges
+a departure only from tasks the branch can still reach in time: under
+the triangle inequality and non-negative durations, a task whose window
+closes before the earliest direct arrival from the branch's end is never
+visited by any completion.
 
 Two reduction passes follow.  The route bound removes fragments that no
 schedulable predecessor/successor pair can embed in a route within the
@@ -19,6 +24,7 @@ new, usually tighter, budget, from the pool and from the master alike.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +52,16 @@ class _CompletionLB:
     the cut charges can contribute (zero unless a row price has the
     wrong sign).
 
+    A departure is charged from the label's end e and from every
+    unvisited interior task v the suffix can still reach, that is with
+    es + d_e + t_ev <= beta_v.  No later arrival at v is earlier: travel
+    meets the triangle inequality and durations are non-negative (both
+    validated on Instance), and the recursion only raises es.  So a task
+    failing that test is never visited, and its departure never made.
+    Per end, _reach holds the interior tasks sorted by their slack
+    beta_v - d_e - t_ev with the suffix sums of their departures, so the
+    reachable set is one bisect on es.
+
     Sound for any dual signs; with correctly signed prices the end-side
     and cut terms collapse to zero or small negatives.
     """
@@ -57,9 +73,19 @@ class _CompletionLB:
         n = inst.n
         cbar = env.cbar
         off = cbar + np.where(np.eye(n + 1, dtype=bool), np.inf, 0.0)
-        self.neg_out = np.minimum(off.min(axis=1), 0.0).tolist()
-        self.total_interior = float(sum(self.neg_out[v]
-                                        for v in interior_tasks(inst)))
+        neg_out = self.neg_out = np.minimum(off.min(axis=1), 0.0).tolist()
+        interior = interior_tasks(inst)
+        beta, dur, t = inst.beta_list, inst.dur_list, inst.t_list
+        self._reach = []
+        for e in range(n + 1):
+            slack = [0] * (n + 1)
+            for v in interior:
+                slack[v] = beta[v] - dur[e] - t[e][v]
+            ranked = sorted(interior, key=slack.__getitem__)
+            tail = [0.0] * (len(ranked) + 1)
+            for i in range(len(ranked) - 1, -1, -1):
+                tail[i] = tail[i + 1] + neg_out[ranked[i]]
+            self._reach.append(([slack[v] for v in ranked], tail, slack))
         self.cut_pen = -2.0 * sum(max(0.0, y)
                                   for _, y in env.completion_duals)
         ends = [0] + sorted(inst.vd)
@@ -99,11 +125,14 @@ class _CompletionLB:
 
     def remaining(self, lab: Label) -> float:
         """The bound for an incomplete label.  Its visited interior
-        tasks are left out of the departures still to come.  Enumeration's
-        memory is exact, so an incomplete label's mem holds exactly
-        lab.tasks[1:], and the sum runs over that tuple."""
-        arcs = self.neg_out[lab.end] + self.total_interior \
-            - sum(self.neg_out[v] for v in lab.tasks[1:])
+        tasks, and those it can no longer reach, are left out of the
+        departures still to come.  Enumeration's memory is exact, so an
+        incomplete label's mem holds exactly lab.tasks[1:]: the reachable
+        sum is one suffix sum, less the visited tasks inside it."""
+        es, neg_out = lab.es, self.neg_out
+        keys, tail, slack = self._reach[lab.end]
+        arcs = neg_out[lab.end] + tail[bisect_left(keys, es)] \
+            - sum(neg_out[v] for v in lab.tasks[1:] if es <= slack[v])
         return arcs + self.start_terms(lab) + self.end_lb[lab.start] \
             + self.cut_pen
 

@@ -27,9 +27,12 @@ it.  Memory and neighborhoods are int bitmasks over task ids (bit v set
 when task v is held).  Neighborhoods never contain dependent tasks; a
 cycle through one cannot occur inside a fragment anyway, so nothing is
 lost.  Dominance keeps, per (start, end) bucket, the labels not beaten
-on every resource; _insert is its one statement.  A label beaten
-everywhere but on reduced cost is still discarded when its advantage
-cannot survive any completion, see _phi.
+on every resource; _insert is its one statement.  A bucket holds its
+labels grouped by memory mask (end -> mem -> tasks -> label), so the
+subset test a dominator must pass is made once per group, and groups
+that fail it are skipped whole.  A label beaten everywhere but on
+reduced cost is still discarded when its advantage cannot survive any
+completion, see _phi.
 """
 
 from __future__ import annotations
@@ -324,27 +327,44 @@ def _insert(buckets, heap, lab, env, priced) -> None:
     reduced cost no larger than g's plus _phi(f, g), the least charge
     gap any completion opens.  `priced` says whether the start carries
     a tau_ub or kap_ub price; without one _phi is 0.0, so the scan skips
-    the call.  A dominator has no larger dur, so only ties in dur are
-    tested both ways."""
-    bucket = buckets.setdefault(lab.end, {})
+    the call.
+
+    A bucket is keyed end -> mem -> tasks -> label, so the memory test
+    is made once per group of equal masks: a dominator of lab is looked
+    for only in groups whose mask lies within lab's, and the labels lab
+    dominates only in groups whose mask holds lab's.  The outcome does
+    not depend on the order of the scan, so the kept labels are those of
+    the pairwise rule over the whole bucket.  A dominator has no larger
+    dur, so only ties in dur are tested both ways."""
+    groups = buckets.setdefault(lab.end, {})
     doomed = []
     dur, ls, es, load, mem, rc = (lab.dur, lab.ls, lab.es, lab.load,
                                   lab.mem, lab.rcost)
-    for kept in bucket.values():
-        kdur = kept.dur
-        if (kdur <= dur and kept.ls >= ls and kept.es <= es
-                and kept.load <= load and kept.mem | mem == mem):
-            krc = kept.rcost
-            if krc <= rc or priced and krc <= rc + _phi(kept, lab, env):
-                return
-        if (dur <= kdur and ls >= kept.ls and es <= kept.es
-                and load <= kept.load and mem | kept.mem == kept.mem):
-            krc = kept.rcost
-            if rc <= krc or priced and rc <= krc + _phi(lab, kept, env):
-                doomed.append(kept.tasks)
-    for seq in doomed:
-        del bucket[seq]
-    bucket[lab.tasks] = lab
+    for kmem, group in groups.items():
+        if kmem | mem == mem:
+            for kept in group.values():
+                if (kept.dur <= dur and kept.ls >= ls and kept.es <= es
+                        and kept.load <= load):
+                    krc = kept.rcost
+                    if krc <= rc or priced and \
+                            krc <= rc + _phi(kept, lab, env):
+                        return
+            if kmem != mem:
+                continue
+        elif mem | kmem != kmem:
+            continue
+        for kept in group.values():
+            if (dur <= kept.dur and ls >= kept.ls and es <= kept.es
+                    and load <= kept.load):
+                krc = kept.rcost
+                if rc <= krc or priced and rc <= krc + _phi(lab, kept, env):
+                    doomed.append((kmem, kept.tasks))
+    for kmem, seq in doomed:
+        group = groups[kmem]
+        del group[seq]
+        if not group:
+            del groups[kmem]
+    groups.setdefault(mem, {})[lab.tasks] = lab
     heapq.heappush(heap, _heap_key(lab) + (lab,))
 
 
@@ -362,14 +382,14 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
     priced = (env.duals.tau_ub.get(start, 0.0) != 0.0
               or env.duals.kap_ub.get(start, 0.0) != 0.0)
     heap: list = []
-    buckets: Dict[int, Dict[tuple, Label]] = {}
+    buckets: Dict[int, Dict[int, Dict[tuple, Label]]] = {}
     done: List[Label] = []
     _insert(buckets, heap, init, env, priced)
     while heap:
         entry = heapq.heappop(heap)
         lab = entry[-1]
-        bucket = buckets.get(lab.end)
-        if bucket is None or bucket.get(lab.tasks) is not lab:
+        group = buckets[lab.end].get(lab.mem)
+        if group is None or group.get(lab.tasks) is not lab:
             continue
         for u in env.succ[lab.end]:
             child = extend_label(lab, u, env, ng)

@@ -404,6 +404,10 @@ class TestArcModelAgreement:
         ("S103", "min-diff", 0.5, 12),
         # 11 dependent tasks, optimum 345
         ("S102", "min-diff", 0.5, 14),
+        # the two generator kinds not covered above: 10 FSEC rows against
+        # 6 up front, optimum 341; 14 against 5, optimum 317
+        ("S103", "non-overlap", 0.3, 16),
+        ("S101", "minmax-diff", 0.2, 18),
     ])
     def test_same_optimum(self, solomon, kind, sigma, n):
         data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent

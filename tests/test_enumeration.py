@@ -1,20 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fragvrp import cuts
-from fragvrp.enumeration import (LimitExceeded, enumerate_fragments,
-                                 reduce_by_resolve, reduce_by_route_bound)
-from fragvrp.fragments import build_fragment
+from fragvrp.enumeration import (LimitExceeded, _CompletionLB,
+                                 enumerate_fragments, reduce_by_resolve,
+                                 reduce_by_route_bound)
+from fragvrp.fragments import build_fragment, initial_bounds
 from fragvrp.instance import SolverConfig, Task, TemporalDependency
 from fragvrp.master import build_initial
-from fragvrp.pricing import CostEnv, fragment_reduced_cost, solve_pricing
+from fragvrp.pricing import (CostEnv, Label, exact_memory, extend_label,
+                             fragment_reduced_cost, interior_tasks,
+                             is_complete, solve_pricing)
 from fragvrp.scheduling import schedule_routes
 
 from support import (all_feasible_solutions, exhaustive_fragments,
                      line_instance, random_instance, routes_to_fragments,
                      solution_cost)
 
-from test_pricing import zero_duals
+from test_pricing import priced_cases, zero_duals
 
 
 def converge_cg(inst, cfg, with_cuts=True):
@@ -117,6 +123,68 @@ class TestEnumerate:
         a = enumerate_fragments(zero_duals(inst), 60.0, inst, cfg)
         b = enumerate_fragments(zero_duals(inst), 60.0, inst, cfg)
         assert [f.tasks for f in a] == [f.tasks for f in b]
+
+
+def reference_remaining(bound, lab):
+    """_CompletionLB.remaining as documented, read off the NumPy arrays:
+    a departure from the end, and one from every unvisited interior task
+    v with es + d_e + t_ev <= beta_v, plus the start, end and cut
+    terms."""
+    inst, e = bound.inst, lab.end
+    arcs = bound.neg_out[e] + sum(
+        bound.neg_out[v] for v in interior_tasks(inst)
+        if v not in lab.tasks
+        and lab.es + inst.dur[e] + inst.t[e, v] <= inst.beta[v])
+    return arcs + bound.start_terms(lab) + bound.end_lb[lab.start] \
+        + bound.cut_pen
+
+
+class TestCompletionBound:
+    @settings(max_examples=150, deadline=None)
+    @given(priced_cases())
+    def test_bound_is_admissible(self, case):
+        # every partial label exhaustive labeling reaches: the bound is
+        # the documented sum, and rcost plus the bound never exceeds the
+        # least reduced cost of the label's completions
+        inst, duals, _ = case
+        env = CostEnv(duals, inst)
+        ng = exact_memory(inst)
+        bound = _CompletionLB(env)
+
+        def least_completion(lab):
+            rest = bound.remaining(lab)
+            assert rest == pytest.approx(reference_remaining(bound, lab),
+                                         abs=1e-9)
+            best = math.inf
+            for u in range(inst.n + 1):
+                child = extend_label(lab, u, env, ng)
+                if child is None:
+                    continue
+                best = min(best, child.rcost if is_complete(child, inst)
+                           else least_completion(child))
+            assert lab.rcost + rest <= best + 1e-9
+            return best
+
+        for s in [0] + sorted(inst.vd):
+            if inst.alpha[s] <= inst.beta[s]:
+                least_completion(Label((s,), 0, 0, *initial_bounds(s, inst),
+                                       env.init_cost(s)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(priced_cases())
+    def test_pool_equals_brute_force_filter(self, case):
+        # at gap 0, 25 and past every fragment, the pool is exactly the
+        # exhaustive fragments priced within the budget
+        inst, duals, _ = case
+        env = CostEnv(duals, inst)
+        cfg = SolverConfig()
+        exh = sorted(exhaustive_fragments(inst, build_fragment),
+                     key=lambda f: f.tasks)
+        rc = [fragment_reduced_cost(f, env) for f in exh]
+        for gap in (0.0, 25.0, max(rc, default=0.0) + 1.0):
+            gap = max(gap, 0.0)
+            want = [f for f, r in zip(exh, rc) if r <= gap + cfg.lp_tolerance]
+            assert enumerate_fragments(duals, gap, inst, cfg) == want
 
 
 class TestRouteBound:

@@ -83,11 +83,12 @@ def bits(mask):
 def scan_drops(f, g, env):
     """Whether the production dominance scan deletes g when f joins its
     bucket: g is inserted first, then f.  The scan always asks _phi
-    here, which is itself 0.0 at an unpriced start."""
+    here, which is itself 0.0 at an unpriced start.  A bucket is keyed
+    end -> memory mask -> task sequence."""
     buckets, heap = {}, []
     _insert(buckets, heap, g, env, True)
     _insert(buckets, heap, f, env, True)
-    return g.tasks not in buckets[g.end]
+    return g.tasks not in buckets[g.end].get(g.mem, {})
 
 
 def all_labels_no_dominance(inst, duals, ng):
