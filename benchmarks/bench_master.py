@@ -13,7 +13,10 @@ final integer solve leaves it.
 ``_assemble`` gathers the master's stored (row, column, value) triplets
 into arrays and stacks the column costs and bounds; ``solve_relaxation``
 and ``solve_integer`` assemble, build HiGHS's column-wise model from the
-triplets and run it.
+triplets and run it.  ``test_solve_integer`` finds and proves the
+round's optimum, the incumbent; ``test_solve_integer_below_incumbent``
+is the solve a gap round makes, with the objective cutoff one below the
+incumbent, which proves that nothing cheaper exists.
 """
 
 from __future__ import annotations
@@ -71,3 +74,9 @@ def test_solve_integer(benchmark, last_master):
     sol = benchmark(m.solve_integer)
     assert sol.status == "optimal"
     assert round(sol.objective) == state.ub_sol
+
+
+def test_solve_integer_below_incumbent(benchmark, last_master):
+    m, state = last_master
+    sol = benchmark(m.solve_integer, cutoff=state.ub_sol - 1 + 1e-6)
+    assert sol.status == "infeasible"

@@ -10,7 +10,9 @@ round's pool holds every fragment of every solution costing at most
 ub_cand, so its final solve either finds the optimum or proves that
 every solution costs at least ub_cand + 1.  ub_cand starts at
 ceil((1 + gap_init) lb), grows by gap_step lb per round, and never
-exceeds ub - 1, which is enough to certify the incumbent.
+exceeds ub - 1, which is enough to certify the incumbent.  The final
+solve itself searches only at or below ub - 1, so a round that holds
+nothing cheaper than the incumbent ends in a proof of that.
 """
 
 import json
@@ -277,11 +279,13 @@ def _decode(m, sol, inst):
     return inc, set()
 
 
-def _solve_restricted(m, inst, clock, counts, time_cap=None):
+def _solve_restricted(m, inst, clock, counts, time_cap=None, cutoff=None):
     """Integer solve; decodes and verifies the incumbent, adding a repair
     subtour row in the degenerate case of a depot-free cycle that the
     big-M timing rows cannot exclude.  Raises MasterError when the
-    last of 1 + |V_D| solves still needs a repair row."""
+    last of 1 + |V_D| solves still needs a repair row.  Every solve
+    looks only for solutions costing at most cutoff; none is
+    (inf, None, True)."""
     solves = 1 + len(inst.vd)
     for _ in range(solves):
         limit = clock.remaining()
@@ -289,7 +293,7 @@ def _solve_restricted(m, inst, clock, counts, time_cap=None):
             limit = min(limit, time_cap)
         if limit <= 0:
             return float("inf"), None, False
-        isol = m.solve_integer(time_limit=limit)
+        isol = m.solve_integer(time_limit=limit, cutoff=cutoff)
         if isol.status == "infeasible":
             return float("inf"), None, True
         if isol.status == "no_solution":
@@ -419,8 +423,15 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
                                        m, ub_cand, keep=sol_seqs)
         mark("reduce", t0)
 
+        # the round can only use a solution cheaper than the incumbent,
+        # and costs are integers, so HiGHS searches at most ub_sol - 1;
+        # the 1e-6 keeps a solution of exactly that cost clear of its
+        # pruning tolerance.  A round that proves nothing cheaper exists
+        # returns inf, and its milp_value is null.
+        cutoff = ub_sol - 1 + 1e-6 if math.isfinite(ub_sol) else None
         t0 = time.monotonic()
-        val, inc, proven = _solve_restricted(m, pinst, clock, counts)
+        val, inc, proven = _solve_restricted(m, pinst, clock, counts,
+                                             cutoff=cutoff)
         stats["rounds"].append({"ub_cand": ub_cand, "enumerated": len(pool),
                                 "kept": len(kept), "milp_value": _num(val),
                                 "milp_s": mark("final_milp", t0)})

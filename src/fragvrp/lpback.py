@@ -21,7 +21,16 @@ it, with exactly the model and options SciPy's public ``linprog`` and
   linprog's residual tolerance is an error, as linprog reports it.
 - ``solve_milp`` uses ``milp``'s layout: every row in input order as a
   ranged row, with ``mip_rel_gap`` 0, ``time_limit`` at least 0.05 s and
-  no console log; HiGHS statuses map as ``milp`` maps them.
+  no console log; HiGHS statuses map as ``milp`` maps them.  Its
+  ``cutoff`` sets ``objective_bound``, the one option here that ``milp``
+  never sets: with it HiGHS searches only for solutions costing at most
+  the cutoff, and a model with none is reported ``infeasible``.
+
+HiGHS writes a few diagnostic lines from C straight onto file
+descriptor 1, whatever ``output_flag`` says, so each run sends that
+descriptor to ``os.devnull``, flushing C stdio before the switch and
+again before restoring it; the standard output of a program that prints
+JSON stays JSON.
 
 Why the private binding: the restricted masters are small (hundreds of
 rows and columns), and on them the public wrappers' input checks,
@@ -34,7 +43,9 @@ oracle that any other SciPy must match bitwise.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import os
 
 import numpy as np
 
@@ -57,6 +68,10 @@ _MILP_KIND = {_MS.kOptimal: "optimal", _MS.kTimeLimit: "feasible",
               _MS.kIterationLimit: "feasible",
               _MS.kInfeasible: "infeasible", _MS.kModelError: "infeasible"}
 _LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
+# the C library, for fflush(NULL) of HiGHS's buffered writes to stdout
+_LIBC = ctypes.CDLL(None)
+_LIBC.fflush.argtypes = [ctypes.c_void_p]
+_LIBC.fflush.restype = ctypes.c_int
 # linprog's tolerance for an optimum's row and bound residuals
 _LP_CHECK = np.sqrt(1e-9) * 10
 
@@ -128,7 +143,19 @@ def _run(options, c, matrix, lower, upper, col_lb, col_ub, integrality=None):
     highs = _h._Highs()
     highs.passOptions(options)
     highs.passModel(lp)
-    highs.run()
+    _LIBC.fflush(None)
+    saved = os.dup(1)
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, 1)
+        finally:
+            os.close(null)
+        highs.run()
+    finally:
+        _LIBC.fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
     return highs
 
 
@@ -191,9 +218,12 @@ def solve_lp(c, A, senses, rhs, col_lb, col_ub, tol=1e-9) -> LPResult:
 
 
 def solve_milp(c, A, senses, rhs, col_lb, col_ub, integral,
-               time_limit=None) -> MILPResult:
+               time_limit=None, cutoff=None) -> MILPResult:
     """Minimizes c @ x over the columns where integral is true kept
-    integer; the rows and A as in solve_lp."""
+    integer; the rows and A as in solve_lp.  With a cutoff only
+    solutions costing at most cutoff count: the status is infeasible
+    when there is none, and no_solution when a limit stopped the search
+    before it found one."""
     c = np.asarray(c, dtype=float)
     n = c.size
     senses = np.asarray(list(senses), dtype="U1")
@@ -203,6 +233,8 @@ def solve_milp(c, A, senses, rhs, col_lb, col_ub, integral,
     options.mip_rel_gap = 0.0
     if time_limit is not None and np.isfinite(time_limit):
         options.time_limit = max(float(time_limit), 0.05)
+    if cutoff is not None:
+        options.objective_bound = float(cutoff)
     integral = np.broadcast_to(np.asarray(integral, dtype=bool), (n,))
     m = senses.size
     highs = _run(options, c, _csc(A, np.arange(m), m, n),
@@ -222,6 +254,17 @@ def solve_milp(c, A, senses, rhs, col_lb, col_ub, integral,
     bound = info.mip_dual_bound if mip and found else float("-inf")
     if kind == "feasible" and not found:
         kind = "no_solution"
+    if cutoff is not None and found \
+            and info.objective_function_value > cutoff:
+        # HiGHS that pruned its whole tree against the cutoff still says
+        # kOptimal, with a solution above the cutoff and a dual bound
+        # equal to that solution's cost, which bounds nothing: no
+        # solution costs cutoff or less, unless a limit cut the search
+        if status == _MS.kOptimal:
+            return MILPResult("infeasible", float("inf"), np.zeros(n),
+                              float("inf"), _fail(highs))
+        return MILPResult("no_solution", float("inf"), np.zeros(n),
+                          float("-inf"), _fail(highs))
     if kind in ("no_solution", "error"):
         value = float("inf") if kind == "no_solution" else float("nan")
         return MILPResult(kind, value, np.zeros(n), bound, _fail(highs))

@@ -310,7 +310,8 @@ class MasterModel:
         return MasterSolution("optimal", res.objective, x, art, p,
                               duals=self._extract_duals(res.duals))
 
-    def solve_integer(self, time_limit: Optional[float] = None) -> MasterSolution:
+    def solve_integer(self, time_limit: Optional[float] = None,
+                      cutoff: Optional[float] = None) -> MasterSolution:
         A, obj, lb, ub, senses, rhs = self._assemble()
         nf = len(self.fragments)
         ub[:nf] = 1.0
@@ -319,7 +320,7 @@ class MasterModel:
         integral[:nf] = True
         integral[nf + self._p0:] = True
         res = lpback.solve_milp(obj, A, senses, rhs, lb, ub, integral,
-                                time_limit=time_limit)
+                                time_limit=time_limit, cutoff=cutoff)
         if res.status in ("infeasible", "no_solution"):
             return MasterSolution(res.status, float("inf"),
                                   np.zeros(nf), 0.0, {})

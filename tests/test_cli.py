@@ -274,3 +274,24 @@ def test_console_script_help():
     assert res.returncode == 0
     for word in ("solve", "oracle", "generate", "verify", "bench"):
         assert word in res.stdout
+
+
+def test_solve_stdout_is_json(tmp_path):
+    # HiGHS writes diagnostic lines from C onto file descriptor 1 while
+    # solving this instance's MILPs; stdout must still be one JSON
+    # document.  Without PYTHONUNBUFFERED C stdio buffers those lines, so
+    # they leak unless they are flushed before the descriptor comes back
+    src = Path(cli.__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(src.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    inst = tmp_path / "inst.json"
+    assert cli.main(["generate", "--solomon", str(src / "data" / "S101.txt"),
+                     "--take", "22", "--kind", "non-overlap", "--sigma",
+                     "0.3", "--seed", "7", "--out", str(inst)]) == 0
+    res = subprocess.run([sys.executable, "-m", "fragvrp.cli", "solve",
+                          str(inst)], capture_output=True, text=True,
+                         env=dict(env, PYTHONPATH=path))
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["status"] == "optimal" and doc["lb"] == doc["ub"] == 323

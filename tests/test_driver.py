@@ -424,49 +424,113 @@ class TestArcModelAgreement:
         assert check_solution(st.incumbent, inst)
 
 
+# seeds whose first incumbent leaves a gap, so the loop runs
+GAP_CASES = [(cfg, seed) for cfg in (SolverConfig(),
+                                     SolverConfig(gap_init=0.0,
+                                                  gap_step=0.02))
+             for seed in (12, 59, 80, 83, 105, 111)]
+
+
+def solve_gap_case(cfg, seed):
+    return run(random_instance(np.random.default_rng(seed), n_tasks=6), cfg)
+
+
+@pytest.fixture(scope="class")
+def gap_runs():
+    """Each of GAP_CASES solved, with the events of its solve: ("ub",
+    value) per restricted integer solve, ("gap", gap) per enumeration."""
+    events = []
+    solve = driver._solve_restricted
+    enum = driver.enumerate_fragments
+
+    def solve_restricted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        events.append(("ub", out[0]))
+        return out
+
+    def enumerate_fragments(duals, gap, *args, **kwargs):
+        events.append(("gap", gap))
+        return enum(duals, gap, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "_solve_restricted", solve_restricted)
+        mp.setattr(driver, "enumerate_fragments", enumerate_fragments)
+        out = []
+        for case in GAP_CASES:
+            del events[:]
+            out.append((solve_gap_case(*case), list(events)))
+    return out
+
+
 class TestIntegralCandidateBound:
-    def test_gaps_end_on_integers_below_the_incumbent(self, monkeypatch):
+    def test_gaps_end_on_integers_below_the_incumbent(self, gap_runs):
         # every round enumerates up to an integer cost lb + gap, and never
         # up to the incumbent's own cost: ub - 1 already certifies it
-        events = []
-        solve = driver._solve_restricted
-        enum = driver.enumerate_fragments
+        gaps = 0
+        for st, events in gap_runs:
+            lb = st.stats["lb_certified"]
+            ub = float("inf")
+            for kind, value in events:
+                if kind == "ub":
+                    ub = min(ub, value)
+                    continue
+                top = lb + value
+                assert top == pytest.approx(round(top), abs=1e-6)
+                assert top <= ub - 1 + 1e-6
+                gaps += 1
+            assert len(st.stats["rounds"]) == st.stats["iterations"]
+            for r in st.stats["rounds"]:
+                assert r["ub_cand"] == int(r["ub_cand"])
+        assert gaps >= 10
 
-        def solve_restricted(*args, **kwargs):
-            out = solve(*args, **kwargs)
-            events.append(("ub", out[0]))
+    def test_cutoff_leaves_every_bound_and_round(self, gap_runs,
+                                                 monkeypatch):
+        # each round's MILP searches only below the incumbent; a round
+        # that re-found the incumbent now proves that nothing cheaper
+        # exists, which credits the same bound
+        solve = driver._solve_restricted
+        monkeypatch.setattr(
+            driver, "_solve_restricted",
+            lambda *args, cutoff=None, **kwargs: solve(*args, **kwargs))
+        plain = [solve_gap_case(*case) for case in GAP_CASES]
+
+        def answer(st):
+            return (st.status, st.lb_sol, st.ub_sol,
+                    [(r["ub_cand"], r["enumerated"], r["kept"])
+                     for r in st.stats["rounds"]])
+
+        proofs = 0
+        for (c, _), p in zip(gap_runs, plain, strict=True):
+            assert answer(c) == answer(p)
+            for rc, rp in zip(c.stats["rounds"], p.stats["rounds"]):
+                if rc["milp_value"] is None and rp["milp_value"] is not None:
+                    assert rp["milp_value"] >= c.ub_sol
+                    proofs += 1
+                else:
+                    assert rc["milp_value"] == rp["milp_value"]
+        assert proofs >= 5
+
+    def test_round_finds_one_below_the_incumbent(self, monkeypatch):
+        # the first round's pool holds a solution costing exactly one
+        # less than the first incumbent; the cutoff must keep it
+        data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent
+                                  / "data" / "S101.txt")
+        inst = bench.generate_dependencies(data.instance(take=22),
+                                           "non-overlap", 0.3, 7)
+        first = []
+        initial = driver.initial_upper_bound
+
+        def initial_upper_bound(*args, **kwargs):
+            out = initial(*args, **kwargs)
+            first.append(out[0])
             return out
 
-        def enumerate_fragments(duals, gap, *args, **kwargs):
-            events.append(("gap", gap))
-            return enum(duals, gap, *args, **kwargs)
-
-        monkeypatch.setattr(driver, "_solve_restricted", solve_restricted)
-        monkeypatch.setattr(driver, "enumerate_fragments",
-                            enumerate_fragments)
-        gaps = 0
-        for cfg in (SolverConfig(),
-                    SolverConfig(gap_init=0.0, gap_step=0.02)):
-            # seeds whose first incumbent leaves a gap, so the loop runs
-            for seed in (12, 59, 80, 83, 105, 111):
-                inst = random_instance(np.random.default_rng(seed),
-                                       n_tasks=6)
-                del events[:]
-                st = run(inst, cfg)
-                lb = st.stats["lb_certified"]
-                ub = float("inf")
-                for kind, value in events:
-                    if kind == "ub":
-                        ub = min(ub, value)
-                        continue
-                    top = lb + value
-                    assert top == pytest.approx(round(top), abs=1e-6)
-                    assert top <= ub - 1 + 1e-6
-                    gaps += 1
-                assert len(st.stats["rounds"]) == st.stats["iterations"]
-                for r in st.stats["rounds"]:
-                    assert r["ub_cand"] == int(r["ub_cand"])
-        assert gaps >= 10
+        monkeypatch.setattr(driver, "initial_upper_bound",
+                            initial_upper_bound)
+        st = run(inst, SolverConfig())
+        assert first == [324]
+        assert st.stats["rounds"][0]["milp_value"] == 323
+        assert st.status == "optimal" and st.lb_sol == st.ub_sol == 323
 
     def test_round_saved_on_pinned_instance(self):
         # a fractional candidate bound needs two rounds here: the first
@@ -478,7 +542,9 @@ class TestIntegralCandidateBound:
         assert st.ub_sol == st.lb_sol == best == 45
         assert st.stats["iterations"] < 2
         [r] = st.stats["rounds"]
-        assert r["ub_cand"] == 44 and r["milp_value"] == 45
+        # the round's MILP searches below the incumbent 45 and proves
+        # that nothing there exists
+        assert r["ub_cand"] == 44 and r["milp_value"] is None
 
 
 def lp_arrays(m):

@@ -1,10 +1,11 @@
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
@@ -74,7 +75,8 @@ def reference_solve_lp(c, A, senses, rhs, col_lb, col_ub, tol=1e-9):
 
 
 def reference_solve_milp(c, A, senses, rhs, col_lb, col_ub, integral,
-                         time_limit=None):
+                         time_limit=None, cutoff=None):
+    assert cutoff is None, "milp() has no objective cutoff"
     c = np.asarray(c, dtype=float)
     n = c.size
     senses = np.asarray(list(senses))
@@ -238,7 +240,33 @@ def solution_bits(sol):
             duals)
 
 
+def raw_runs(monkeypatch):
+    """The HiGHS objects lpback's runs return, recorded in order."""
+    runs = []
+    run = lpback._run
+
+    def record(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(lpback, "_run", record)
+    return runs
+
+
 class TestReplay:
+    def test_last_master_below_incumbent(self, last_master, monkeypatch):
+        # the round's optimum is the incumbent, so with the cutoff below
+        # it nothing is left; HiGHS still says kOptimal, with a solution
+        # far above the cutoff and a dual bound equal to that solution
+        m = last_master
+        ub = round(m.solve_integer().objective)
+        runs = raw_runs(monkeypatch)
+        sol = m.solve_integer(cutoff=ub - 1 + 1e-6)
+        [highs] = runs
+        assert highs.getModelStatus() == lpback._MS.kOptimal
+        assert highs.getInfo().objective_function_value > ub
+        assert sol.status == "infeasible" and sol.objective == np.inf
+
     def test_last_master_matches_scipy(self, last_master, monkeypatch):
         m = last_master
         got = [m.solve_relaxation(), m.solve_integer()]
@@ -332,3 +360,103 @@ class TestMILP:
                          [1, 1])
         assert res.status == "optimal"
         assert res.objective == 2          # x = (1, 1)
+
+
+# Offsets of the cutoff from the reference optimum.  None is zero: a
+# cutoff equal to a fractional optimum lies within HiGHS's tolerance,
+# and the driver's cutoffs sit 1 - 1e-6 below an integer incumbent.
+CUTOFF_OFFSETS = (-3.0, -1.0, -0.5, -1 + 1e-6, 1e-6, 0.5, 2.0)
+
+
+def assert_feasible(x, c, A, senses, rhs, lb, ub, integral, tol=1e-6):
+    act = _csr(A, len(senses), len(c)) @ x
+    for a, s, b in zip(act, senses, rhs):
+        assert {"L": a <= b + tol, "G": a >= b - tol,
+                "E": abs(a - b) <= tol}[s]
+    assert (x >= np.asarray(lb) - tol).all()
+    assert (x <= np.asarray(ub) + tol).all()
+    held = x[np.asarray(integral, dtype=bool)]
+    assert np.allclose(held, np.round(held), atol=tol)
+
+
+class _StoppedAboveCutoff:
+    """HiGHS stopped by its time limit, holding a solution of cost 7."""
+
+    def getModelStatus(self):
+        return lpback._MS.kTimeLimit
+
+    def getInfo(self):
+        return types.SimpleNamespace(objective_function_value=7.0,
+                                     mip_dual_bound=2.0,
+                                     primal_solution_status=2)
+
+    def modelStatusToString(self, status):
+        return "Time limit reached"
+
+    def solutionStatusToString(self, status):
+        return "Feasible"
+
+
+class TestCutoff:
+    """solve_milp with a cutoff keeps only solutions costing at most the
+    cutoff, against milp() without one as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(models(), st.sampled_from(CUTOFF_OFFSETS))
+    def test_matches_reference_below_cutoff(self, model, offset):
+        c, A, senses, rhs, lb, ub, integral = model
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = reference_solve_milp(c, A, senses, rhs, lb, ub, integral)
+        assume(want.status in ("optimal", "infeasible"))
+        cutoff = offset + (want.objective if want.status == "optimal"
+                           else 0.0)
+        got = solve_milp(c, A, senses, rhs, lb, ub, integral, cutoff=cutoff)
+        if want.status == "infeasible" or want.objective > cutoff:
+            assert got.status == "infeasible"
+            assert got.objective == got.best_bound == np.inf
+        else:
+            assert got.status == "optimal"
+            assert got.objective == pytest.approx(want.objective, rel=1e-9,
+                                                  abs=1e-9)
+            assert_feasible(got.x, c, A, senses, rhs, lb, ub, integral)
+
+    def test_optimal_above_the_cutoff(self, monkeypatch):
+        # HiGHS prunes its tree against the cutoff and reports kOptimal
+        # with the optimum -35/3, which lies above it
+        model = ([-3, -1, 1, -2, 2],
+                 ((1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0),
+                  (3, 2, 0, 3, 2, 3, 4, 4, 1, 2, 3, 3),
+                  (4.0, -3.0, 4.0, -4.0, -3.0, 3.0, 4.0, -2.0, 1.0, -3.0,
+                   0.0, 3.0)),
+                 "EL", [3, 1], [0.0, -2.0, -np.inf, 0.0, -2.0],
+                 [3.0, 1.0, np.inf, 3.0, np.inf],
+                 [True, False, False, False, False])
+        assert solve_milp(*model).objective == pytest.approx(-35 / 3)
+        runs = raw_runs(monkeypatch)
+        res = solve_milp(*model, cutoff=-12.5)
+        [highs] = runs
+        assert highs.getModelStatus() == lpback._MS.kOptimal
+        assert highs.getInfo().objective_function_value > -12.5
+        assert res.status == "infeasible"
+        assert res.objective == res.best_bound == np.inf
+
+    def test_time_limit_above_the_cutoff(self, monkeypatch):
+        # a search the limit stopped has not shown that nothing lies
+        # below the cutoff
+        monkeypatch.setattr(lpback, "_run",
+                            lambda *args, **kwargs: _StoppedAboveCutoff())
+        res = solve_milp([1], None, "", [], [0], [9], [1], time_limit=1,
+                         cutoff=5.5)
+        assert res.status == "no_solution"
+        assert res.objective == np.inf and res.best_bound == -np.inf
+
+    def test_optimum_one_below_the_incumbent(self):
+        # min 2x + 2y  s.t.  2x + 2y >= 43: the LP bound is 43 and the
+        # integer optimum 44, one below an incumbent of 45
+        model = ([2, 2], dense([[2, 2]]), "G", [43], [0, 0], [30, 30],
+                 [1, 1])
+        res = solve_milp(*model, cutoff=45 - 1 + 1e-6)
+        assert res.status == "optimal" and res.objective == 44
+        assert_feasible(res.x, *model)
+        assert solve_milp(*model, cutoff=44 - 1e-6).status == "infeasible"
