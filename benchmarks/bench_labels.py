@@ -11,7 +11,8 @@ start task at two sets of duals: those of the initial master, which is
 the first pricing call of every solve and the one with the fullest
 dominance buckets (138-151 labels at an insertion, on average), and
 those the lower bound ends with (8-18).  Enumeration runs at the final
-duals and the driver's first gap, ``gap_init`` times the lower bound.
+duals and the gap the driver enumerates at once it holds an incumbent,
+ub - 1 - lb, with ub the first incumbent's cost.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 import fragvrp
 from fragvrp import bench
 from fragvrp.cuts import VminCalculator
-from fragvrp.driver import compute_lower_bound
+from fragvrp.driver import compute_lower_bound, initial_upper_bound
 from fragvrp.enumeration import enumerate_fragments
 from fragvrp.instance import SolverConfig
 from fragvrp.master import build_initial
@@ -80,6 +81,7 @@ def test_labels_from_first_call(benchmark, prepared, first_duals):
 
 def test_enumerate_fragments(benchmark, priced):
     inst, lbres, cfg = priced
-    gap = cfg.gap_init * lbres.lb
+    ub, _ = initial_upper_bound(lbres.columns, lbres.cuts, inst, cfg)
+    gap = max(0.0, ub - 1 - lbres.lb)
     pool = benchmark(enumerate_fragments, lbres.duals, gap, inst, cfg)
     assert pool

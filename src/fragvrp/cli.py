@@ -46,8 +46,14 @@ def _build_parser() -> _Parser:
     s.add_argument("instance")
     s.add_argument("--time-limit", type=float, default=d.time_limit)
     s.add_argument("--ng-size", type=int, default=d.ng_size)
-    s.add_argument("--gap-init", type=float, default=d.gap_init)
-    s.add_argument("--gap-step", type=float, default=d.gap_step)
+    s.add_argument("--gap-init", type=float, default=d.gap_init,
+                   help="first gap round's candidate bound, as a fraction "
+                        "above the lower bound; schedules rounds only "
+                        "while no incumbent exists")
+    s.add_argument("--gap-step", type=float, default=d.gap_step,
+                   help="growth of the candidate bound per gap round, as a "
+                        "fraction of the lower bound; schedules rounds only "
+                        "while no incumbent exists")
     s.add_argument("--k-max", type=int, default=d.k_max)
     s.add_argument("--t-guess", type=float, default=d.t_guess)
     s.add_argument("--f-max", type=int, default=d.f_max)

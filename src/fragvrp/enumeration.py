@@ -24,8 +24,9 @@ new, usually tighter, budget, from the pool and from the master alike.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class LimitExceeded(Exception):
     def __init__(self, count: int):
         super().__init__("fragment limit reached at %d" % count)
         self.count = count
+
+
+class DeadlinePassed(Exception):
+    """Raised when the enumeration runs past its deadline."""
 
 
 class _CompletionLB:
@@ -138,15 +143,17 @@ class _CompletionLB:
 
 
 def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
-                        cfg: SolverConfig) -> List[Fragment]:
+                        cfg: SolverConfig,
+                        deadline: Optional[float] = None) -> List[Fragment]:
     """Every elementary fragment whose reduced cost is at most gap.
 
     Complete by construction: the depth-first search discards a branch
     only on the admissible bound above, and a finished label only by its
     own reduced cost.  A label is extended over its end's successor list
     (CostEnv.succ), which leaves out only tasks extend_label rejects.
-    Raises LimitExceeded past cfg.f_max kept fragments.  Output sorted by
-    task sequence.
+    Raises LimitExceeded past cfg.f_max kept fragments, and DeadlinePassed
+    when time.monotonic() passes deadline (checked every 1,024 labels
+    popped).  Output sorted by task sequence.
     """
     if gap < 0:
         raise ValueError("the enumeration budget must be nonnegative")
@@ -165,8 +172,13 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
                     env.init_cost(s))
         if lab.rcost + bound.remaining(lab) <= gap + tol:
             stack.append(lab)
+    pops = 0
     while stack:
         lab = stack.pop()
+        pops += 1
+        if deadline is not None and not pops & 1023 \
+                and time.monotonic() > deadline:
+            raise DeadlinePassed()
         for u in reversed(env.succ[lab.end]):
             child = extend_label(lab, u, env, ng)
             if child is None:

@@ -158,6 +158,8 @@ class Instance:
 
 @dataclasses.dataclass
 class SolverConfig:
+    # the gap rounds' schedule while no incumbent exists; once one does,
+    # driver.run sizes rounds by their pools (driver.ROUND_POOL_TARGET)
     gap_init: float = 0.05
     gap_step: float = 0.05
     k_max: int = 5

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
                             check_solution, compute_lower_bound,
                             incumbent_from_json, initial_upper_bound, run,
                             solution_to_json)
+from fragvrp.enumeration import DeadlinePassed
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
 from fragvrp.master import MasterError, MasterModel, initial_fragments
@@ -29,6 +32,14 @@ def oracle_best(inst):
         return None, []
     best = min(solution_cost(r, inst) for r, _, _ in sols)
     return best, sols
+
+
+def solomon_instance(solomon, kind, sigma, n):
+    """The first n tasks of a bundled Solomon file with dependencies drawn
+    at dependency seed 7, as the benchmark builds them."""
+    data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent
+                              / "data" / ("%s.txt" % solomon))
+    return bench.generate_dependencies(data.instance(take=n), kind, sigma, 7)
 
 
 def as_incumbent(routes, starts, orders, cost=0.0):
@@ -301,6 +312,32 @@ class TestRun:
         st = run(inst, SolverConfig(time_limit=0.0))
         assert st.status == "time-limit"
 
+    def test_time_limit_inside_enumeration(self, monkeypatch):
+        # a budget that runs out while the one enumeration of a rounds
+        # instance is searching: the solve stops there and keeps the
+        # bracket it has certified, the lower bound and the incumbent
+        inst = solomon_instance("S101", "max-diff", 0.2, 22)
+        enum = driver.enumerate_fragments
+        stopped = []
+
+        def enumerate_fragments(duals, gap, inst, cfg, deadline=None):
+            try:
+                return enum(duals, gap, inst, cfg,
+                            deadline=time.monotonic())
+            except DeadlinePassed:
+                stopped.append(gap)
+                raise
+
+        monkeypatch.setattr(driver, "enumerate_fragments",
+                            enumerate_fragments)
+        st = run(inst, SolverConfig(time_limit=60.0))
+        assert len(stopped) == 1
+        assert st.status == "time-limit"
+        assert st.lb_sol == st.stats["lb_certified"] <= st.ub_sol == 340
+        assert check_solution(st.incumbent, inst)
+        assert st.stats["rounds"] == []
+        assert "enumerate" in st.stats["wall_times"]
+
     def test_preprocess_infeasibility(self):
         bad = line_instance(
             n=2, deps=[TemporalDependency(1, 2, 10, 10, 10, 10)],
@@ -322,9 +359,7 @@ class TestRun:
         inst = cycle_bait_instance()
         best, _ = oracle_best(inst)
         assert best == 16    # 0 -> trio -> 4 -> 0
-        cfg = SolverConfig(
-            gap_init=0.65,
-            enabled_cuts=frozenset({"TIFI", "TDIFI", "RCC"}))
+        cfg = SolverConfig(enabled_cuts=frozenset({"TIFI", "TDIFI", "RCC"}))
         st = run(inst, cfg)
         assert st.status == "optimal"
         assert st.ub_sol == 16
@@ -397,8 +432,8 @@ class TestArcModelAgreement:
         ("S101", "synchronization", 0.5, 12),
         ("S102", "min-diff", 0.3, 14),
         ("S103", "overlap", 0.3, 12),
-        # two gap rounds; the second drops 12 of the 91 columns its
-        # reduction added before the final MILP
+        # one gap round, at ub - 1; its reduction keeps 79 of the 96
+        # fragments the round enumerates before the final MILP
         ("S101", "max-diff", 0.2, 16),
         # FSEC-heavy: 19 rows against 7 up front, optimum 335
         ("S103", "min-diff", 0.5, 12),
@@ -410,10 +445,7 @@ class TestArcModelAgreement:
         ("S101", "minmax-diff", 0.2, 18),
     ])
     def test_same_optimum(self, solomon, kind, sigma, n):
-        data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent
-                                  / "data" / ("%s.txt" % solomon))
-        inst = bench.generate_dependencies(data.instance(take=n), kind,
-                                           sigma, 7)
+        inst = solomon_instance(solomon, kind, sigma, n)
         st = run(inst, SolverConfig())
         lb, ub, _ = arc_model_solve(inst)
         assert st.status == "optimal"
@@ -424,15 +456,25 @@ class TestArcModelAgreement:
         assert check_solution(st.incumbent, inst)
 
 
-# seeds whose first incumbent leaves a gap, so the loop runs
-GAP_CASES = [(cfg, seed) for cfg in (SolverConfig(),
-                                     SolverConfig(gap_init=0.0,
-                                                  gap_step=0.02))
+# seeds whose first incumbent leaves a gap, so the loop runs: one round
+# at ub - 1 under the default pool target; a first round below ub - 1
+# and a second at it under a low target; and, with no first incumbent
+# (t_guess 0), rounds on the gap_init/gap_step schedule until one finds
+# an incumbent
+GAP_CASES = [(cfg, target, seed)
+             for cfg, target in (
+                 (SolverConfig(), driver.ROUND_POOL_TARGET),
+                 (SolverConfig(), 10),
+                 (SolverConfig(gap_init=0.0, gap_step=0.02, t_guess=0.0),
+                  driver.ROUND_POOL_TARGET))
              for seed in (12, 59, 80, 83, 105, 111)]
 
 
-def solve_gap_case(cfg, seed):
-    return run(random_instance(np.random.default_rng(seed), n_tasks=6), cfg)
+def solve_gap_case(cfg, target, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "ROUND_POOL_TARGET", target)
+        return run(random_instance(np.random.default_rng(seed), n_tasks=6),
+                   cfg)
 
 
 @pytest.fixture(scope="class")
@@ -513,10 +555,7 @@ class TestIntegralCandidateBound:
     def test_round_finds_one_below_the_incumbent(self, monkeypatch):
         # the first round's pool holds a solution costing exactly one
         # less than the first incumbent; the cutoff must keep it
-        data = bench.load_solomon(pathlib.Path(fragvrp.__file__).parent
-                                  / "data" / "S101.txt")
-        inst = bench.generate_dependencies(data.instance(take=22),
-                                           "non-overlap", 0.3, 7)
+        inst = solomon_instance("S101", "non-overlap", 0.3, 22)
         first = []
         initial = driver.initial_upper_bound
 
@@ -547,6 +586,100 @@ class TestIntegralCandidateBound:
         assert r["ub_cand"] == 44 and r["milp_value"] is None
 
 
+class TestRoundPools:
+    """Once an incumbent exists, one enumeration at ub - 1 serves every
+    round: a round's pool is the prefix of that list priced within the
+    round's gap, which must be exactly what a fresh enumeration at that
+    gap returns."""
+
+    def test_one_enumeration_with_a_first_incumbent(self, gap_runs):
+        seen = 0
+        for st, events in gap_runs:
+            kind, first_ub = events[0]
+            assert kind == "ub"
+            gaps = [value for kind, value in events if kind == "gap"]
+            assert gaps
+            if math.isfinite(first_ub):
+                assert len(gaps) == 1
+                seen += 1
+            else:
+                # the gap schedule enumerates again only to widen the list
+                assert gaps == sorted(set(gaps))
+        assert seen == 12
+
+    @pytest.mark.parametrize("make,target", [
+        *[pytest.param(lambda seed=seed: random_instance(
+            np.random.default_rng(seed), n_tasks=6), 10, id="seed%d" % seed)
+          for _, _, seed in GAP_CASES[:6]],
+        # gap-loop's two instances, with a first round below ub - 1
+        pytest.param(lambda: solomon_instance("S101", "max-diff", 0.2, 22),
+                     300, id="S101-max-diff-n22"),
+        pytest.param(lambda: solomon_instance("S101", "synchronization",
+                                              0.2, 20),
+                     300, id="S101-synchronization-n20"),
+    ])
+    def test_round_pool_is_a_fresh_enumeration(self, monkeypatch, make,
+                                               target):
+        inst, cfg = make(), SolverConfig()
+        enum = driver.enumerate_fragments
+        route_bound = driver.reduce_by_route_bound
+        listed, pools = [], []
+
+        def enumerate_fragments(duals, gap, *args, **kwargs):
+            listed.append(gap)
+            return enum(duals, gap, *args, **kwargs)
+
+        def reduce_by_route_bound(pool, duals, gap, pinst):
+            pools.append((list(pool), duals, gap, pinst))
+            return route_bound(pool, duals, gap, pinst)
+
+        monkeypatch.setattr(driver, "ROUND_POOL_TARGET", target)
+        monkeypatch.setattr(driver, "enumerate_fragments",
+                            enumerate_fragments)
+        monkeypatch.setattr(driver, "reduce_by_route_bound",
+                            reduce_by_route_bound)
+        st = run(inst, cfg)
+        assert st.status == "optimal"
+        assert len(listed) == 1 and len(pools) >= 2
+        # the first round runs below the listing's gap, on a proper prefix
+        assert pools[0][2] < listed[0]
+        assert len(pools[0][0]) < st.stats["fragments_enumerated"]
+        for pool, duals, gap, pinst in pools:
+            fresh = enum(duals, gap, pinst, cfg)
+            assert [(f.tasks, f.es, f.ls, f.dur) for f in pool] == \
+                [(f.tasks, f.es, f.ls, f.dur) for f in fresh]
+
+    def test_schedule_on_gap_loop(self, monkeypatch):
+        inst = solomon_instance("S101", "max-diff", 0.2, 22)
+        st = run(inst, SolverConfig())
+        assert st.status == "optimal" and st.ub_sol == 340
+        assert [r["ub_cand"] for r in st.stats["rounds"]] == [339]
+
+        first = []
+        initial = driver.initial_upper_bound
+
+        def initial_upper_bound(*args, **kwargs):
+            out = initial(*args, **kwargs)
+            first.append(out[0])
+            return out
+
+        monkeypatch.setattr(driver, "initial_upper_bound",
+                            initial_upper_bound)
+        monkeypatch.setattr(driver, "ROUND_POOL_TARGET", 50)
+        low = run(inst, SolverConfig())
+        assert (low.status, low.lb_sol, low.ub_sol) == \
+            (st.status, st.lb_sol, st.ub_sol)
+        head, *rest = low.stats["rounds"]
+        floor = math.ceil(low.stats["lb_certified"] - 1e-6)
+        assert floor <= head["ub_cand"] < first[0] - 1
+        assert head["enumerated"] <= 50
+        assert rest
+        ub = min(first[0], head["milp_value"] or math.inf)
+        for r in rest:
+            assert r["ub_cand"] == ub - 1
+            ub = min(ub, r["milp_value"] or math.inf)
+
+
 def lp_arrays(m):
     """Every array _assemble hands to a solve, the triplets one by one."""
     A, *rest = m._assemble()
@@ -567,13 +700,17 @@ class TestRoundMaster:
     rejected; the final MILP then solves that master.  It must be, array
     for array, the master a fresh build over the kept fragments gives."""
 
-    @pytest.mark.parametrize("n_tasks,n_deps,seed", [
-        (5, 3, 1),    # rejects an initial fragment; a second round follows
-        (6, 2, 12),   # two rounds; the first rejects two fragments
-        (7, 3, 17),   # rejects eight, one of them an initial fragment
+    @pytest.mark.parametrize("n_tasks,n_deps,seed,target", [
+        # a low pool target puts a first round below ub - 1, which
+        # rejects one fragment; a round at ub - 1 follows
+        pytest.param(5, 3, 1, 10, id="5-3-1"),
+        # two rounds; the first, at 54, rejects two fragments
+        pytest.param(6, 2, 12, 23, id="6-2-12"),
+        # one round; rejects eight, one of them an initial fragment
+        pytest.param(7, 3, 17, driver.ROUND_POOL_TARGET, id="7-3-17"),
     ])
     def test_rounds_match_a_fresh_build(self, monkeypatch, n_tasks, n_deps,
-                                        seed):
+                                        seed, target):
         make = driver._restricted_master
         resolve = driver.reduce_by_resolve
         solve = driver._solve_restricted
@@ -595,6 +732,7 @@ class TestRoundMaster:
             solved.append(m)
             return solve(m, *args, **kwargs)
 
+        monkeypatch.setattr(driver, "ROUND_POOL_TARGET", target)
         monkeypatch.setattr(driver, "_restricted_master", restricted_master)
         monkeypatch.setattr(driver, "reduce_by_resolve", reduce_by_resolve)
         monkeypatch.setattr(driver, "_solve_restricted", solve_restricted)

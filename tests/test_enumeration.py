@@ -1,13 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from fragvrp import cuts
-from fragvrp.enumeration import (LimitExceeded, _CompletionLB,
-                                 enumerate_fragments, reduce_by_resolve,
-                                 reduce_by_route_bound)
+from fragvrp.enumeration import (DeadlinePassed, LimitExceeded,
+                                 _CompletionLB, enumerate_fragments,
+                                 reduce_by_resolve, reduce_by_route_bound)
 from fragvrp.fragments import build_fragment, initial_bounds
 from fragvrp.instance import SolverConfig, Task, TemporalDependency
 from fragvrp.master import build_initial
@@ -110,6 +111,19 @@ class TestEnumerate:
         with pytest.raises(LimitExceeded) as err:
             enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg)
         assert err.value.count == 2
+
+    def test_deadline(self):
+        # 1,956 fragments: the search pops well over the 1,024 labels
+        # between two looks at the clock
+        inst = line_instance(n=6)
+        cfg = SolverConfig()
+        whole = enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg)
+        late = enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg,
+                                   deadline=math.inf)
+        assert [f.tasks for f in late] == [f.tasks for f in whole]
+        with pytest.raises(DeadlinePassed):
+            enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg,
+                                deadline=time.monotonic())
 
     def test_negative_gap_rejected(self):
         inst = line_instance(n=3)
