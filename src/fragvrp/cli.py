@@ -49,14 +49,21 @@ def _build_parser() -> _Parser:
     s.add_argument("--gap-init", type=float, default=d.gap_init,
                    help="first gap round's candidate bound, as a fraction "
                         "above the lower bound; schedules rounds only "
-                        "while no incumbent exists")
+                        "while no incumbent exists or the pool at ub - 1 "
+                        "passes --f-max")
     s.add_argument("--gap-step", type=float, default=d.gap_step,
                    help="growth of the candidate bound per gap round, as a "
                         "fraction of the lower bound; schedules rounds only "
-                        "while no incumbent exists")
+                        "while no incumbent exists or the pool at ub - 1 "
+                        "passes --f-max")
     s.add_argument("--k-max", type=int, default=d.k_max)
     s.add_argument("--t-guess", type=float, default=d.t_guess)
-    s.add_argument("--f-max", type=int, default=d.f_max)
+    s.add_argument("--f-max", type=int, default=d.f_max,
+                   help="fragments one enumeration may keep, at most; when "
+                        "the pool at ub - 1 passes it, rounds fall back to "
+                        "the --gap-init/--gap-step schedule, and a round "
+                        "whose pool passes it ends the solve with "
+                        "fragment-limit")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_solve)
 

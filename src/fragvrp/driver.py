@@ -10,25 +10,20 @@ round's pool holds every fragment of every solution costing at most
 ub_cand, so its final solve either finds the optimum or proves that
 every solution costs at least ub_cand + 1.
 
-Enumeration always prices against the root duals, so the pool of a
-gap is exactly the fragments of any wider pool whose reduced cost is
-within it.  Once an incumbent exists, one enumeration at the widest
-useful gap, ub - 1 - lb, serves every round: ub - 1 is enough to
-certify the incumbent, and a falling ub only narrows the gap.  The
-first round with an incumbent runs at ub - 1 when that pool holds at
-most ROUND_POOL_TARGET fragments, and otherwise at the largest integer
-ub_cand whose pool does (never below the lower bound); every later
-round runs at ub - 1.  Without an incumbent, ub_cand starts at
-ceil((1 + gap_init) lb) and grows by gap_step lb per round, and the
-list is enumerated afresh only when a round's gap is wider than it.
-The final solve itself searches only at or below ub - 1, so a round
-that holds nothing cheaper than the incumbent ends in a proof of that.
+Once an incumbent exists, the round runs at ub_cand = ub - 1, which
+is enough to certify the incumbent: its final solve finds a cheaper
+solution, which is then optimal, or proves that none exists, so one
+round closes the bracket.  Without an incumbent, or when the pool at
+ub - 1 would pass f_max fragments, ub_cand starts at
+ceil((1 + gap_init) lb) and grows by gap_step lb per round, never past
+ub - 1.  The final solve itself searches only at or below ub - 1, so a
+round that holds nothing cheaper than the incumbent ends in a proof of
+that.
 """
 
 import json
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -39,15 +34,12 @@ from .enumeration import (DeadlinePassed, LimitExceeded,
 from .fragments import build_fragment
 from .instance import Instance, SolverConfig
 from .master import MasterError, artificial_cost, build_initial
-from .pricing import CostEnv, fragment_reduced_cost, solve_pricing
+from .pricing import solve_pricing
 from .preprocess import preprocess
 from .scheduling import schedule_routes
 
 # capacity cuts separated over a whole lower-bound solve, at most
 RCC_TOTAL_LIMIT = 200
-# fragments the first gap round with an incumbent may hold, at most,
-# unless even its narrowest pool (ub_cand at the lower bound) holds more
-ROUND_POOL_TARGET = 4000
 
 
 @dataclass(frozen=True)
@@ -351,61 +343,11 @@ def _int_floor_bound(lb, tol=1e-6):
     return math.ceil(lb - tol)
 
 
-class _Listing:
-    """Every fragment priced within the widest gap a solve has asked for,
-    in task order, with its reduced cost under the root duals.  The
-    pool of a narrower gap is the listed fragments priced within it:
-    the label and fragment_reduced_cost add the same terms in the same
-    order, so that prefix is what a fresh enumeration at the narrower
-    gap returns (Baldacci, Christofides & Mingozzi, Math. Prog. 2008)."""
-
-    def __init__(self, duals, inst, cfg):
-        self.duals, self.inst, self.cfg = duals, inst, cfg
-        self.env = CostEnv(duals, inst)
-        self.gap = -1.0
-        self.frags, self.rc, self.ranked = [], [], []
-
-    def cover(self, gap, deadline):
-        """Enumerates at gap when the list is narrower; returns how many
-        fragments that listed (0 when the list already covers gap)."""
-        gap = max(0.0, gap)
-        if gap <= self.gap:
-            return 0
-        self.frags = enumerate_fragments(self.duals, gap, self.inst,
-                                         self.cfg, deadline=deadline)
-        self.gap = gap
-        self.rc = [fragment_reduced_cost(f, self.env) for f in self.frags]
-        self.ranked = sorted(self.rc)
-        return len(self.frags)
-
-    def size(self, gap):
-        return bisect_right(self.ranked,
-                            max(0.0, gap) + self.cfg.lp_tolerance)
-
-    def pool(self, gap):
-        top = gap + self.cfg.lp_tolerance
-        return [f for f, r in zip(self.frags, self.rc) if r <= top]
-
-    def fitting_cand(self, lb, floor, top):
-        """The largest integer ub_cand in [floor, top] whose pool, at
-        gap ub_cand - lb, holds at most ROUND_POOL_TARGET fragments;
-        floor when none does."""
-        if self.size(top - lb) <= ROUND_POOL_TARGET:
-            return top
-        # the pool must leave out the (target + 1)-th cheapest fragment
-        cand = min(top, math.floor(lb + self.ranked[ROUND_POOL_TARGET]))
-        while cand > floor and self.size(cand - lb) > ROUND_POOL_TARGET:
-            cand -= 1
-        return float(max(cand, floor))
-
-
 def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     cfg = cfg or SolverConfig()
     clock = _Clock(cfg.time_limit)
     stats = {
         "iterations": 0,
-        # fragments enumerate_fragments listed: one list per solve once an
-        # incumbent exists; a round's "enumerated" is its prefix of it
         "fragments_enumerated": 0,
         "cuts_by_kind": {"FSEC": 0, "TIFI": 0, "TDIFI": 0, "RCC": 0},
         "wall_times": {},
@@ -453,10 +395,9 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         return BoundsState(ub_sol, ub_sol, ub_sol, incumbent, 0,
                            "optimal", stats)
     lb_sol = lb_cert
-    # nothing above the lower bound is ruled out before the first round
-    ub_cand = float(_int_floor_bound(lb_cert) - 1)
-    listing = _Listing(lbres.duals, pinst, cfg)
-    sized = False
+    ub_cand = float(min(ub_sol - 1, math.ceil((1 + cfg.gap_init) * lb_cert)))
+    # set when the pool at ub - 1 would pass f_max fragments
+    overflowed = False
 
     # any feasible solution costs less than the artificial column, so a
     # candidate bound beyond it turns "nothing found" into "infeasible"
@@ -473,24 +414,23 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
 
         t0 = time.monotonic()
         try:
-            if math.isfinite(ub_sol):
-                stats["fragments_enumerated"] += listing.cover(
-                    ub_sol - 1 - lb_cert, clock.deadline())
-                ub_cand = ub_sol - 1
-                if not sized:
-                    ub_cand = listing.fitting_cand(
-                        lb_cert, _int_floor_bound(lb_sol), ub_cand)
-                    sized = True
-            else:
-                if iteration == 1:
-                    ub_cand = float(math.ceil((1 + cfg.gap_init) * lb_cert))
-                else:
+            if math.isfinite(ub_sol) and not overflowed:
+                try:
+                    pool = enumerate_fragments(
+                        lbres.duals, max(0.0, ub_sol - 1 - lb_cert), pinst,
+                        cfg, deadline=clock.deadline())
+                    ub_cand = ub_sol - 1
+                except LimitExceeded:
+                    overflowed = True
+            if math.isinf(ub_sol) or overflowed:
+                if iteration > 1:
                     grown = ub_cand + cfg.gap_step * lb_cert
                     if grown <= ub_cand + 1e-9:
                         grown = max(grown, 2.0 * ub_cand, ub_cand + 1.0)
-                    ub_cand = float(math.ceil(grown))
-                stats["fragments_enumerated"] += listing.cover(
-                    ub_cand - lb_cert, clock.deadline())
+                    ub_cand = float(min(ub_sol - 1, math.ceil(grown)))
+                pool = enumerate_fragments(
+                    lbres.duals, max(0.0, ub_cand - lb_cert), pinst, cfg,
+                    deadline=clock.deadline())
         except LimitExceeded:
             mark("enumerate", t0)
             status = "fragment-limit"
@@ -499,9 +439,9 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
             mark("enumerate", t0)
             status = "time-limit"
             break
-        gap = max(0.0, ub_cand - lb_cert)
-        pool = listing.pool(gap)
         mark("enumerate", t0)
+        stats["fragments_enumerated"] += len(pool)
+        gap = max(0.0, ub_cand - lb_cert)
 
         t0 = time.monotonic()
         alive = reduce_by_route_bound(pool, lbres.duals, gap, pinst)

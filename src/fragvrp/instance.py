@@ -158,8 +158,8 @@ class Instance:
 
 @dataclasses.dataclass
 class SolverConfig:
-    # the gap rounds' schedule while no incumbent exists; once one does,
-    # driver.run sizes rounds by their pools (driver.ROUND_POOL_TARGET)
+    # the gap rounds' schedule while no incumbent exists, or when the pool
+    # at ub - 1 passes f_max; otherwise driver.run rounds at ub - 1
     gap_init: float = 0.05
     gap_step: float = 0.05
     k_max: int = 5

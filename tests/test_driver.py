@@ -15,7 +15,7 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
                             check_solution, compute_lower_bound,
                             incumbent_from_json, initial_upper_bound, run,
                             solution_to_json)
-from fragvrp.enumeration import DeadlinePassed
+from fragvrp.enumeration import DeadlinePassed, LimitExceeded
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
 from fragvrp.master import MasterError, MasterModel, initial_fragments
@@ -359,7 +359,9 @@ class TestRun:
         inst = cycle_bait_instance()
         best, _ = oracle_best(inst)
         assert best == 16    # 0 -> trio -> 4 -> 0
-        cfg = SolverConfig(enabled_cuts=frozenset({"TIFI", "TDIFI", "RCC"}))
+        cfg = SolverConfig(
+            gap_init=0.65,
+            enabled_cuts=frozenset({"TIFI", "TDIFI", "RCC"}))
         st = run(inst, cfg)
         assert st.status == "optimal"
         assert st.ub_sol == 16
@@ -456,23 +458,41 @@ class TestArcModelAgreement:
         assert check_solution(st.incumbent, inst)
 
 
+def refusing_first_pool(enum):
+    """enumerate_fragments, except that its first call raises
+    LimitExceeded as if that pool, the one at ub - 1, held more than
+    f_max fragments: the rounds then run on the gap_init/gap_step
+    schedule, capped at ub - 1, whose pools are let through."""
+    calls = []
+
+    def enumerate_fragments(duals, gap, *args, **kwargs):
+        calls.append(gap)
+        if len(calls) == 1:
+            raise LimitExceeded(0)
+        return enum(duals, gap, *args, **kwargs)
+
+    return enumerate_fragments
+
+
 # seeds whose first incumbent leaves a gap, so the loop runs: one round
-# at ub - 1 under the default pool target; a first round below ub - 1
-# and a second at it under a low target; and, with no first incumbent
-# (t_guess 0), rounds on the gap_init/gap_step schedule until one finds
-# an incumbent
-GAP_CASES = [(cfg, target, seed)
-             for cfg, target in (
-                 (SolverConfig(), driver.ROUND_POOL_TARGET),
-                 (SolverConfig(), 10),
+# at ub - 1 with the default config; rounds on the gap_init/gap_step
+# schedule when the pool at ub - 1 is refused as past f_max; and, with
+# no first incumbent (t_guess 0), rounds on that schedule until one
+# finds an incumbent
+GAP_CASES = [(cfg, refuse, seed)
+             for cfg, refuse in (
+                 (SolverConfig(), False),
+                 (SolverConfig(gap_init=0.0, gap_step=0.02), True),
                  (SolverConfig(gap_init=0.0, gap_step=0.02, t_guess=0.0),
-                  driver.ROUND_POOL_TARGET))
+                  False))
              for seed in (12, 59, 80, 83, 105, 111)]
 
 
-def solve_gap_case(cfg, target, seed):
+def solve_gap_case(cfg, refuse, seed):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(driver, "ROUND_POOL_TARGET", target)
+        if refuse:
+            mp.setattr(driver, "enumerate_fragments",
+                       refusing_first_pool(driver.enumerate_fragments))
         return run(random_instance(np.random.default_rng(seed), n_tasks=6),
                    cfg)
 
@@ -586,75 +606,48 @@ class TestIntegralCandidateBound:
         assert r["ub_cand"] == 44 and r["milp_value"] is None
 
 
-class TestRoundPools:
-    """Once an incumbent exists, one enumeration at ub - 1 serves every
-    round: a round's pool is the prefix of that list priced within the
-    round's gap, which must be exactly what a fresh enumeration at that
-    gap returns."""
+class TestRoundSchedule:
+    """Once an incumbent exists, one round at ub - 1 closes the bracket
+    over one enumeration; when that pool passes f_max, the rounds fall
+    back to the gap_init/gap_step schedule, capped at ub - 1."""
 
     def test_one_enumeration_with_a_first_incumbent(self, gap_runs):
         seen = 0
-        for st, events in gap_runs:
+        for (_, refuse, _), (st, events) in zip(GAP_CASES, gap_runs,
+                                                strict=True):
             kind, first_ub = events[0]
             assert kind == "ub"
             gaps = [value for kind, value in events if kind == "gap"]
             assert gaps
-            if math.isfinite(first_ub):
+            if math.isfinite(first_ub) and not refuse:
                 assert len(gaps) == 1
+                assert [r["ub_cand"] for r in st.stats["rounds"]] == \
+                    [first_ub - 1]
                 seen += 1
             else:
-                # the gap schedule enumerates again only to widen the list
+                # the schedule widens the gap round by round
                 assert gaps == sorted(set(gaps))
-        assert seen == 12
+        assert seen == 6
 
-    @pytest.mark.parametrize("make,target", [
-        *[pytest.param(lambda seed=seed: random_instance(
-            np.random.default_rng(seed), n_tasks=6), 10, id="seed%d" % seed)
-          for _, _, seed in GAP_CASES[:6]],
-        # gap-loop's two instances, with a first round below ub - 1
-        pytest.param(lambda: solomon_instance("S101", "max-diff", 0.2, 22),
-                     300, id="S101-max-diff-n22"),
-        pytest.param(lambda: solomon_instance("S101", "synchronization",
-                                              0.2, 20),
-                     300, id="S101-synchronization-n20"),
-    ])
-    def test_round_pool_is_a_fresh_enumeration(self, monkeypatch, make,
-                                               target):
-        inst, cfg = make(), SolverConfig()
-        enum = driver.enumerate_fragments
-        route_bound = driver.reduce_by_route_bound
-        listed, pools = [], []
-
-        def enumerate_fragments(duals, gap, *args, **kwargs):
-            listed.append(gap)
-            return enum(duals, gap, *args, **kwargs)
-
-        def reduce_by_route_bound(pool, duals, gap, pinst):
-            pools.append((list(pool), duals, gap, pinst))
-            return route_bound(pool, duals, gap, pinst)
-
-        monkeypatch.setattr(driver, "ROUND_POOL_TARGET", target)
-        monkeypatch.setattr(driver, "enumerate_fragments",
-                            enumerate_fragments)
-        monkeypatch.setattr(driver, "reduce_by_route_bound",
-                            reduce_by_route_bound)
-        st = run(inst, cfg)
-        assert st.status == "optimal"
-        assert len(listed) == 1 and len(pools) >= 2
-        # the first round runs below the listing's gap, on a proper prefix
-        assert pools[0][2] < listed[0]
-        assert len(pools[0][0]) < st.stats["fragments_enumerated"]
-        for pool, duals, gap, pinst in pools:
-            fresh = enum(duals, gap, pinst, cfg)
-            assert [(f.tasks, f.es, f.ls, f.dur) for f in pool] == \
-                [(f.tasks, f.es, f.ls, f.dur) for f in fresh]
-
-    def test_schedule_on_gap_loop(self, monkeypatch):
+    def test_schedule_on_gap_loop(self):
         inst = solomon_instance("S101", "max-diff", 0.2, 22)
         st = run(inst, SolverConfig())
         assert st.status == "optimal" and st.ub_sol == 340
-        assert [r["ub_cand"] for r in st.stats["rounds"]] == [339]
+        assert [(r["ub_cand"], r["enumerated"])
+                for r in st.stats["rounds"]] == [(339, 511)]
+        # one fragment fewer allowed: the schedule's round at 324 (243
+        # fragments) proves nothing costs 324 or less, and its next
+        # round, capped at 339, needs the same 511 fragments
+        capped = run(inst, SolverConfig(f_max=510))
+        assert capped.status == "fragment-limit"
+        assert [(r["ub_cand"], r["enumerated"])
+                for r in capped.stats["rounds"]] == [(324, 243)]
+        assert (capped.lb_sol, capped.ub_sol) == (325, 340)
 
+    def test_fallback_reaches_the_optimum(self, monkeypatch):
+        # the first incumbent, 53, is one above the optimum; the pool at
+        # 52 holds 42 fragments, and the schedule's pools fewer
+        inst = random_instance(np.random.default_rng(148), n_tasks=7)
         first = []
         initial = driver.initial_upper_bound
 
@@ -665,19 +658,17 @@ class TestRoundPools:
 
         monkeypatch.setattr(driver, "initial_upper_bound",
                             initial_upper_bound)
-        monkeypatch.setattr(driver, "ROUND_POOL_TARGET", 50)
-        low = run(inst, SolverConfig())
+        st = run(inst, SolverConfig())
+        assert first == [53] and st.status == "optimal" and st.ub_sol == 52
+        assert [(r["ub_cand"], r["enumerated"])
+                for r in st.stats["rounds"]] == [(52, 42)]
+        low = run(inst, SolverConfig(gap_init=0.0, gap_step=0.02, f_max=41))
         assert (low.status, low.lb_sol, low.ub_sol) == \
             (st.status, st.lb_sol, st.ub_sol)
-        head, *rest = low.stats["rounds"]
-        floor = math.ceil(low.stats["lb_certified"] - 1e-6)
-        assert floor <= head["ub_cand"] < first[0] - 1
-        assert head["enumerated"] <= 50
-        assert rest
-        ub = min(first[0], head["milp_value"] or math.inf)
-        for r in rest:
-            assert r["ub_cand"] == ub - 1
-            ub = min(ub, r["milp_value"] or math.inf)
+        cands = [r["ub_cand"] for r in low.stats["rounds"]]
+        assert len(cands) >= 2 and cands == sorted(set(cands))
+        assert cands[-1] <= 52 - 1
+        assert max(r["enumerated"] for r in low.stats["rounds"]) <= 41
 
 
 def lp_arrays(m):
@@ -700,17 +691,20 @@ class TestRoundMaster:
     rejected; the final MILP then solves that master.  It must be, array
     for array, the master a fresh build over the kept fragments gives."""
 
-    @pytest.mark.parametrize("n_tasks,n_deps,seed,target", [
-        # a low pool target puts a first round below ub - 1, which
-        # rejects one fragment; a round at ub - 1 follows
-        pytest.param(5, 3, 1, 10, id="5-3-1"),
-        # two rounds; the first, at 54, rejects two fragments
-        pytest.param(6, 2, 12, 23, id="6-2-12"),
-        # one round; rejects eight, one of them an initial fragment
-        pytest.param(7, 3, 17, driver.ROUND_POOL_TARGET, id="7-3-17"),
+    @pytest.mark.parametrize("n_tasks,n_deps,seed,refuse", [
+        # with the pool at ub - 1 refused as past f_max, the schedule's
+        # first round, at 49, rejects an initial fragment; a round at
+        # 51 follows
+        pytest.param(5, 3, 1, True, id="5-3-1"),
+        # refused likewise: two rounds; the first, at 54, rejects two
+        # fragments
+        pytest.param(6, 2, 12, True, id="6-2-12"),
+        # one round, at ub - 1; rejects eight, one of them an initial
+        # fragment
+        pytest.param(7, 3, 17, False, id="7-3-17"),
     ])
     def test_rounds_match_a_fresh_build(self, monkeypatch, n_tasks, n_deps,
-                                        seed, target):
+                                        seed, refuse):
         make = driver._restricted_master
         resolve = driver.reduce_by_resolve
         solve = driver._solve_restricted
@@ -732,7 +726,10 @@ class TestRoundMaster:
             solved.append(m)
             return solve(m, *args, **kwargs)
 
-        monkeypatch.setattr(driver, "ROUND_POOL_TARGET", target)
+        if refuse:
+            monkeypatch.setattr(
+                driver, "enumerate_fragments",
+                refusing_first_pool(driver.enumerate_fragments))
         monkeypatch.setattr(driver, "_restricted_master", restricted_master)
         monkeypatch.setattr(driver, "reduce_by_resolve", reduce_by_resolve)
         monkeypatch.setattr(driver, "_solve_restricted", solve_restricted)
