@@ -18,7 +18,9 @@ ub - 1 would pass f_max fragments, ub_cand starts at
 ceil((1 + gap_init) lb) and grows by gap_step lb per round, never past
 ub - 1.  The final solve itself searches only at or below ub - 1, so a
 round that holds nothing cheaper than the incumbent ends in a proof of
-that.
+that.  A round's master therefore holds the initial columns and the
+reduced pool only: the cutoff excludes every solution costing ub or
+more, the incumbent among them.
 """
 
 import json
@@ -31,7 +33,6 @@ from . import cuts as cutlib
 from .enumeration import (DeadlinePassed, LimitExceeded,
                           enumerate_fragments, reduce_by_resolve,
                           reduce_by_route_bound)
-from .fragments import build_fragment
 from .instance import Instance, SolverConfig
 from .master import MasterError, artificial_cost, build_initial
 from .pricing import solve_pricing
@@ -45,27 +46,24 @@ RCC_TOTAL_LIMIT = 200
 @dataclass(frozen=True)
 class Incumbent:
     """A concrete solution: routes without depot entries, integer start
-    times per task, an order bit per dependency pair, and the fragment
-    sequences the master chose."""
+    times per task and an order bit per dependency pair."""
 
     routes: Tuple[Tuple[int, ...], ...]
     start_times: Dict[int, int]
     orders: Dict[Tuple[int, int], int]
-    fragments: Tuple[Tuple[int, ...], ...]
     cost: float
 
 
 @dataclass
 class BoundsState:
-    """The bracket a solve ends with.  ub_cand is the largest cost the
-    last gap round ruled out (every cheaper-or-equal solution was in its
-    pool), or ub_sol once the bracket closes."""
+    """The bracket a solve ends with: no solution costs less than
+    lb_sol, and the incumbent, if any, costs ub_sol.  On a limit stop,
+    lb_sol - 1 is the largest cost ruled out so far; the gap rounds that
+    ruled it out are in stats["rounds"]."""
 
     lb_sol: float
     ub_sol: float
-    ub_cand: float
     incumbent: Optional[Incumbent]
-    iteration: int
     status: str
     stats: dict = field(default_factory=dict)
 
@@ -284,8 +282,7 @@ def _decode(m, sol, inst):
         ok, starts, orders = schedule_routes(routes, inst)
     if not ok:
         return None, set()
-    frag_seqs = tuple(sorted(f.tasks for f in chosen))
-    inc = Incumbent(tuple(routes), starts, orders, frag_seqs,
+    inc = Incumbent(tuple(routes), starts, orders,
                     float(round(sol.objective)))
     return inc, set()
 
@@ -367,8 +364,8 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     mark("preprocess", t0)
     if not pre.feasible:
         stats["infeasibility"] = pre.reason
-        return BoundsState(float("inf"), float("inf"), float("inf"),
-                           None, 0, "infeasible", stats)
+        return BoundsState(float("inf"), float("inf"), None, "infeasible",
+                           stats)
     pinst = pre.instance
     calc = cutlib.VminCalculator(pinst)
 
@@ -378,22 +375,20 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     for c in lbres.cuts:
         counts[c.kind] += 1
     if lbres.status == "infeasible":
-        return BoundsState(float("inf"), float("inf"), float("inf"),
-                           None, 0, "infeasible", stats)
+        return BoundsState(float("inf"), float("inf"), None, "infeasible",
+                           stats)
     lb_cert = lbres.lb
     stats["lb_certified"] = lb_cert
     stats["pricing_iterations"] = lbres.pricing_iterations
     if lbres.status == "time-limit":
-        return BoundsState(lb_cert, float("inf"), float("inf"),
-                           None, 0, "time-limit", stats)
+        return BoundsState(lb_cert, float("inf"), None, "time-limit", stats)
 
     t0 = time.monotonic()
     ub_sol, incumbent = initial_upper_bound(lbres.columns, lbres.cuts,
                                             pinst, cfg, clock, calc, counts)
     mark("initial_ub", t0)
     if ub_sol <= _int_floor_bound(lb_cert):
-        return BoundsState(ub_sol, ub_sol, ub_sol, incumbent, 0,
-                           "optimal", stats)
+        return BoundsState(ub_sol, ub_sol, incumbent, "optimal", stats)
     lb_sol = lb_cert
     ub_cand = float(min(ub_sol - 1, math.ceil((1 + cfg.gap_init) * lb_cert)))
     # set when the pool at ub - 1 would pass f_max fragments
@@ -445,15 +440,8 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
 
         t0 = time.monotonic()
         alive = reduce_by_route_bound(pool, lbres.duals, gap, pinst)
-        sol_seqs = set(incumbent.fragments) if incumbent else set()
-        sol_frags = [build_fragment(s, pinst) for s in sorted(sol_seqs)]
-        merged = {f.tasks: f for f in alive}
-        for f in sol_frags:
-            merged.setdefault(f.tasks, f)
         m = _restricted_master(pinst, cfg, calc, lbres.cuts)
-        kept, _, _ = reduce_by_resolve(sorted(merged.values(),
-                                              key=lambda f: f.tasks),
-                                       m, ub_cand, keep=sol_seqs)
+        kept, _, _ = reduce_by_resolve(alive, m, ub_cand)
         mark("reduce", t0)
 
         # the round can only use a solution cheaper than the incumbent,
@@ -479,7 +467,6 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         if ub_sol <= _int_floor_bound(lb_sol):
             # values are integral, so the rounded bound meets the ub
             lb_sol = float(ub_sol)
-            ub_cand = float(ub_sol)
             status = "optimal"
             break
         if math.isinf(ub_sol) and ub_cand >= c_art:
@@ -487,10 +474,8 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
             break
 
     if status == "infeasible":
-        return BoundsState(float("inf"), float("inf"), float("inf"),
-                           None, iteration, status, stats)
-    return BoundsState(lb_sol, ub_sol, ub_cand, incumbent, iteration,
-                       status, stats)
+        return BoundsState(float("inf"), float("inf"), None, status, stats)
+    return BoundsState(lb_sol, ub_sol, incumbent, status, stats)
 
 
 # -- solution file ------------------------------------------------------
@@ -532,5 +517,5 @@ def incumbent_from_json(doc: dict) -> Incumbent:
         u, w = k.split(",")
         orders[(int(u), int(w))] = _whole(v)
     ub = doc.get("ub")
-    return Incumbent(routes, starts, orders, (),
+    return Incumbent(routes, starts, orders,
                      float("inf") if ub is None else float(ub))

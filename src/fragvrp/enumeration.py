@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -235,14 +235,13 @@ def reduce_by_route_bound(frags: Sequence[Fragment], duals: DualValues,
 
 
 def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
-                      ub_cand: float, keep: Iterable[tuple] = ()):
+                      ub_cand: float):
     """Re-solves the master holding frags (plus whatever it already has)
     and filters by the refreshed reduced costs.
 
     Returns (kept fragments, duals, objective).  The budget becomes
-    ub_cand minus the new objective; fragments listed in `keep` survive
-    regardless, incumbent solutions must stay representable.  The master
-    ends up holding its earlier columns plus the kept fragments.
+    ub_cand minus the new objective.  The master ends up holding its
+    earlier columns plus the kept fragments.
     """
     held = len(master.fragments)
     master.add_fragments(frags)
@@ -252,11 +251,8 @@ def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
     lb = sol.objective
     budget = ub_cand - lb
     tol = master.cfg.lp_tolerance
-    protect = set(keep)
     env = CostEnv(sol.duals, master.inst)
-    out = [f for f in frags
-           if f.tasks in protect
-           or fragment_reduced_cost(f, env) <= budget + tol]
+    out = [f for f in frags if fragment_reduced_cost(f, env) <= budget + tol]
     master.drop_fragments({f.tasks for f in master.fragments[held:]}
                           - {f.tasks for f in out})
     return out, sol.duals, lb

@@ -24,7 +24,10 @@ it, with exactly the model and options SciPy's public ``linprog`` and
   no console log; HiGHS statuses map as ``milp`` maps them.  Its
   ``cutoff`` sets ``objective_bound``, the one option here that ``milp``
   never sets: with it HiGHS searches only for solutions costing at most
-  the cutoff, and a model with none is reported ``infeasible``.
+  the cutoff, and a model with none is reported ``infeasible``.  The
+  one other departure: a run that ends in a HiGHS "Solve error" is run
+  once more with presolve off, where ``milp`` reports the error.  Some
+  models whose presolve fails that way solve without it.
 
 HiGHS writes a few diagnostic lines from C straight onto file
 descriptor 1, whatever ``output_flag`` says, so each run sends that
@@ -237,11 +240,15 @@ def solve_milp(c, A, senses, rhs, col_lb, col_ub, integral,
         options.objective_bound = float(cutoff)
     integral = np.broadcast_to(np.asarray(integral, dtype=bool), (n,))
     m = senses.size
-    highs = _run(options, c, _csc(A, np.arange(m), m, n),
-                 np.where(senses == "L", -np.inf, rhs),
-                 np.where(senses == "G", np.inf, rhs), col_lb, col_ub,
-                 integrality=integral)
+    model = (c, _csc(A, np.arange(m), m, n),
+             np.where(senses == "L", -np.inf, rhs),
+             np.where(senses == "G", np.inf, rhs), col_lb, col_ub)
+    highs = _run(options, *model, integrality=integral)
     status = highs.getModelStatus()
+    if status == _MS.kSolveError:
+        options.presolve = "off"
+        highs = _run(options, *model, integrality=integral)
+        status = highs.getModelStatus()
     info = highs.getInfo()
     kind = _MILP_KIND.get(status, "error")
     if kind == "infeasible":

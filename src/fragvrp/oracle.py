@@ -31,7 +31,7 @@ from .scheduling import schedule_routes
 
 BRUTE_FORCE_CAP = 9
 
-_EMPTY = Incumbent((), {}, {}, (), 0.0)
+_EMPTY = Incumbent((), {}, {}, 0.0)
 
 
 def _route_cost(route, inst) -> int:
@@ -114,7 +114,7 @@ def brute_force_optimal(inst: Instance):
                 if ok:
                     best_cost = cost
                     best = Incumbent(tuple(tuple(r) for r in chosen),
-                                     starts, orders, (), float(cost))
+                                     starts, orders, float(cost))
                 return
             for c, perm in options[i]:
                 if cost + c + tail_min[i + 1] >= best_cost:
@@ -296,7 +296,7 @@ def arc_model_solve(inst: Instance, time_limit=None):
             obj = int(round(res.objective))
             if ok:
                 inc = Incumbent(tuple(tuple(r) for r in routes), starts,
-                                orders, (), float(obj))
+                                orders, float(obj))
                 if check_solution(inc, inst):
                     return float(lb_out), float(obj), inc
         # cut off the offending support: cycle rows when we can name the

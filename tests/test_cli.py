@@ -1,17 +1,21 @@
 """End-to-end tests for the command-line frontend's exit-code contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fragvrp.cli as cli
 from fragvrp.instance import (Instance, Task, TemporalDependency,
                               load_instance, save_instance)
 from fragvrp.oracle import brute_force_optimal
+
+from support import random_instance
 
 SOLOMON_SAMPLE = """\
 T9
@@ -76,6 +80,19 @@ class TestSolve:
         assert rc == 1
         assert "stopped: time-limit" in captured.err
         assert json.loads(captured.out)["status"] == "time-limit"
+
+    def test_fragment_limit_exit_one_with_bounds(self, tmp_path, capsys):
+        # the first incumbent, 53, leaves a gap, and no pool fits f_max 0
+        p = tmp_path / "gap.json"
+        save_instance(random_instance(np.random.default_rng(148),
+                                      n_tasks=7), p)
+        rc = cli.main(["solve", str(p), "--f-max", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "stopped: fragment-limit, bounds [49.0, 53.0]" in captured.err
+        doc = json.loads(captured.out)
+        assert doc["status"] == "fragment-limit"
+        assert math.isfinite(doc["lb"]) and doc["lb"] <= doc["ub"] == 53
 
     def test_infeasible_exit_two(self, infeasible_path, capsys):
         assert cli.main(["solve", infeasible_path]) == 2

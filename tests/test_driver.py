@@ -44,7 +44,7 @@ def solomon_instance(solomon, kind, sigma, n):
 
 def as_incumbent(routes, starts, orders, cost=0.0):
     return Incumbent(tuple(tuple(r) for r in routes), dict(starts),
-                     dict(orders), (), float(cost))
+                     dict(orders), float(cost))
 
 
 class TestCheckSolution:
@@ -276,8 +276,16 @@ class TestRun:
                 assert st.status == "optimal"
                 assert st.ub_sol == best
                 assert check_solution(st.incumbent, inst)
-                assert st.lb_sol <= st.ub_cand <= st.ub_sol + 1e-9
+                assert st.lb_sol == st.ub_sol
                 assert st.stats["lb_certified"] <= best + 1e-6
+                # the candidates rise, and the last round either found
+                # the optimum or ruled out every cost below it
+                cands = [r["ub_cand"] for r in st.stats["rounds"]]
+                assert cands == sorted(set(cands))
+                if cands:
+                    last = st.stats["rounds"][-1]
+                    assert last["milp_value"] == best \
+                        or last["ub_cand"] + 1 >= best
                 optimal += 1
         assert optimal >= 5
 
@@ -383,6 +391,18 @@ class TestRun:
         with pytest.raises(MasterError, match="after 3 solves"):
             run(inst, SolverConfig())
         assert len(stuck) == 1 + len(inst.vd)
+
+    def test_presolve_solve_error_retried(self):
+        # HiGHS presolve ends the first-incumbent MILP here in "Solve
+        # error"; without presolve the model is infeasible, and the
+        # schedule's rounds then close the bracket
+        inst = random_instance(np.random.default_rng(19), n_tasks=8,
+                               n_deps=2)
+        best, _ = brute_force_optimal(inst)
+        st = run(inst, SolverConfig())
+        assert st.status == "optimal"
+        assert st.lb_sol == st.ub_sol == best == 77
+        assert check_solution(st.incumbent, inst)
 
     def test_stats_shape(self):
         inst = line_instance(n=2)
@@ -692,13 +712,12 @@ class TestRoundMaster:
     for array, the master a fresh build over the kept fragments gives."""
 
     @pytest.mark.parametrize("n_tasks,n_deps,seed,refuse", [
-        # with the pool at ub - 1 refused as past f_max, the schedule's
-        # first round, at 49, rejects an initial fragment; a round at
-        # 51 follows
-        pytest.param(5, 3, 1, True, id="5-3-1"),
-        # refused likewise: two rounds; the first, at 54, rejects two
-        # fragments
-        pytest.param(6, 2, 12, True, id="6-2-12"),
+        # with the pool at ub - 1 refused as past f_max, the schedule
+        # runs two rounds, at 45 and 46; each rejects twelve fragments
+        pytest.param(8, 2, 42, True, id="8-2-42"),
+        # refused likewise: two rounds; the first, at 48, rejects one
+        # fragment, the second, at 49, none
+        pytest.param(8, 3, 42, True, id="8-3-42"),
         # one round, at ub - 1; rejects eight, one of them an initial
         # fragment
         pytest.param(7, 3, 17, False, id="7-3-17"),
@@ -714,10 +733,10 @@ class TestRoundMaster:
             built.append((args, make(*args)))
             return built[-1][1]
 
-        def reduce_by_resolve(frags, master, ub_cand, keep=()):
+        def reduce_by_resolve(frags, master, ub_cand):
             args, m = built[-1]
             assert master is m
-            kept, duals, lb = resolve(frags, master, ub_cand, keep=keep)
+            kept, duals, lb = resolve(frags, master, ub_cand)
             assert_same_lp(master, make(*args, kept))
             reduced.append(len(frags) - len(kept))
             return kept, duals, lb
@@ -767,12 +786,42 @@ class TestRoundMaster:
         assert held <= {f.tasks for f in m.fragments}
         assert_same_lp(m, _restricted_master(*args, kept))
 
-    def test_kept_over_a_hopeless_budget(self):
-        args, m, _, pool = self.round_master()
-        keep = {pool[i].tasks for i in (0, len(pool) // 2, -1)}
-        kept, _, _ = driver.reduce_by_resolve(pool, m, -1000.0, keep=keep)
-        assert {f.tasks for f in kept} == keep
-        assert_same_lp(m, _restricted_master(*args, kept))
+    @pytest.mark.parametrize("seed", [59, 82, 110, 157])
+    def test_round_master_holds_only_its_pool(self, monkeypatch, seed):
+        # the round's MILP searches below the incumbent, so the
+        # incumbent's own fragments need no column of their own: every
+        # column is an initial one or in the round's pool
+        make = driver._restricted_master
+        enum = driver.enumerate_fragments
+        solve = driver._solve_restricted
+        initial, pools, checked = {}, [], []
+
+        def restricted_master(*args):
+            m = make(*args)
+            initial[id(m)] = {f.tasks for f in m.fragments}
+            return m
+
+        def enumerate_fragments(*args, **kwargs):
+            out = enum(*args, **kwargs)
+            pools.append({f.tasks for f in out})
+            return out
+
+        def solve_restricted(m, *args, **kwargs):
+            if pools:
+                held = {f.tasks for f in m.fragments}
+                assert held <= initial[id(m)] | pools[-1]
+                checked.append(m)
+            return solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "_restricted_master", restricted_master)
+        monkeypatch.setattr(driver, "enumerate_fragments",
+                            enumerate_fragments)
+        monkeypatch.setattr(driver, "_solve_restricted", solve_restricted)
+        inst = random_instance(np.random.default_rng(seed), n_tasks=7)
+        best, _ = brute_force_optimal(inst)
+        st = run(inst, SolverConfig())
+        assert len(checked) == len(st.stats["rounds"]) >= 1
+        assert st.ub_sol == best
 
 
 class TestSolutionFile:
@@ -791,7 +840,6 @@ class TestSolutionFile:
         assert doc["ub"] == best
 
     def test_infinite_bounds_become_null(self):
-        st = BoundsState(float("inf"), float("inf"), float("inf"),
-                         None, 0, "infeasible", {})
+        st = BoundsState(float("inf"), float("inf"), None, "infeasible", {})
         doc = json.loads(solution_to_json(st))
         assert doc["lb"] is None and doc["ub"] is None

@@ -267,17 +267,6 @@ class TestRouteBound:
 
 
 class TestResolve:
-    def test_incumbents_survive_any_budget(self):
-        inst = line_instance(n=4, deps=[TemporalDependency(1, 4, 0, 40, 0, 40)])
-        cfg = SolverConfig()
-        frags = enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg)
-        m = build_initial(inst, cfg)
-        keep = {frags[0].tasks, frags[3].tasks}
-        kept, duals, lb = reduce_by_resolve(frags, m, -1000.0, keep=keep)
-        held = set(f.tasks for f in kept)
-        assert keep <= held
-        assert held - keep == set()   # hopeless budget removes the rest
-
     def test_budget_monotone(self):
         rng = np.random.default_rng(89)
         cfg = SolverConfig()
