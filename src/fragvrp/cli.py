@@ -8,6 +8,7 @@ bounds emitted, 2 infeasible (or a failed verification), 3 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -44,8 +45,10 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("solve", help="run the full bounded solver")
     s.add_argument("instance")
-    s.add_argument("--time-limit", type=float, default=d.time_limit)
-    s.add_argument("--ng-size", type=int, default=d.ng_size)
+    s.add_argument("--time-limit", type=float, default=d.time_limit,
+                   help="seconds for the whole solve")
+    s.add_argument("--ng-size", type=int, default=d.ng_size,
+                   help="nearest tasks a pricing label remembers, per task")
     s.add_argument("--gap-init", type=float, default=d.gap_init,
                    help="first gap round's candidate bound, as a fraction "
                         "above the lower bound; schedules rounds only "
@@ -56,8 +59,10 @@ def _build_parser() -> _Parser:
                         "fraction of the lower bound; schedules rounds only "
                         "while no incumbent exists or the pool at ub - 1 "
                         "passes --f-max")
-    s.add_argument("--k-max", type=int, default=d.k_max)
-    s.add_argument("--t-guess", type=float, default=d.t_guess)
+    s.add_argument("--k-max", type=int, default=d.k_max,
+                   help="largest dependent set FSEC separation enumerates")
+    s.add_argument("--t-guess", type=float, default=d.t_guess,
+                   help="first-incumbent MILP seconds, repairs included")
     s.add_argument("--f-max", type=int, default=d.f_max,
                    help="fragments one enumeration may keep, at most; when "
                         "the pool at ub - 1 passes it, rounds fall back to "
@@ -129,10 +134,8 @@ def _emit(text, out):
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    cfg = SolverConfig(time_limit=args.time_limit, ng_size=args.ng_size,
-                       gap_init=args.gap_init, gap_step=args.gap_step,
-                       k_max=args.k_max, t_guess=args.t_guess,
-                       f_max=args.f_max)
+    cfg = SolverConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(SolverConfig)})
     st = run(inst, cfg)
     _emit(solution_to_json(st), args.out)
     if st.status == "optimal":

@@ -10,17 +10,19 @@ round's pool holds every fragment of every solution costing at most
 ub_cand, so its final solve either finds the optimum or proves that
 every solution costs at least ub_cand + 1.
 
-Once an incumbent exists, the round runs at ub_cand = ub - 1, which
-is enough to certify the incumbent: its final solve finds a cheaper
-solution, which is then optimal, or proves that none exists, so one
-round closes the bracket.  Without an incumbent, or when the pool at
-ub - 1 would pass f_max fragments, ub_cand starts at
-ceil((1 + gap_init) lb) and grows by gap_step lb per round, never past
-ub - 1.  The final solve itself searches only at or below ub - 1, so a
-round that holds nothing cheaper than the incumbent ends in a proof of
-that.  A round's master therefore holds the initial columns and the
-reduced pool only: the cutoff excludes every solution costing ub or
-more, the incumbent among them.
+With an incumbent, and no pool refused yet, a round's candidate is
+ub - 1: its final solve finds a cheaper solution, which is optimal, or
+proves that none exists, so one round closes the bracket.  Otherwise
+it is the schedule's, capped at ub - 1: ceil((1 + gap_init) lb), then
+gap_step lb (at least 1) more per round.  A pool past f_max fragments
+is refused: at ub - 1 the round falls back to the schedule; a refused
+scheduled pool, or a scheduled candidate at or past the refused one (a
+pool never shrinks as its candidate grows), stops the solve with
+fragment-limit.  The final solve looks only below the incumbent, so a
+round's master holds only the initial columns and the reduced pool.
+
+One deadline, cfg.time_limit after the start, bounds every phase; the
+first-incumbent solve, repairs included, gets t_guess seconds at most.
 """
 
 import json
@@ -34,13 +36,16 @@ from .enumeration import (DeadlinePassed, LimitExceeded,
                           enumerate_fragments, reduce_by_resolve,
                           reduce_by_route_bound)
 from .instance import Instance, SolverConfig
-from .master import MasterError, artificial_cost, build_initial
+from .master import LP_TOLERANCE, MasterError, artificial_cost, \
+    build_initial
 from .pricing import solve_pricing
 from .preprocess import preprocess
 from .scheduling import schedule_routes
 
 # capacity cuts separated over a whole lower-bound solve, at most
 RCC_TOTAL_LIMIT = 200
+# restricted masters lift RCCs over at most this fraction of the tasks
+FRCC_SIZE_CAP = 0.25
 
 
 @dataclass(frozen=True)
@@ -66,25 +71,6 @@ class BoundsState:
     incumbent: Optional[Incumbent]
     status: str
     stats: dict = field(default_factory=dict)
-
-
-class _Clock:
-    def __init__(self, budget):
-        self.t0 = time.monotonic()
-        self.budget = float(budget)
-
-    def elapsed(self):
-        return time.monotonic() - self.t0
-
-    def remaining(self):
-        return self.budget - self.elapsed()
-
-    def expired(self):
-        return self.remaining() <= 0
-
-    def deadline(self):
-        """The budget's end on the time.monotonic() scale."""
-        return self.t0 + self.budget
 
 
 def check_solution(incumbent, inst: Instance) -> bool:
@@ -163,16 +149,19 @@ class LowerBound:
     pricing_iterations: int = 0
 
 
-def compute_lower_bound(inst, cfg, clock=None, vmin_calc=None) -> LowerBound:
+def compute_lower_bound(inst, cfg, deadline=None,
+                        vmin_calc=None) -> LowerBound:
     """Alternates pricing with row separation until neither produces
-    anything; rows are only separated once pricing comes up empty."""
-    clock = clock or _Clock(cfg.time_limit)
+    anything; rows are only separated once pricing comes up empty.
+    Stops at deadline, by default cfg.time_limit from now."""
+    if deadline is None:
+        deadline = time.monotonic() + cfg.time_limit
     calc = vmin_calc or cutlib.VminCalculator(inst)
     m = build_initial(inst, cfg, calc)
     sol = m.solve_relaxation()
     if sol.status != "optimal":
         return LowerBound(float("inf"), (), None, (), "infeasible")
-    tol = cfg.lp_tolerance
+    tol = LP_TOLERANCE
     rcc_left = RCC_TOTAL_LIMIT
     iters = 0
     status = "optimal"
@@ -181,7 +170,7 @@ def compute_lower_bound(inst, cfg, clock=None, vmin_calc=None) -> LowerBound:
     # objectives must never escape as certified bounds
     cert = 0.0 if inst.c.size == 0 or int(inst.c.min()) >= 0 else float("-inf")
     while True:
-        if clock.expired():
+        if time.monotonic() >= deadline:
             status = "time-limit"
             break
         iters += 1
@@ -189,16 +178,11 @@ def compute_lower_bound(inst, cfg, clock=None, vmin_calc=None) -> LowerBound:
         if not added:
             cert = max(cert, sol.objective)
             sup = m.support(sol.x)
-            new = []
-            if "FSEC" in cfg.enabled_cuts:
-                new += cutlib.separate_fsec(sup, inst, cfg.k_max, calc,
-                                            tol, m.cut_keys())
-            if "TIFI" in cfg.enabled_cuts:
-                new += cutlib.separate_tifi(sup, inst, tol, m.cut_keys())
-            if "TDIFI" in cfg.enabled_cuts:
-                new += cutlib.separate_tdifi(sup, sol.p, inst, tol,
-                                             m.cut_keys())
-            if "RCC" in cfg.enabled_cuts and rcc_left > 0:
+            new = cutlib.separate_fsec(sup, inst, cfg.k_max, calc, tol,
+                                       m.cut_keys())
+            new += cutlib.separate_tifi(sup, inst, tol, m.cut_keys())
+            new += cutlib.separate_tdifi(sup, sol.p, inst, tol, m.cut_keys())
+            if rcc_left > 0:
                 rccs = cutlib.separate_rcc(sup, inst, tol, m.cut_keys(),
                                            max_new=rcc_left)
                 rcc_left -= len(rccs)
@@ -227,8 +211,8 @@ def compute_lower_bound(inst, cfg, clock=None, vmin_calc=None) -> LowerBound:
 # -- Steps 3 and 5: restricted integer solves -------------------------
 
 
-def _lift_cut(cut, inst, cfg):
-    cap = math.ceil(cfg.frcc_size_cap_fraction * inst.n)
+def _lift_cut(cut, inst):
+    cap = math.ceil(FRCC_SIZE_CAP * inst.n)
     if isinstance(cut, cutlib.RccCut) and len(cut.S) <= cap:
         return cutlib.lift_rcc_to_frcc(cut)
     return cut
@@ -239,7 +223,7 @@ def _restricted_master(inst, cfg, calc, cuts, frags=()):
     to their fragment form, over the given extra fragments."""
     m = build_initial(inst, cfg, calc)
     for cut in cuts:
-        m.add_cut(_lift_cut(cut, inst, cfg))
+        m.add_cut(_lift_cut(cut, inst))
     m.add_fragments(frags)
     return m
 
@@ -287,18 +271,16 @@ def _decode(m, sol, inst):
     return inc, set()
 
 
-def _solve_restricted(m, inst, clock, counts, time_cap=None, cutoff=None):
+def _solve_restricted(m, inst, deadline, counts, cutoff=None):
     """Integer solve; decodes and verifies the incumbent, adding a repair
     subtour row in the degenerate case of a depot-free cycle that the
     big-M timing rows cannot exclude.  Raises MasterError when the
     last of 1 + |V_D| solves still needs a repair row.  Every solve
     looks only for solutions costing at most cutoff; none is
-    (inf, None, True)."""
+    (inf, None, True).  The solves together end by deadline."""
     solves = 1 + len(inst.vd)
     for _ in range(solves):
-        limit = clock.remaining()
-        if time_cap is not None:
-            limit = min(limit, time_cap)
+        limit = deadline - time.monotonic()
         if limit <= 0:
             return float("inf"), None, False
         isol = m.solve_integer(time_limit=limit, cutoff=cutoff)
@@ -320,15 +302,18 @@ def _solve_restricted(m, inst, clock, counts, time_cap=None, cutoff=None):
                       % solves)
 
 
-def initial_upper_bound(columns, cuts, inst, cfg, clock=None,
+def initial_upper_bound(columns, cuts, inst, cfg, deadline=None,
                         vmin_calc=None, counts=None):
     """Integer solve over the generated columns with capacity rows
-    lifted to their fragment form; capped at t_guess."""
-    clock = clock or _Clock(cfg.time_limit)
+    lifted to their fragment form.  Its solves, repairs included, end
+    after t_guess seconds or at deadline (cfg.time_limit from now)."""
+    now = time.monotonic()
+    if deadline is None:
+        deadline = now + cfg.time_limit
     counts = counts if counts is not None else {}
     m = _restricted_master(inst, cfg, vmin_calc, cuts, columns)
-    ub, inc, _ = _solve_restricted(m, inst, clock, counts,
-                                   time_cap=cfg.t_guess)
+    ub, inc, _ = _solve_restricted(m, inst, min(deadline, now + cfg.t_guess),
+                                   counts)
     return ub, inc
 
 
@@ -340,9 +325,17 @@ def _int_floor_bound(lb, tol=1e-6):
     return math.ceil(lb - tol)
 
 
+def _grow(cand, step):
+    """The schedule's next candidate: step more, at least 1, rounded up."""
+    grown = cand + step
+    if grown <= cand + 1e-9:
+        grown = max(grown, 2.0 * cand, cand + 1.0)
+    return float(math.ceil(grown))
+
+
 def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     cfg = cfg or SolverConfig()
-    clock = _Clock(cfg.time_limit)
+    deadline = time.monotonic() + cfg.time_limit
     stats = {
         "iterations": 0,
         "fragments_enumerated": 0,
@@ -370,7 +363,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     calc = cutlib.VminCalculator(pinst)
 
     t0 = time.monotonic()
-    lbres = compute_lower_bound(pinst, cfg, clock, calc)
+    lbres = compute_lower_bound(pinst, cfg, deadline, calc)
     mark("lower_bound", t0)
     for c in lbres.cuts:
         counts[c.kind] += 1
@@ -385,56 +378,53 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
 
     t0 = time.monotonic()
     ub_sol, incumbent = initial_upper_bound(lbres.columns, lbres.cuts,
-                                            pinst, cfg, clock, calc, counts)
+                                            pinst, cfg, deadline, calc, counts)
     mark("initial_ub", t0)
     if ub_sol <= _int_floor_bound(lb_cert):
         return BoundsState(ub_sol, ub_sol, incumbent, "optimal", stats)
     lb_sol = lb_cert
-    ub_cand = float(min(ub_sol - 1, math.ceil((1 + cfg.gap_init) * lb_cert)))
-    # set when the pool at ub - 1 would pass f_max fragments
-    overflowed = False
+    sched = float(math.ceil((1 + cfg.gap_init) * lb_cert))
+    refused = math.inf    # the candidate whose pool passed f_max
 
     # any feasible solution costs less than the artificial column, so a
     # candidate bound beyond it turns "nothing found" into "infeasible"
     c_art = artificial_cost(pinst)
 
+    def pool_at(ub_cand):
+        """Every fragment priced within ub_cand - lb, or None past f_max."""
+        try:
+            return enumerate_fragments(
+                lbres.duals, max(0.0, ub_cand - lb_cert), pinst, cfg,
+                deadline=deadline)
+        except LimitExceeded:
+            return None
+
     status = "gap-limit"
-    iteration = 0
-    while iteration < 64:
-        iteration += 1
+    for iteration in range(1, 65):
         stats["iterations"] = iteration
-        if clock.expired():
+        if time.monotonic() >= deadline:
             status = "time-limit"
             break
 
         t0 = time.monotonic()
+        pool = None
         try:
-            if math.isfinite(ub_sol) and not overflowed:
-                try:
-                    pool = enumerate_fragments(
-                        lbres.duals, max(0.0, ub_sol - 1 - lb_cert), pinst,
-                        cfg, deadline=clock.deadline())
-                    ub_cand = ub_sol - 1
-                except LimitExceeded:
-                    overflowed = True
-            if math.isinf(ub_sol) or overflowed:
-                if iteration > 1:
-                    grown = ub_cand + cfg.gap_step * lb_cert
-                    if grown <= ub_cand + 1e-9:
-                        grown = max(grown, 2.0 * ub_cand, ub_cand + 1.0)
-                    ub_cand = float(min(ub_sol - 1, math.ceil(grown)))
-                pool = enumerate_fragments(
-                    lbres.duals, max(0.0, ub_cand - lb_cert), pinst, cfg,
-                    deadline=clock.deadline())
-        except LimitExceeded:
-            mark("enumerate", t0)
-            status = "fragment-limit"
-            break
+            if math.isfinite(ub_sol) and math.isinf(refused):
+                ub_cand = ub_sol - 1
+                pool = pool_at(ub_cand)
+                if pool is None:
+                    refused = ub_cand
+            if pool is None:
+                ub_cand = min(sched, ub_sol - 1)
+                pool = pool_at(ub_cand) if ub_cand < refused else None
         except DeadlinePassed:
             mark("enumerate", t0)
             status = "time-limit"
             break
         mark("enumerate", t0)
+        if pool is None:
+            status = "fragment-limit"
+            break
         stats["fragments_enumerated"] += len(pool)
         gap = max(0.0, ub_cand - lb_cert)
 
@@ -451,7 +441,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         # returns inf, and its milp_value is null.
         cutoff = ub_sol - 1 + 1e-6 if math.isfinite(ub_sol) else None
         t0 = time.monotonic()
-        val, inc, proven = _solve_restricted(m, pinst, clock, counts,
+        val, inc, proven = _solve_restricted(m, pinst, deadline, counts,
                                              cutoff=cutoff)
         stats["rounds"].append({"ub_cand": ub_cand, "enumerated": len(pool),
                                 "kept": len(kept), "milp_value": _num(val),
@@ -472,6 +462,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         if math.isinf(ub_sol) and ub_cand >= c_art:
             status = "infeasible"
             break
+        sched = _grow(sched, cfg.gap_step * lb_cert)
 
     if status == "infeasible":
         return BoundsState(float("inf"), float("inf"), None, status, stats)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fragments import Fragment, assemble, initial_bounds
 from .instance import Instance, SolverConfig
-from .master import DualValues, MasterError, MasterModel
+from .master import LP_TOLERANCE, DualValues, MasterError, MasterModel
 from .pricing import (CostEnv, Label, exact_memory, extend_label,
                       fragment_reduced_cost, interior_tasks, is_complete)
 
@@ -161,7 +161,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     env.check_labelable()
     ng = exact_memory(inst)
     bound = _CompletionLB(env)
-    tol = cfg.lp_tolerance
+    tol = LP_TOLERANCE
     kept: List[Tuple[tuple, Label]] = []
     stack: List[Label] = []
     for s in sorted((0,) if not inst.vd else (0, *sorted(inst.vd)),
@@ -249,10 +249,9 @@ def reduce_by_resolve(frags: Sequence[Fragment], master: MasterModel,
     if sol.status != "optimal":
         raise MasterError("re-solve after enumeration: %s" % sol.status)
     lb = sol.objective
-    budget = ub_cand - lb
-    tol = master.cfg.lp_tolerance
     env = CostEnv(sol.duals, master.inst)
-    out = [f for f in frags if fragment_reduced_cost(f, env) <= budget + tol]
+    out = [f for f in frags
+           if fragment_reduced_cost(f, env) <= ub_cand - lb + LP_TOLERANCE]
     master.drop_fragments({f.tasks for f in master.fragments[held:]}
                           - {f.tasks for f in out})
     return out, sol.duals, lb

@@ -158,19 +158,23 @@ class Instance:
 
 @dataclasses.dataclass
 class SolverConfig:
-    # the gap rounds' schedule while no incumbent exists, or when the pool
-    # at ub - 1 passes f_max; otherwise driver.run rounds at ub - 1
+    """The options of `fragvrp solve`, one field per flag.
+
+    gap_init: the gap schedule's first candidate, as a fraction above lb.
+    gap_step: the gap schedule's growth per round, as a fraction of lb.
+    k_max: largest dependent set FSEC separation enumerates.
+    t_guess: seconds for the first-incumbent solve, repairs included.
+    f_max: fragments one enumeration may keep, at most.
+    ng_size: nearest tasks a pricing label remembers, per task.
+    time_limit: seconds for the whole solve.
+    """
     gap_init: float = 0.05
     gap_step: float = 0.05
     k_max: int = 5
     t_guess: float = 100.0
     f_max: int = 20_000_000
     ng_size: int = 10
-    cols_per_iter: int = 100
-    frcc_size_cap_fraction: float = 0.25
-    lp_tolerance: float = 1e-6
     time_limit: float = float("inf")
-    enabled_cuts: frozenset = frozenset({"FSEC", "TIFI", "TDIFI", "RCC"})
 
 
 def dependency_from_type(kind, u, v, inst, delta_min=None, delta_max=None):

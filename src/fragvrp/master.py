@@ -29,6 +29,9 @@ from .cuts import FsecCut, VminCalculator, rcc_rhs
 from .fragments import Fragment, build_fragment
 from .instance import Instance, SolverConfig
 
+# margin of every reduced-cost, cut-violation and dual-sign test
+LP_TOLERANCE = 1e-6
+
 
 class MasterError(RuntimeError):
     """Unexpected backend failure (not plain infeasibility)."""
@@ -77,9 +80,8 @@ ART = 0
 
 
 class MasterModel:
-    def __init__(self, inst: Instance, cfg: SolverConfig):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.cfg = cfg
         self.vd = sorted(inst.vd)
         self.fragments: List[Fragment] = []
         self.cuts: list = []
@@ -300,7 +302,7 @@ class MasterModel:
         if forbid_artificial:
             ub[len(self.fragments) + ART] = 0.0
         res = lpback.solve_lp(obj, A, senses, rhs, lb, ub,
-                              tol=self.cfg.lp_tolerance)
+                              tol=LP_TOLERANCE)
         if res.status == "infeasible":
             return MasterSolution("infeasible", float("inf"),
                                   np.zeros(len(self.fragments)), 0.0, {})
@@ -382,7 +384,7 @@ def build_initial(inst: Instance, cfg: SolverConfig,
     the set is small; otherwise the capacity bound ceil(q(V_D)/Q) keeps
     the row valid at negligible cost.
     """
-    m = MasterModel(inst, cfg)
+    m = MasterModel(inst)
     m.add_fragments(initial_fragments(inst))
     calc = vmin_calc or VminCalculator(inst)
     for dep in inst.deps:

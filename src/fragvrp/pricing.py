@@ -46,7 +46,9 @@ import numpy as np
 from .cuts import FrccCut, RccCut
 from .fragments import Fragment, assemble, initial_bounds, step
 from .instance import Instance, SolverConfig
-from .master import DualValues
+from .master import LP_TOLERANCE, DualValues
+
+COLS_PER_ITER = 100    # columns one pricing call returns, at most
 
 
 class Label:
@@ -409,7 +411,7 @@ def _output_order(lab: Label):
 def solve_pricing(duals: DualValues, inst: Instance,
                   cfg: SolverConfig, ng=None) -> List[Fragment]:
     """Fragments with strictly negative reduced cost under the current
-    prices: at most cfg.cols_per_iter, always containing a cheapest one
+    prices: at most COLS_PER_ITER, always containing a cheapest one
     for every start task that has any.  An empty result certifies that
     no ng-relaxed fragment prices negative, so the master value is a
     valid relaxation bound."""
@@ -417,11 +419,10 @@ def solve_pricing(duals: DualValues, inst: Instance,
     env.check_labelable()
     if ng is None:
         ng = ng_neighborhoods(inst, cfg.ng_size)
-    tol = cfg.lp_tolerance
     negatives: List[Label] = []
     for s in [0] + sorted(inst.vd):
         for lab in labels_from(s, env, ng):
-            if lab.rcost < -tol:
+            if lab.rcost < -LP_TOLERANCE:
                 negatives.append(lab)
     negatives.sort(key=_output_order)
     lead: List[Label] = []
@@ -433,7 +434,7 @@ def solve_pricing(duals: DualValues, inst: Instance,
         else:
             seen.add(lab.start)
             lead.append(lab)
-    chosen = (lead + rest)[: max(0, int(cfg.cols_per_iter))]
+    chosen = (lead + rest)[:COLS_PER_ITER]
     chosen.sort(key=_output_order)
     return [assemble(lab.tasks, inst, (lab.es, lab.ls, lab.dur))
             for lab in chosen]

@@ -462,6 +462,15 @@ class TestRunBatch:
                 == "%.4f" % (sum(frags) / len(frags)))
         assert agg[-1]["status"] == "3/3 optimal"
 
+    def test_unknown_config_field_is_an_error_row(self, tmp_path):
+        # a manifest may set only SolverConfig's fields, the solve flags
+        p = tmp_path / "c.json"
+        save_instance(quick_instance(), p)
+        single, _ = self.parse(run_batch(
+            [{"instance": str(p), "config": {"cols_per_iter": 4}},
+             {"instance": str(p), "config": {"k_max": 4}}]))
+        assert [r["status"] for r in single] == ["error", "optimal"]
+
     def test_base_config_applies_to_all(self, tmp_path):
         p = tmp_path / "c.json"
         save_instance(quick_instance(), p)

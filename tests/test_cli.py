@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line frontend's exit-code contract."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 import fragvrp.cli as cli
-from fragvrp.instance import (Instance, Task, TemporalDependency,
-                              load_instance, save_instance)
+from fragvrp.instance import (Instance, SolverConfig, Task,
+                              TemporalDependency, load_instance,
+                              save_instance)
 from fragvrp.oracle import brute_force_optimal
 
 from support import random_instance
@@ -280,6 +283,20 @@ class TestBench:
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert cli.main(["bench", str(tmp_path / "none.json")]) == 3
+
+
+def test_config_holds_the_solve_flags():
+    # one SolverConfig field per `fragvrp solve` option, with the same
+    # default, and every field read by the solver
+    args = vars(cli._build_parser().parse_args(["solve", "inst.json"]))
+    flags = set(args) - {"command", "instance", "out", "func"}
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields == flags and len(fields) == 7
+    assert all(args[name] == getattr(SolverConfig(), name) for name in flags)
+    src = "".join(p.read_text()
+                  for p in Path(cli.__file__).resolve().parent.glob("*.py"))
+    for name in fields:
+        assert re.search(r"\bcfg\.%s\b" % name, src), name
 
 
 def test_console_script_help():

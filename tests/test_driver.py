@@ -18,7 +18,8 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
 from fragvrp.enumeration import DeadlinePassed, LimitExceeded
 from fragvrp.instance import (Instance, SolverConfig, Task,
                               TemporalDependency)
-from fragvrp.master import MasterError, MasterModel, initial_fragments
+from fragvrp.master import (LP_TOLERANCE, MasterError, MasterModel,
+                            initial_fragments)
 from fragvrp.oracle import arc_model_solve, brute_force_optimal
 from fragvrp.scheduling import schedule_routes
 
@@ -150,16 +151,19 @@ class TestComputeLowerBound:
             done += 1
         assert done >= 5
 
-    def test_rows_never_hurt(self):
+    def test_rows_never_hurt(self, monkeypatch):
         rng = np.random.default_rng(19)
-        base = SolverConfig(enabled_cuts=frozenset())
-        full = SolverConfig()
+        cfg = SolverConfig()
         for _ in range(5):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            plain = compute_lower_bound(inst, base)
+            with monkeypatch.context() as mp:
+                for family in ("fsec", "tifi", "tdifi", "rcc"):
+                    mp.setattr(cutlib, "separate_" + family,
+                               lambda *args, **kwargs: [])
+                plain = compute_lower_bound(inst, cfg)
             if plain.status != "optimal":
                 continue
-            rich = compute_lower_bound(inst, full)
+            rich = compute_lower_bound(inst, cfg)
             assert rich.lb >= plain.lb - 1e-6
 
     def test_unpack_shape(self):
@@ -205,7 +209,7 @@ class TestInitialUpperBound:
         # value and no row the lower bound's separators would add
         rng = np.random.default_rng(29)
         cfg = SolverConfig()
-        tol = cfg.lp_tolerance
+        tol = LP_TOLERANCE
         done = 0
         for _ in range(40):
             inst = random_instance(rng, n_tasks=6, n_deps=3)
@@ -232,6 +236,33 @@ class TestInitialUpperBound:
         res = compute_lower_bound(inst, cfg)
         ub, inc = initial_upper_bound(res.columns, res.cuts, inst, cfg)
         assert ub == float("inf") and inc is None
+
+    def test_guess_budget_covers_the_repairs(self, monkeypatch):
+        # t_guess caps the first-incumbent solve in total: each repair
+        # re-solve gets what the earlier solves left of it
+        inst = line_instance(n=3, deps=[TemporalDependency(1, 2, 0, 60,
+                                                           0, 60)])
+        cfg = SolverConfig(t_guess=5.0)
+        res = compute_lower_bound(inst, cfg)
+        stuck, limits = [], []
+
+        def undecodable(m, sol, inst):
+            stuck.append(frozenset(range(3 - len(stuck), 4)))
+            return None, stuck[-1]
+
+        solve = MasterModel.solve_integer
+
+        def solve_integer(m, time_limit=None, cutoff=None):
+            limits.append(time_limit)
+            return solve(m, time_limit=time_limit, cutoff=cutoff)
+
+        monkeypatch.setattr(driver, "_decode", undecodable)
+        monkeypatch.setattr(MasterModel, "solve_integer", solve_integer)
+        with pytest.raises(MasterError, match="after 3 solves"):
+            initial_upper_bound(res.columns, res.cuts, inst, cfg)
+        assert len(limits) == 3
+        assert all(t <= 5.0 for t in limits)
+        assert limits == sorted(set(limits), reverse=True)
 
 
 def cycle_bait_instance():
@@ -363,14 +394,14 @@ class TestRun:
         st = run(inst, SolverConfig())
         assert st.status == "infeasible"
 
-    def test_cycle_bait_repaired(self):
+    def test_cycle_bait_repaired(self, monkeypatch):
         inst = cycle_bait_instance()
         best, _ = oracle_best(inst)
         assert best == 16    # 0 -> trio -> 4 -> 0
-        cfg = SolverConfig(
-            gap_init=0.65,
-            enabled_cuts=frozenset({"TIFI", "TDIFI", "RCC"}))
-        st = run(inst, cfg)
+        # no FSEC separated, so only the repair row can forbid the cycle
+        monkeypatch.setattr(cutlib, "separate_fsec",
+                            lambda *args, **kwargs: [])
+        st = run(inst, SolverConfig(gap_init=0.65))
         assert st.status == "optimal"
         assert st.ub_sol == 16
         assert check_solution(st.incumbent, inst)
@@ -479,42 +510,49 @@ class TestArcModelAgreement:
 
 
 def refusing_first_pool(enum):
-    """enumerate_fragments, except that its first call raises
-    LimitExceeded as if that pool, the one at ub - 1, held more than
-    f_max fragments: the rounds then run on the gap_init/gap_step
-    schedule, capped at ub - 1, whose pools are let through."""
-    calls = []
+    """enumerate_fragments, except that it raises LimitExceeded on its
+    first call, as if that pool, the one at ub - 1, held more than f_max
+    fragments, and on every call at a gap as wide or wider, as f_max
+    would: a pool never shrinks as its gap grows.  The rounds then run
+    on the gap_init/gap_step schedule, whose pools below that gap are
+    let through."""
+    first = []
 
     def enumerate_fragments(duals, gap, *args, **kwargs):
-        calls.append(gap)
-        if len(calls) == 1:
+        if not first:
+            first.append(gap)
+        if gap >= first[0]:
             raise LimitExceeded(0)
         return enum(duals, gap, *args, **kwargs)
 
     return enumerate_fragments
 
 
-# seeds whose first incumbent leaves a gap, so the loop runs: one round
-# at ub - 1 with the default config; rounds on the gap_init/gap_step
-# schedule when the pool at ub - 1 is refused as past f_max; and, with
-# no first incumbent (t_guess 0), rounds on that schedule until one
-# finds an incumbent
-GAP_CASES = [(cfg, refuse, seed)
+# (config, refuse the pool at ub - 1, tasks, seed), each leaving a gap
+# after the first incumbent, so the loop runs: one round at ub - 1 with
+# the default config; with no first incumbent (t_guess 0), rounds on the
+# gap_init/gap_step schedule until one finds an incumbent; and rounds on
+# that schedule when the pool at ub - 1 is refused as past f_max.  Those
+# close only if a round below ub - 1 finds a cheaper solution, so their
+# first incumbent is above the optimum, which no 6-task seed below 400
+# draws
+GAP_CASES = [(cfg, refuse, 6, seed)
              for cfg, refuse in (
                  (SolverConfig(), False),
-                 (SolverConfig(gap_init=0.0, gap_step=0.02), True),
                  (SolverConfig(gap_init=0.0, gap_step=0.02, t_guess=0.0),
                   False))
-             for seed in (12, 59, 80, 83, 105, 111)]
+             for seed in (12, 59, 80, 83, 105, 111)] + \
+    [(SolverConfig(gap_init=0.0, gap_step=0.02), True, n_tasks, seed)
+     for n_tasks, seed in ((7, 148), (8, 64), (8, 133), (8, 146), (8, 249))]
 
 
-def solve_gap_case(cfg, refuse, seed):
+def solve_gap_case(cfg, refuse, n_tasks, seed):
     with pytest.MonkeyPatch.context() as mp:
         if refuse:
             mp.setattr(driver, "enumerate_fragments",
                        refusing_first_pool(driver.enumerate_fragments))
-        return run(random_instance(np.random.default_rng(seed), n_tasks=6),
-                   cfg)
+        return run(random_instance(np.random.default_rng(seed),
+                                   n_tasks=n_tasks), cfg)
 
 
 @pytest.fixture(scope="class")
@@ -633,8 +671,8 @@ class TestRoundSchedule:
 
     def test_one_enumeration_with_a_first_incumbent(self, gap_runs):
         seen = 0
-        for (_, refuse, _), (st, events) in zip(GAP_CASES, gap_runs,
-                                                strict=True):
+        for (_, refuse, _, _), (st, events) in zip(GAP_CASES, gap_runs,
+                                                   strict=True):
             kind, first_ub = events[0]
             assert kind == "ub"
             gaps = [value for kind, value in events if kind == "gap"]
@@ -663,6 +701,59 @@ class TestRoundSchedule:
         assert [(r["ub_cand"], r["enumerated"])
                 for r in capped.stats["rounds"]] == [(324, 243)]
         assert (capped.lb_sol, capped.ub_sol) == (325, 340)
+
+    def test_refused_pool_listed_once(self, monkeypatch):
+        # with f_max 510 the pool at ub - 1 = 339 is refused; the
+        # schedule's round at 324 proves nothing costs 324 or less, and
+        # its next candidate, capped at 339, would list that same pool
+        inst = solomon_instance("S101", "max-diff", 0.2, 22)
+        enum = driver.enumerate_fragments
+        gaps = []
+
+        def enumerate_fragments(duals, gap, *args, **kwargs):
+            gaps.append(gap)
+            return enum(duals, gap, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "enumerate_fragments",
+                            enumerate_fragments)
+        st = run(inst, SolverConfig(f_max=510))
+        lb = st.stats["lb_certified"]
+        assert [round(lb + g) for g in gaps] == [339, 324]
+        assert gaps[0] == pytest.approx(30.846, abs=1e-3)
+        assert st.status == "fragment-limit"
+        assert (st.lb_sol, st.ub_sol) == (325, 340)
+
+    def test_late_fallback(self, monkeypatch):
+        # no first incumbent: the schedule's round at 49 finds one at 54,
+        # above its candidate; the pool at 53 then passes f_max, so the
+        # schedule goes on from 49, and its round at 51 finds the optimum
+        inst = random_instance(np.random.default_rng(148), n_tasks=7)
+        enum = driver.enumerate_fragments
+        calls = []
+
+        def enumerate_fragments(duals, gap, *args, **kwargs):
+            try:
+                pool = enum(duals, gap, *args, **kwargs)
+            except LimitExceeded:
+                calls.append((gap, "refused"))
+                raise
+            calls.append((gap, "listed"))
+            return pool
+
+        monkeypatch.setattr(driver, "enumerate_fragments",
+                            enumerate_fragments)
+        st = run(inst, SolverConfig(gap_init=0.0, gap_step=0.02,
+                                    t_guess=0.0, f_max=45))
+        lb = st.stats["lb_certified"]
+        assert [(round(lb + gap), how) for gap, how in calls] == \
+            [(49, "listed"), (53, "refused"), (50, "listed"), (51, "listed")]
+        assert [(r["ub_cand"], r["milp_value"])
+                for r in st.stats["rounds"]] == \
+            [(49, 54), (50, None), (51, 52)]
+        best, _ = brute_force_optimal(inst)
+        assert st.status == "optimal"
+        assert st.lb_sol == st.ub_sol == best == 52
+        assert check_solution(st.incumbent, inst)
 
     def test_fallback_reaches_the_optimum(self, monkeypatch):
         # the first incumbent, 53, is one above the optimum; the pool at
@@ -712,12 +803,15 @@ class TestRoundMaster:
     for array, the master a fresh build over the kept fragments gives."""
 
     @pytest.mark.parametrize("n_tasks,n_deps,seed,refuse", [
-        # with the pool at ub - 1 refused as past f_max, the schedule
-        # runs two rounds, at 45 and 46; each rejects twelve fragments
-        pytest.param(8, 2, 42, True, id="8-2-42"),
-        # refused likewise: two rounds; the first, at 48, rejects one
-        # fragment, the second, at 49, none
-        pytest.param(8, 3, 42, True, id="8-3-42"),
+        # with the pool at ub - 1 refused as past f_max, the schedule's
+        # one round, at 56, rejects five fragments and finds the optimum
+        pytest.param(8, 2, 373, True, id="8-2-373"),
+        # refused likewise: three rounds; the first, at 53, rejects none
+        # and finds 58, the next two, at 56 and 57, reject four each
+        pytest.param(9, 2, 1, True, id="9-2-1"),
+        # refused likewise: two rounds; the first, at 41, rejects none,
+        # the second, at 43, rejects three
+        pytest.param(9, 3, 67, True, id="9-3-67"),
         # one round, at ub - 1; rejects eight, one of them an initial
         # fragment
         pytest.param(7, 3, 17, False, id="7-3-17"),

@@ -11,7 +11,7 @@ from fragvrp.enumeration import (DeadlinePassed, LimitExceeded,
                                  reduce_by_resolve, reduce_by_route_bound)
 from fragvrp.fragments import build_fragment, initial_bounds
 from fragvrp.instance import SolverConfig, Task, TemporalDependency
-from fragvrp.master import build_initial
+from fragvrp.master import LP_TOLERANCE, build_initial
 from fragvrp.pricing import (CostEnv, Label, exact_memory, extend_label,
                              fragment_reduced_cost, interior_tasks,
                              is_complete, solve_pricing)
@@ -197,7 +197,7 @@ class TestCompletionBound:
         rc = [fragment_reduced_cost(f, env) for f in exh]
         for gap in (0.0, 25.0, max(rc, default=0.0) + 1.0):
             gap = max(gap, 0.0)
-            want = [f for f, r in zip(exh, rc) if r <= gap + cfg.lp_tolerance]
+            want = [f for f, r in zip(exh, rc) if r <= gap + LP_TOLERANCE]
             assert enumerate_fragments(duals, gap, inst, cfg) == want
 
 

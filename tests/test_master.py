@@ -76,7 +76,7 @@ def support_cfg():
 class TestRelaxation:
     def test_artificial_only_cover(self):
         inst = line_instance(2)
-        m = MasterModel(inst, support_cfg())
+        m = MasterModel(inst)
         res = m.solve_relaxation()
         assert res.status == "optimal"
         assert res.objective == pytest.approx(m.art_cost, abs=1e-4)
@@ -185,7 +185,7 @@ class TestRelaxation:
         m, res = solved(inst)
         m.add_cut(make_tifi(1, 5))
         val = m.solve_relaxation().objective
-        fresh = MasterModel(inst, support_cfg())
+        fresh = MasterModel(inst)
         fresh.add_fragments(m.fragments)
         for cut in m.cuts:
             fresh.add_cut(cut)
@@ -202,25 +202,26 @@ class TestRelaxation:
 
 
 class TestAssembly:
-    def test_order_of_adds_leaves_the_matrix_unchanged(self):
+    def test_order_of_adds_leaves_the_matrix_unchanged(self, monkeypatch):
         # The lower bound's cuts (RCCs lifted to FRCCs) and its columns,
         # given to one master cuts first and to another interleaved with
         # the columns: every assembled array must come out the same.
         from fragvrp import driver
         from fragvrp.instance import SolverConfig
-        cfg = SolverConfig(frcc_size_cap_fraction=1.0)
+        monkeypatch.setattr(driver, "FRCC_SIZE_CAP", 1.0)
+        cfg = SolverConfig()
         # Seed 1 separates every family, an FRCC among them.
         inst = support.random_instance(np.random.default_rng(1),
                                        n_tasks=6, n_deps=3)
         lb = driver.compute_lower_bound(inst, cfg)
-        cuts = [driver._lift_cut(c, inst, cfg) for c in lb.cuts]
+        cuts = [driver._lift_cut(c, inst) for c in lb.cuts]
         frags = list(lb.columns)
         assert any(c.sense == "G" for c in cuts)
         assert any(c.p_pair is not None and c.p_coeff for c in cuts)
-        first = MasterModel(inst, cfg)
+        first = MasterModel(inst)
         first.add_cuts(cuts)
         first.add_fragments(frags)
-        mixed = MasterModel(inst, cfg)
+        mixed = MasterModel(inst)
         step = -(-len(frags) // (len(cuts) + 1))
         for i, cut in enumerate(cuts):
             mixed.add_fragments(frags[i * step:(i + 1) * step])
@@ -239,19 +240,20 @@ class TestAssembly:
             assert np.asarray(a).dtype == np.asarray(b).dtype
             assert np.array_equal(a, b)
 
-    def test_drop_then_add_matches_a_fresh_build(self):
+    def test_drop_then_add_matches_a_fresh_build(self, monkeypatch):
         # Drop every third column, initial ones among them, then add new
         # columns and the dropped ones again: the triplets must be those
         # of a fresh build that adds the columns in that order.
         from fragvrp import driver
         from fragvrp.instance import SolverConfig
-        cfg = SolverConfig(frcc_size_cap_fraction=1.0)
+        monkeypatch.setattr(driver, "FRCC_SIZE_CAP", 1.0)
+        cfg = SolverConfig()
         inst = support.random_instance(np.random.default_rng(1),
                                        n_tasks=6, n_deps=3)
         lb = driver.compute_lower_bound(inst, cfg)
         m = build_initial(inst, cfg)
         initial = len(m.fragments)
-        m.add_cuts(driver._lift_cut(c, inst, cfg) for c in lb.cuts)
+        m.add_cuts(driver._lift_cut(c, inst) for c in lb.cuts)
         m.add_fragments(lb.columns)
         first = [f for i, f in enumerate(m.fragments) if i % 3 and i < initial]
         rest = [f for i, f in enumerate(m.fragments) if i % 3 and i >= initial]
@@ -261,7 +263,7 @@ class TestAssembly:
         new = [f for f in support.exhaustive_fragments(inst, build_fragment)
                if f.tasks not in m._frag_keys and f not in dropped][:20]
         assert m.add_fragments(new + dropped) == len(new) + len(dropped)
-        fresh = MasterModel(inst, cfg)
+        fresh = MasterModel(inst)
         fresh.add_fragments(first)
         fresh.add_cuts(m.cuts)
         fresh.add_fragments(rest + new + dropped)

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragvrp import cuts, enumeration, lpback
+from fragvrp import cuts, driver, enumeration, lpback, pricing
 from fragvrp.driver import _restricted_master, compute_lower_bound
 from fragvrp.fragments import Fragment, build_fragment, initial_bounds
 from fragvrp.instance import Instance, SolverConfig, Task, TemporalDependency
-from fragvrp.master import DualValues, build_initial
+from fragvrp.master import LP_TOLERANCE, DualValues, build_initial
 from fragvrp.pricing import (CostEnv, Label, _insert, _phi,
                              exact_memory, extend_label, fragment_reduced_cost,
                              interior_tasks, is_complete, labels_from,
@@ -131,7 +131,7 @@ def check_dense_reduced_costs(m, inst, extra=()):
     fragment column.  Returns the checked fragments and the duals."""
     A, obj, lb, ub, senses, rhs = m._assemble()
     res = lpback.solve_lp(obj, A, senses, rhs, lb, ub,
-                          tol=m.cfg.lp_tolerance)
+                          tol=LP_TOLERANCE)
     if res.status != "optimal":
         return [], None
     duals = m._extract_duals(res.duals)
@@ -195,11 +195,12 @@ class TestCompletionCost:
         assert checked > 50
         assert rcc_rows >= 1
 
-    def test_matches_restricted_master_columns(self):
+    def test_matches_restricted_master_columns(self, monkeypatch):
         # the restricted masters of the gap rounds lift capacity cuts to
         # fragment-capacity rows, which only fragment_reduced_cost prices
+        monkeypatch.setattr(driver, "FRCC_SIZE_CAP", 1.0)
         rng = np.random.default_rng(0)
-        cfg = SolverConfig(frcc_size_cap_fraction=1.0)
+        cfg = SolverConfig()
         checked = frcc_rows = 0
         for _ in range(30):
             inst = random_instance(rng, n_tasks=7, n_deps=2)
@@ -632,7 +633,7 @@ class TestSolvePricing:
             want = min(fragment_reduced_cost(f, env)
                        for f in exhaustive_fragments(inst, build_fragment))
             cols = solve_pricing(sol.duals, inst, cfg, ng=exact_memory(inst))
-            if want < -cfg.lp_tolerance:
+            if want < -LP_TOLERANCE:
                 got = min(fragment_reduced_cost(f, env) for f in cols)
                 assert got == pytest.approx(want, abs=1e-7)
             else:
@@ -640,9 +641,10 @@ class TestSolvePricing:
             tried += 1
         assert tried >= 5
 
-    def test_output_contract(self):
+    def test_output_contract(self, monkeypatch):
         rng = np.random.default_rng(31)
-        cfg = SolverConfig(cols_per_iter=4)
+        cfg = SolverConfig()
+        monkeypatch.setattr(pricing, "COLS_PER_ITER", 4)
         done = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=6, n_deps=2)
@@ -650,15 +652,16 @@ class TestSolvePricing:
             sol = m.solve_relaxation()
             if sol.status != "optimal":
                 continue
-            full = solve_pricing(sol.duals, inst,
-                                 SolverConfig(cols_per_iter=10 ** 6))
+            with monkeypatch.context() as mp:
+                mp.setattr(pricing, "COLS_PER_ITER", 10 ** 6)
+                full = solve_pricing(sol.duals, inst, cfg)
             cols = solve_pricing(sol.duals, inst, cfg)
             assert len(cols) <= 4
             seqs = [f.tasks for f in cols]
             assert len(set(seqs)) == len(seqs)
             env = CostEnv(sol.duals, inst)
             rcs = {f.tasks: fragment_reduced_cost(f, env) for f in full}
-            assert all(rcs[s] < -cfg.lp_tolerance for s in seqs if s in rcs)
+            assert all(rcs[s] < -LP_TOLERANCE for s in seqs if s in rcs)
             # every start with a negative fragment keeps its cheapest one
             best = {}
             for f in full:
