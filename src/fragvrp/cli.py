@@ -62,7 +62,10 @@ def _build_parser() -> _Parser:
     s.add_argument("--k-max", type=int, default=d.k_max,
                    help="largest dependent set FSEC separation enumerates")
     s.add_argument("--t-guess", type=float, default=d.t_guess,
-                   help="first-incumbent MILP seconds, repairs included")
+                   help="first-incumbent MILP seconds, repairs included; "
+                        "an integral converged LP is the first incumbent "
+                        "without that MILP, so 0 does not leave such an "
+                        "instance without one")
     s.add_argument("--f-max", type=int, default=d.f_max,
                    help="fragments one enumeration may keep, at most; when "
                         "the pool at ub - 1 passes it, rounds fall back to "

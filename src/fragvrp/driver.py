@@ -4,11 +4,14 @@ The solve proceeds in six steps: tighten the instance, settle the LP
 relaxation by column-and-row generation, guess an upper bound from a
 restricted integer solve, enumerate every fragment priced within the
 candidate gap, reduce the enumerated pool, and close the bracket with
-a final integer solve.  Costs are integers, so the candidate bound
-ub_cand is an integer too: the largest cost a round must rule out.  A
-round's pool holds every fragment of every solution costing at most
-ub_cand, so its final solve either finds the optimum or proves that
-every solution costs at least ub_cand + 1.
+a final integer solve.  Step 3 is skipped when the converged LP is
+integral: fragment weights all 0 or 1 and the artificial column at 0.
+Its solution, once decoded and verified, costs the lower bound, so it
+is the optimum and the solve ends there.  Costs are integers, so the
+candidate bound ub_cand is an integer too: the largest cost a round
+must rule out.  A round's pool holds every fragment of every solution
+costing at most ub_cand, so its final solve either finds the optimum
+or proves that every solution costs at least ub_cand + 1.
 
 With an incumbent, and no pool refused yet, a round's candidate is
 ub - 1: its final solve finds a cheaper solution, which is optimal, or
@@ -23,6 +26,8 @@ round's master holds only the initial columns and the reduced pool.
 
 One deadline, cfg.time_limit after the start, bounds every phase; the
 first-incumbent solve, repairs included, gets t_guess seconds at most.
+stats["first_incumbent"] names where the first incumbent came from,
+"lp" or "milp", and is absent when neither gave one.
 """
 
 import json
@@ -30,6 +35,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from . import cuts as cutlib
 from .enumeration import (DeadlinePassed, LimitExceeded,
@@ -147,13 +154,17 @@ class LowerBound:
     cuts: tuple
     status: str
     pricing_iterations: int = 0
+    # the converged LP's own solution, when it is integral and verifies
+    incumbent: Optional[Incumbent] = None
 
 
 def compute_lower_bound(inst, cfg, deadline=None,
                         vmin_calc=None) -> LowerBound:
     """Alternates pricing with row separation until neither produces
     anything; rows are only separated once pricing comes up empty.
-    Stops at deadline, by default cfg.time_limit from now."""
+    Stops at deadline, by default cfg.time_limit from now.  A converged
+    LP that is integral, artificial column included, and decodes to a
+    verified solution hands that solution back as the incumbent."""
     if deadline is None:
         deadline = time.monotonic() + cfg.time_limit
     calc = vmin_calc or cutlib.VminCalculator(inst)
@@ -204,8 +215,12 @@ def compute_lower_bound(inst, cfg, deadline=None,
         strict = m.solve_relaxation(forbid_artificial=True)
         if strict.status != "optimal":
             return LowerBound(float("inf"), (), None, (), "infeasible")
+    inc = None
+    if sol.artificial <= tol and np.all(
+            np.minimum(np.abs(sol.x), np.abs(sol.x - 1)) <= tol):
+        inc, _ = _verified(m, sol, inst)
     return LowerBound(sol.objective, tuple(m.fragments), sol.duals,
-                      tuple(m.cuts), status, iters)
+                      tuple(m.cuts), status, iters, inc)
 
 
 # -- Steps 3 and 5: restricted integer solves -------------------------
@@ -271,6 +286,15 @@ def _decode(m, sol, inst):
     return inc, set()
 
 
+def _verified(m, sol, inst):
+    """_decode's answer, with an incumbent that check_solution rejects
+    turned into (None, set())."""
+    inc, stuck = _decode(m, sol, inst)
+    if inc is not None and not check_solution(inc, inst):
+        return None, set()
+    return inc, stuck
+
+
 def _solve_restricted(m, inst, deadline, counts, cutoff=None):
     """Integer solve; decodes and verifies the incumbent, adding a repair
     subtour row in the degenerate case of a depot-free cycle that the
@@ -289,9 +313,9 @@ def _solve_restricted(m, inst, deadline, counts, cutoff=None):
         if isol.status == "no_solution":
             return float("inf"), None, False
         proven = isol.status == "optimal"
-        inc, stuck = _decode(m, isol, inst)
-        if inc is not None and check_solution(inc, inst):
-            return float(round(isol.objective)), inc, proven
+        inc, stuck = _verified(m, isol, inst)
+        if inc is not None:
+            return inc.cost, inc, proven
         if not stuck:
             raise MasterError("integer master produced an unusable solution")
         vmin = max(1, cutlib.rcc_rhs(stuck, inst))
@@ -376,10 +400,17 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     if lbres.status == "time-limit":
         return BoundsState(lb_cert, float("inf"), None, "time-limit", stats)
 
-    t0 = time.monotonic()
-    ub_sol, incumbent = initial_upper_bound(lbres.columns, lbres.cuts,
-                                            pinst, cfg, deadline, calc, counts)
-    mark("initial_ub", t0)
+    if lbres.incumbent is not None:
+        ub_sol, incumbent = lbres.incumbent.cost, lbres.incumbent
+        stats["first_incumbent"] = "lp"
+    else:
+        t0 = time.monotonic()
+        ub_sol, incumbent = initial_upper_bound(lbres.columns, lbres.cuts,
+                                                pinst, cfg, deadline, calc,
+                                                counts)
+        mark("initial_ub", t0)
+        if incumbent is not None:
+            stats["first_incumbent"] = "milp"
     if ub_sol <= _int_floor_bound(lb_cert):
         return BoundsState(ub_sol, ub_sol, incumbent, "optimal", stats)
     lb_sol = lb_cert

@@ -163,7 +163,10 @@ class SolverConfig:
     gap_init: the gap schedule's first candidate, as a fraction above lb.
     gap_step: the gap schedule's growth per round, as a fraction of lb.
     k_max: largest dependent set FSEC separation enumerates.
-    t_guess: seconds for the first-incumbent solve, repairs included.
+    t_guess: seconds for the first-incumbent MILP, repairs included.  It
+        caps that MILP only: a converged LP that is integral is the
+        first incumbent without one, so t_guess = 0 leaves such an
+        instance its incumbent.
     f_max: fragments one enumeration may keep, at most.
     ng_size: nearest tasks a pricing label remembers, per task.
     time_limit: seconds for the whole solve.

@@ -70,6 +70,9 @@ class TestSolve:
         assert doc["ub"] == cost
         served = sorted(v for r in doc["routes"] for v in r)
         assert served == [1, 2]
+        # the converged LP is integral here, so no MILP ran
+        assert doc["stats"]["first_incumbent"] == "lp"
+        assert "initial_ub" not in doc["stats"]["wall_times"]
 
     def test_out_file(self, inst_path, tmp_path, capsys):
         out = tmp_path / "sol.json"
@@ -82,7 +85,9 @@ class TestSolve:
         captured = capsys.readouterr()
         assert rc == 1
         assert "stopped: time-limit" in captured.err
-        assert json.loads(captured.out)["status"] == "time-limit"
+        doc = json.loads(captured.out)
+        assert doc["status"] == "time-limit"
+        assert "first_incumbent" not in doc["stats"]
 
     def test_fragment_limit_exit_one_with_bounds(self, tmp_path, capsys):
         # the first incumbent, 53, leaves a gap, and no pool fits f_max 0
@@ -329,3 +334,5 @@ def test_solve_stdout_is_json(tmp_path):
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["status"] == "optimal" and doc["lb"] == doc["ub"] == 323
+    # the LP is fractional: the first incumbent, 324, is the MILP's
+    assert doc["stats"]["first_incumbent"] == "milp"

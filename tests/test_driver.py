@@ -445,6 +445,157 @@ class TestRun:
         assert st.stats["rounds"] == []
 
 
+def counting_milps(monkeypatch):
+    """Wraps MasterModel.solve_integer; the list it returns grows by one
+    per integer solve."""
+    calls = []
+    solve = MasterModel.solve_integer
+
+    def solve_integer(m, *args, **kwargs):
+        calls.append(m)
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(MasterModel, "solve_integer", solve_integer)
+    return calls
+
+
+class TestIntegralLowerBound:
+    """A converged LP whose fragment weights are 0 or 1, with the
+    artificial column at 0, decodes to the first incumbent: it costs the
+    lower bound, so the solve ends without an integer solve."""
+
+    def test_integral_lp_closes_the_solve(self, monkeypatch):
+        # of these seeds the LP ends integral on 0, 2, 7, 8, 10 and 11
+        milps = counting_milps(monkeypatch)
+        fired = 0
+        for seed in range(12):
+            inst = random_instance(np.random.default_rng(seed), n_tasks=6)
+            del milps[:]
+            st = run(inst, SolverConfig())
+            if st.stats.get("first_incumbent") != "lp":
+                continue
+            best, _ = brute_force_optimal(inst)
+            assert st.status == "optimal"
+            assert st.lb_sol == st.ub_sol == st.incumbent.cost == best
+            assert st.stats["lb_certified"] == pytest.approx(best, abs=1e-6)
+            assert check_solution(st.incumbent, inst)
+            assert milps == []
+            assert "initial_ub" not in st.stats["wall_times"]
+            assert st.stats["rounds"] == []
+            fired += 1
+        assert fired == 6
+
+    def test_fractional_lp_runs_the_milp(self, monkeypatch):
+        # gap-loop's S101 max-diff: the converged LP is fractional, so the
+        # first incumbent comes from the restricted MILP, and the round
+        # at ub - 1 runs as before
+        inst = solomon_instance("S101", "max-diff", 0.2, 22)
+        lower = driver.compute_lower_bound
+        initial = driver.initial_upper_bound
+        lbs, first = [], []
+
+        def compute_lower_bound(*args, **kwargs):
+            lbs.append(lower(*args, **kwargs))
+            return lbs[-1]
+
+        def initial_upper_bound(*args, **kwargs):
+            out = initial(*args, **kwargs)
+            first.append(out[0])
+            return out
+
+        monkeypatch.setattr(driver, "compute_lower_bound",
+                            compute_lower_bound)
+        monkeypatch.setattr(driver, "initial_upper_bound",
+                            initial_upper_bound)
+        st = run(inst, SolverConfig())
+        [lb] = lbs
+        assert lb.status == "optimal" and lb.incumbent is None
+        assert first == [340]
+        assert st.stats["first_incumbent"] == "milp"
+        assert "initial_ub" in st.stats["wall_times"]
+        assert [(r["ub_cand"], r["enumerated"])
+                for r in st.stats["rounds"]] == [(339, 511)]
+        assert (st.status, st.lb_sol, st.ub_sol) == ("optimal", 340, 340)
+
+    @pytest.mark.parametrize("fail", ["decode", "verify"])
+    def test_unusable_integral_lp_falls_back(self, monkeypatch, fail):
+        # the LP of random_instance seed 0 ends integral; when its decode
+        # fails, or its solution fails verification, the restricted MILP
+        # gives the first incumbent and the answer is the same
+        inst = random_instance(np.random.default_rng(0), n_tasks=6)
+        plain = run(inst, SolverConfig())
+        assert plain.stats["first_incumbent"] == "lp"
+        milps = counting_milps(monkeypatch)
+        refused = []
+        if fail == "decode":
+            decode = driver._decode
+
+            def first_fails(m, sol, inst):
+                if not refused:
+                    refused.append(len(milps))
+                    return None, set()
+                return decode(m, sol, inst)
+
+            monkeypatch.setattr(driver, "_decode", first_fails)
+        else:
+            check = driver.check_solution
+
+            def first_fails(inc, inst):
+                if not refused:
+                    refused.append(len(milps))
+                    return False
+                return check(inc, inst)
+
+            monkeypatch.setattr(driver, "check_solution", first_fails)
+        st = run(inst, SolverConfig())
+        # the refused solution was the LP's: no integer solve had run
+        assert refused == [0]
+        assert len(milps) >= 1
+        assert st.stats["first_incumbent"] == "milp"
+        assert (st.status, st.lb_sol, st.ub_sol) == \
+            (plain.status, plain.lb_sol, plain.ub_sol)
+        assert check_solution(st.incumbent, inst)
+
+    def test_time_limit_lower_bound_takes_no_incumbent(self):
+        # the seed master's LP is integral here, three depot round trips
+        # costing 12 against the optimum 6: a bound stopped by the clock
+        # must not pass it on as an incumbent
+        inst = line_instance(n=3)
+        cfg = SolverConfig()
+        m = driver.build_initial(inst, cfg)
+        sol = m.solve_relaxation()
+        inc, _ = driver._verified(m, sol, inst)
+        assert inc is not None and inc.cost == 12
+        res = compute_lower_bound(inst, cfg, deadline=time.monotonic())
+        assert res.status == "time-limit" and res.incumbent is None
+        st = run(inst, SolverConfig(time_limit=0.0))
+        assert st.status == "time-limit" and st.incumbent is None
+        assert "first_incumbent" not in st.stats
+        assert run(inst, cfg).ub_sol == 6
+
+    def test_unforced_schedule_retry(self, monkeypatch):
+        # the integral LP's order variables round to orders that no
+        # schedule of its routes meets; _decode's retry without them
+        # schedules the routes, and the solution is optimal
+        inst = random_instance(np.random.default_rng(2), n_tasks=5)
+        sched = driver.schedule_routes
+        calls = []
+
+        def schedule_routes(routes, inst, *forced):
+            out = sched(routes, inst, *forced)
+            calls.append((bool(forced), out[0]))
+            return out
+
+        monkeypatch.setattr(driver, "schedule_routes", schedule_routes)
+        st = run(inst, SolverConfig())
+        best, _ = brute_force_optimal(inst)
+        assert calls == [(True, False), (False, True)]
+        assert st.stats["first_incumbent"] == "lp"
+        assert st.status == "optimal"
+        assert st.lb_sol == st.ub_sol == best == 33
+        assert check_solution(st.incumbent, inst)
+
+
 class TestCapacityBinding:
     def test_matches_brute_force(self):
         """Demands in [Q/5, Q/2] and one vehicle per task: capacity, not
@@ -530,12 +681,13 @@ def refusing_first_pool(enum):
 
 # (config, refuse the pool at ub - 1, tasks, seed), each leaving a gap
 # after the first incumbent, so the loop runs: one round at ub - 1 with
-# the default config; with no first incumbent (t_guess 0), rounds on the
-# gap_init/gap_step schedule until one finds an incumbent; and rounds on
-# that schedule when the pool at ub - 1 is refused as past f_max.  Those
-# close only if a round below ub - 1 finds a cheaper solution, so their
-# first incumbent is above the optimum, which no 6-task seed below 400
-# draws
+# the default config; with no first incumbent, rounds on the
+# gap_init/gap_step schedule until one finds an incumbent (t_guess 0
+# skips the first-incumbent MILP, and every one of these LPs ends
+# fractional, so it is no incumbent either); and rounds on that schedule
+# when the pool at ub - 1 is refused as past f_max.  Those close only if
+# a round below ub - 1 finds a cheaper solution, so their first
+# incumbent is above the optimum, which no 6-task seed below 400 draws
 GAP_CASES = [(cfg, refuse, 6, seed)
              for cfg, refuse in (
                  (SolverConfig(), False),
