@@ -26,10 +26,9 @@ from fragvrp import bench
 from fragvrp.cuts import VminCalculator
 from fragvrp.driver import compute_lower_bound, initial_upper_bound
 from fragvrp.enumeration import enumerate_fragments
-from fragvrp.instance import SolverConfig
 from fragvrp.master import build_initial
 from fragvrp.preprocess import preprocess
-from fragvrp.pricing import CostEnv, labels_from, ng_neighborhoods
+from fragvrp.pricing import NG_SIZE, CostEnv, labels_from, ng_neighborhoods
 
 DATA = Path(fragvrp.__file__).resolve().parent / "data"
 
@@ -39,28 +38,26 @@ def prepared(request):
     data = bench.load_solomon(DATA / ("%s.txt" % request.param))
     inst = bench.generate_dependencies(data.instance(take=25),
                                        "synchronization", 0.1, 7)
-    return preprocess(inst).instance, SolverConfig()
+    return preprocess(inst).instance
 
 
 @pytest.fixture(scope="module")
 def priced(prepared):
-    inst, cfg = prepared
-    lbres = compute_lower_bound(inst, cfg)
+    lbres = compute_lower_bound(prepared)
     assert lbres.status == "optimal"
-    return inst, lbres, cfg
+    return prepared, lbres
 
 
 @pytest.fixture(scope="module")
 def first_duals(prepared):
-    inst, cfg = prepared
-    sol = build_initial(inst, cfg, VminCalculator(inst)).solve_relaxation()
+    sol = build_initial(prepared, VminCalculator(prepared)).solve_relaxation()
     assert sol.status == "optimal"
     return sol.duals
 
 
-def price_every_start(benchmark, inst, duals, cfg):
+def price_every_start(benchmark, inst, duals):
     env = CostEnv(duals, inst)
-    ng = ng_neighborhoods(inst, cfg.ng_size)
+    ng = ng_neighborhoods(inst, NG_SIZE)
     starts = [0] + sorted(inst.vd)
 
     def price():
@@ -70,18 +67,17 @@ def price_every_start(benchmark, inst, duals, cfg):
 
 
 def test_labels_from(benchmark, priced):
-    inst, lbres, cfg = priced
-    price_every_start(benchmark, inst, lbres.duals, cfg)
+    inst, lbres = priced
+    price_every_start(benchmark, inst, lbres.duals)
 
 
 def test_labels_from_first_call(benchmark, prepared, first_duals):
-    inst, cfg = prepared
-    price_every_start(benchmark, inst, first_duals, cfg)
+    price_every_start(benchmark, prepared, first_duals)
 
 
 def test_enumerate_fragments(benchmark, priced):
-    inst, lbres, cfg = priced
-    ub, _ = initial_upper_bound(lbres.columns, lbres.cuts, inst, cfg)
+    inst, lbres = priced
+    ub, _ = initial_upper_bound(lbres.columns, lbres.cuts, inst)
     gap = max(0.0, ub - 1 - lbres.lb)
-    pool = benchmark(enumerate_fragments, lbres.duals, gap, inst, cfg)
+    pool = benchmark(enumerate_fragments, lbres.duals, gap, inst)
     assert pool

@@ -22,7 +22,6 @@ import fragvrp
 from fragvrp import bench
 from fragvrp.cuts import VminCalculator
 from fragvrp.driver import compute_lower_bound
-from fragvrp.instance import SolverConfig
 from fragvrp.preprocess import preprocess
 from fragvrp.scheduling import schedule_routes
 
@@ -49,7 +48,7 @@ def asked():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VminCalculator, "vmin", record_vmin)
         mp.setattr(VminCalculator, "exceeds", record_exceeds)
-        lbres = compute_lower_bound(pinst, SolverConfig())
+        lbres = compute_lower_bound(pinst)
     assert lbres.status == "optimal" and len(sets) > 100
     return pinst, list(sets)
 

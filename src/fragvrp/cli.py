@@ -47,31 +47,11 @@ def _build_parser() -> _Parser:
     s.add_argument("instance")
     s.add_argument("--time-limit", type=float, default=d.time_limit,
                    help="seconds for the whole solve")
-    s.add_argument("--ng-size", type=int, default=d.ng_size,
-                   help="nearest tasks a pricing label remembers, per task")
-    s.add_argument("--gap-init", type=float, default=d.gap_init,
-                   help="first gap round's candidate bound, as a fraction "
-                        "above the lower bound; schedules rounds only "
-                        "while no incumbent exists or the pool at ub - 1 "
-                        "passes --f-max")
-    s.add_argument("--gap-step", type=float, default=d.gap_step,
-                   help="growth of the candidate bound per gap round, as a "
-                        "fraction of the lower bound; schedules rounds only "
-                        "while no incumbent exists or the pool at ub - 1 "
-                        "passes --f-max")
-    s.add_argument("--k-max", type=int, default=d.k_max,
-                   help="largest dependent set FSEC separation enumerates")
-    s.add_argument("--t-guess", type=float, default=d.t_guess,
-                   help="first-incumbent MILP seconds, repairs included; "
-                        "an integral converged LP is the first incumbent "
-                        "without that MILP, so 0 does not leave such an "
-                        "instance without one")
     s.add_argument("--f-max", type=int, default=d.f_max,
                    help="fragments one enumeration may keep, at most; when "
                         "the pool at ub - 1 passes it, rounds fall back to "
-                        "the --gap-init/--gap-step schedule, and a round "
-                        "whose pool passes it ends the solve with "
-                        "fragment-limit")
+                        "the gap schedule, and a round whose pool passes "
+                        "it ends the solve with fragment-limit")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_solve)
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .fragments import Fragment
 from .instance import Instance
@@ -41,6 +42,9 @@ from .scheduling import dependency_orders, extend_schedule
 from .scheduling import schedule_routes  # noqa: F401
 
 EPS = 1e-9
+# largest dependent set FSEC separation enumerates, and the largest V_D
+# whose up-front FSEC gets an exact V_min
+K_MAX = 5
 
 TDIFI_VARIANTS = ("uv-min", "uv-max", "vu-min", "vu-max")
 
@@ -307,14 +311,13 @@ class VminCalculator:
 
 def separate_fsec(support: Sequence[Tuple[Fragment, float]], inst: Instance,
                   k_max: int, vmin_calc: VminCalculator, viol_tol: float,
-                  existing: Iterable = ()) -> List[FsecCut]:
+                  existing: AbstractSet = frozenset()) -> List[FsecCut]:
     """Enumerate S within the dependent tasks up to k_max, depth first in
     id order, adding the weight each new task shares with the set.  A set
     new to the model is a candidate only when its internal fragment weight
     exceeds 1; it is violated exactly when V_min(S) > k for the largest k
     whose row |S| - k the weight does not violate, which one threshold
     query decides.  Only violated sets get an exact V_min."""
-    existing = set(existing)
     vd = sorted(inst.vd)
     at = {v: i for i, v in enumerate(vd)}
     # link[j][i], i <= j: fragment weight between vd[i] and vd[j]
@@ -394,10 +397,9 @@ def _most_violated(rows: Iterable[IntervalCut], incoming, outgoing,
 
 def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
                   viol_tol: float,
-                  existing: Iterable = ()) -> List[IntervalCut]:
+                  existing: AbstractSet = frozenset()) -> List[IntervalCut]:
     """At most one cut per dependent task, the most violated over the
     candidate time points (earliest completions of ingoing fragments)."""
-    existing = set(existing)
     incoming, outgoing = _by_endpoint(support, inst)
     out: List[IntervalCut] = []
     for v in sorted(inst.vd):
@@ -412,10 +414,9 @@ def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
 def separate_tdifi(support: Sequence[Tuple[Fragment, float]],
                    p_vals: Dict[Tuple[int, int], float], inst: Instance,
                    viol_tol: float,
-                   existing: Iterable = ()) -> List[IntervalCut]:
+                   existing: AbstractSet = frozenset()) -> List[IntervalCut]:
     """At most one cut per dependent pair: the most violated among the
     four variants over their respective candidate time points."""
-    existing = set(existing)
     incoming, outgoing = _by_endpoint(support, inst)
     out: List[IntervalCut] = []
     for dep in inst.deps:
@@ -445,12 +446,11 @@ def _entering_weight(support, S) -> float:
 
 
 def separate_rcc(support: Sequence[Tuple[Fragment, float]], inst: Instance,
-                 viol_tol: float, existing: Iterable = (),
+                 viol_tol: float, existing: AbstractSet = frozenset(),
                  max_new: Optional[int] = None) -> List[RccCut]:
     """Heuristic separation: seed candidate sets from the connected
     components of the undirected support graph over tasks, then improve
     each by single-task exchanges while the violation grows."""
-    existing = set(existing)
     if max_new is not None and max_new <= 0:
         return []
     adj: Dict[int, set] = {v: set() for v in range(1, inst.n + 1)}

@@ -16,16 +16,20 @@ or proves that every solution costs at least ub_cand + 1.
 With an incumbent, and no pool refused yet, a round's candidate is
 ub - 1: its final solve finds a cheaper solution, which is optimal, or
 proves that none exists, so one round closes the bracket.  Otherwise
-it is the schedule's, capped at ub - 1: ceil((1 + gap_init) lb), then
-gap_step lb (at least 1) more per round.  A pool past f_max fragments
-is refused: at ub - 1 the round falls back to the schedule; a refused
-scheduled pool, or a scheduled candidate at or past the refused one (a
-pool never shrinks as its candidate grows), stops the solve with
+it is the schedule's, capped at ub - 1: ceil((1 + GAP_INIT) lb), then
+GAP_STEP lb more per round, rounded up (see _grow).  A pool past f_max
+fragments is refused: at ub - 1 the round falls back to the schedule; a
+refused scheduled pool, or a scheduled candidate at or past the refused
+one (a pool never shrinks as its candidate grows), stops the solve with
 fragment-limit.  The final solve looks only below the incumbent, so a
 round's master holds only the initial columns and the reduced pool.
 
 One deadline, cfg.time_limit after the start, bounds every phase; the
-first-incumbent solve, repairs included, gets t_guess seconds at most.
+first-incumbent solve, repairs included, gets T_GUESS seconds at most.
+It caps that MILP only, so an instance whose integral LP is the first
+incumbent keeps it at any T_GUESS.  The two budgets, time_limit and
+f_max, are the only settings (SolverConfig); GAP_INIT, GAP_STEP and
+T_GUESS here, cuts.K_MAX and pricing.NG_SIZE are the method's constants.
 stats["first_incumbent"] names where the first incumbent came from,
 "lp" or "milp", and is absent when neither gave one.
 """
@@ -45,7 +49,7 @@ from .enumeration import (DeadlinePassed, LimitExceeded,
 from .instance import Instance, SolverConfig
 from .master import LP_TOLERANCE, MasterError, artificial_cost, \
     build_initial
-from .pricing import solve_pricing
+from .pricing import NG_SIZE, ng_neighborhoods, solve_pricing
 from .preprocess import preprocess
 from .scheduling import schedule_routes
 
@@ -53,6 +57,12 @@ from .scheduling import schedule_routes
 RCC_TOTAL_LIMIT = 200
 # restricted masters lift RCCs over at most this fraction of the tasks
 FRCC_SIZE_CAP = 0.25
+# the gap schedule's first candidate, as a fraction above lb, and its
+# growth per round, as a fraction of lb
+GAP_INIT = 0.05
+GAP_STEP = 0.05
+# seconds for the first-incumbent MILP, repairs included
+T_GUESS = 100.0
 
 
 @dataclass(frozen=True)
@@ -158,17 +168,16 @@ class LowerBound:
     incumbent: Optional[Incumbent] = None
 
 
-def compute_lower_bound(inst, cfg, deadline=None,
+def compute_lower_bound(inst, deadline=math.inf,
                         vmin_calc=None) -> LowerBound:
     """Alternates pricing with row separation until neither produces
     anything; rows are only separated once pricing comes up empty.
-    Stops at deadline, by default cfg.time_limit from now.  A converged
-    LP that is integral, artificial column included, and decodes to a
-    verified solution hands that solution back as the incumbent."""
-    if deadline is None:
-        deadline = time.monotonic() + cfg.time_limit
+    Stops at deadline, by default never.  A converged LP that is
+    integral, artificial column included, and decodes to a verified
+    solution hands that solution back as the incumbent."""
     calc = vmin_calc or cutlib.VminCalculator(inst)
-    m = build_initial(inst, cfg, calc)
+    ng = ng_neighborhoods(inst, NG_SIZE)
+    m = build_initial(inst, calc)
     sol = m.solve_relaxation()
     if sol.status != "optimal":
         return LowerBound(float("inf"), (), None, (), "infeasible")
@@ -185,11 +194,11 @@ def compute_lower_bound(inst, cfg, deadline=None,
             status = "time-limit"
             break
         iters += 1
-        added = m.add_fragments(solve_pricing(sol.duals, inst, cfg))
+        added = m.add_fragments(solve_pricing(sol.duals, inst, ng))
         if not added:
             cert = max(cert, sol.objective)
             sup = m.support(sol.x)
-            new = cutlib.separate_fsec(sup, inst, cfg.k_max, calc, tol,
+            new = cutlib.separate_fsec(sup, inst, cutlib.K_MAX, calc, tol,
                                        m.cut_keys())
             new += cutlib.separate_tifi(sup, inst, tol, m.cut_keys())
             new += cutlib.separate_tdifi(sup, sol.p, inst, tol, m.cut_keys())
@@ -233,10 +242,10 @@ def _lift_cut(cut, inst):
     return cut
 
 
-def _restricted_master(inst, cfg, calc, cuts, frags=()):
+def _restricted_master(inst, calc, cuts, frags=()):
     """Initial master plus the lower bound's cuts, capacity rows lifted
     to their fragment form, over the given extra fragments."""
-    m = build_initial(inst, cfg, calc)
+    m = build_initial(inst, calc)
     for cut in cuts:
         m.add_cut(_lift_cut(cut, inst))
     m.add_fragments(frags)
@@ -326,17 +335,15 @@ def _solve_restricted(m, inst, deadline, counts, cutoff=None):
                       % solves)
 
 
-def initial_upper_bound(columns, cuts, inst, cfg, deadline=None,
+def initial_upper_bound(columns, cuts, inst, deadline=math.inf,
                         vmin_calc=None, counts=None):
     """Integer solve over the generated columns with capacity rows
     lifted to their fragment form.  Its solves, repairs included, end
-    after t_guess seconds or at deadline (cfg.time_limit from now)."""
+    after T_GUESS seconds or at deadline, whichever comes first."""
     now = time.monotonic()
-    if deadline is None:
-        deadline = now + cfg.time_limit
     counts = counts if counts is not None else {}
-    m = _restricted_master(inst, cfg, vmin_calc, cuts, columns)
-    ub, inc, _ = _solve_restricted(m, inst, min(deadline, now + cfg.t_guess),
+    m = _restricted_master(inst, vmin_calc, cuts, columns)
+    ub, inc, _ = _solve_restricted(m, inst, min(deadline, now + T_GUESS),
                                    counts)
     return ub, inc
 
@@ -350,7 +357,9 @@ def _int_floor_bound(lb, tol=1e-6):
 
 
 def _grow(cand, step):
-    """The schedule's next candidate: step more, at least 1, rounded up."""
+    """The schedule's next candidate: step more, rounded up.  A step
+    within 1e-9 of 0 (GAP_STEP lb at lb 0) would stall the schedule, so
+    the candidate doubles instead, growing by 1 at least."""
     grown = cand + step
     if grown <= cand + 1e-9:
         grown = max(grown, 2.0 * cand, cand + 1.0)
@@ -387,7 +396,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     calc = cutlib.VminCalculator(pinst)
 
     t0 = time.monotonic()
-    lbres = compute_lower_bound(pinst, cfg, deadline, calc)
+    lbres = compute_lower_bound(pinst, deadline, calc)
     mark("lower_bound", t0)
     for c in lbres.cuts:
         counts[c.kind] += 1
@@ -406,15 +415,14 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     else:
         t0 = time.monotonic()
         ub_sol, incumbent = initial_upper_bound(lbres.columns, lbres.cuts,
-                                                pinst, cfg, deadline, calc,
-                                                counts)
+                                                pinst, deadline, calc, counts)
         mark("initial_ub", t0)
         if incumbent is not None:
             stats["first_incumbent"] = "milp"
     if ub_sol <= _int_floor_bound(lb_cert):
         return BoundsState(ub_sol, ub_sol, incumbent, "optimal", stats)
     lb_sol = lb_cert
-    sched = float(math.ceil((1 + cfg.gap_init) * lb_cert))
+    sched = float(math.ceil((1 + GAP_INIT) * lb_cert))
     refused = math.inf    # the candidate whose pool passed f_max
 
     # any feasible solution costs less than the artificial column, so a
@@ -425,8 +433,8 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         """Every fragment priced within ub_cand - lb, or None past f_max."""
         try:
             return enumerate_fragments(
-                lbres.duals, max(0.0, ub_cand - lb_cert), pinst, cfg,
-                deadline=deadline)
+                lbres.duals, max(0.0, ub_cand - lb_cert), pinst, cfg.f_max,
+                deadline)
         except LimitExceeded:
             return None
 
@@ -461,7 +469,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
 
         t0 = time.monotonic()
         alive = reduce_by_route_bound(pool, lbres.duals, gap, pinst)
-        m = _restricted_master(pinst, cfg, calc, lbres.cuts)
+        m = _restricted_master(pinst, calc, lbres.cuts)
         kept, _, _ = reduce_by_resolve(alive, m, ub_cand)
         mark("reduce", t0)
 
@@ -493,7 +501,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         if math.isinf(ub_sol) and ub_cand >= c_art:
             status = "infeasible"
             break
-        sched = _grow(sched, cfg.gap_step * lb_cert)
+        sched = _grow(sched, GAP_STEP * lb_cert)
 
     if status == "infeasible":
         return BoundsState(float("inf"), float("inf"), None, status, stats)

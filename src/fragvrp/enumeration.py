@@ -24,14 +24,15 @@ new, usually tighter, budget, from the pool and from the master alike.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .fragments import Fragment, assemble, initial_bounds
-from .instance import Instance, SolverConfig
+from .instance import Instance
 from .master import LP_TOLERANCE, DualValues, MasterError, MasterModel
 from .pricing import (CostEnv, Label, exact_memory, extend_label,
                       fragment_reduced_cost, interior_tasks, is_complete)
@@ -143,17 +144,18 @@ class _CompletionLB:
 
 
 def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
-                        cfg: SolverConfig,
-                        deadline: Optional[float] = None) -> List[Fragment]:
+                        f_max: float = math.inf,
+                        deadline: float = math.inf) -> List[Fragment]:
     """Every elementary fragment whose reduced cost is at most gap.
 
     Complete by construction: the depth-first search discards a branch
     only on the admissible bound above, and a finished label only by its
     own reduced cost.  A label is extended over its end's successor list
     (CostEnv.succ), which leaves out only tasks extend_label rejects.
-    Raises LimitExceeded past cfg.f_max kept fragments, and DeadlinePassed
+    Raises LimitExceeded past f_max kept fragments, and DeadlinePassed
     when time.monotonic() passes deadline (checked every 1,024 labels
-    popped).  Output sorted by task sequence.
+    popped); by default neither limit applies.  Output sorted by task
+    sequence.
     """
     if gap < 0:
         raise ValueError("the enumeration budget must be nonnegative")
@@ -176,8 +178,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     while stack:
         lab = stack.pop()
         pops += 1
-        if deadline is not None and not pops & 1023 \
-                and time.monotonic() > deadline:
+        if not pops & 1023 and time.monotonic() > deadline:
             raise DeadlinePassed()
         for u in reversed(env.succ[lab.end]):
             child = extend_label(lab, u, env, ng)
@@ -186,7 +187,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
             if is_complete(child, inst):
                 if child.rcost <= gap + tol:
                     kept.append((child.tasks, child))
-                    if len(kept) > cfg.f_max:
+                    if len(kept) > f_max:
                         raise LimitExceeded(len(kept))
             elif child.rcost + bound.remaining(child) <= gap + tol:
                 stack.append(child)

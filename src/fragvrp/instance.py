@@ -158,26 +158,17 @@ class Instance:
 
 @dataclasses.dataclass
 class SolverConfig:
-    """The options of `fragvrp solve`, one field per flag.
+    """The options of `fragvrp solve`, one field per flag: the solve's
+    two budgets.  Both depend on the machine a solve runs on, its speed
+    and its memory, so they stay settings; the method's tuning values
+    are constants beside their readers (driver.GAP_INIT, GAP_STEP and
+    T_GUESS, cuts.K_MAX, pricing.NG_SIZE).
 
-    gap_init: the gap schedule's first candidate, as a fraction above lb.
-    gap_step: the gap schedule's growth per round, as a fraction of lb.
-    k_max: largest dependent set FSEC separation enumerates.
-    t_guess: seconds for the first-incumbent MILP, repairs included.  It
-        caps that MILP only: a converged LP that is integral is the
-        first incumbent without one, so t_guess = 0 leaves such an
-        instance its incumbent.
-    f_max: fragments one enumeration may keep, at most.
-    ng_size: nearest tasks a pricing label remembers, per task.
     time_limit: seconds for the whole solve.
+    f_max: fragments one enumeration may keep, at most.
     """
-    gap_init: float = 0.05
-    gap_step: float = 0.05
-    k_max: int = 5
-    t_guess: float = 100.0
-    f_max: int = 20_000_000
-    ng_size: int = 10
     time_limit: float = float("inf")
+    f_max: int = 20_000_000
 
 
 def dependency_from_type(kind, u, v, inst, delta_min=None, delta_max=None):

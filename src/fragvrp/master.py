@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lpback
-from .cuts import FsecCut, VminCalculator, rcc_rhs
+from .cuts import K_MAX, FsecCut, VminCalculator, rcc_rhs
 from .fragments import Fragment, build_fragment
-from .instance import Instance, SolverConfig
+from .instance import Instance
 
 # margin of every reduced-cost, cut-violation and dual-sign test
 LP_TOLERANCE = 1e-6
@@ -375,13 +375,13 @@ def initial_fragments(inst: Instance) -> List[Fragment]:
     return out
 
 
-def build_initial(inst: Instance, cfg: SolverConfig,
+def build_initial(inst: Instance,
                   vmin_calc: Optional[VminCalculator] = None) -> MasterModel:
     """Master seeded with the two-node columns, the artificial column,
     and the up-front FSECs (every dependent pair, and V_D as a whole).
 
     The V_min of the full dependent set is computed exactly only when
-    the set is small; otherwise the capacity bound ceil(q(V_D)/Q) keeps
+    the set holds at most K_MAX tasks; otherwise the capacity bound ceil(q(V_D)/Q) keeps
     the row valid at negligible cost.
     """
     m = MasterModel(inst)
@@ -392,7 +392,7 @@ def build_initial(inst: Instance, cfg: SolverConfig,
                           vmin=calc.vmin((dep.u, dep.v))))
     vd = sorted(inst.vd)
     if len(vd) > 2:
-        if len(vd) <= cfg.k_max:
+        if len(vd) <= K_MAX:
             vmin = calc.vmin(vd)
         else:
             vmin = max(1, rcc_rhs(vd, inst))

@@ -45,10 +45,11 @@ import numpy as np
 
 from .cuts import FrccCut, RccCut
 from .fragments import Fragment, assemble, initial_bounds, step
-from .instance import Instance, SolverConfig
+from .instance import Instance
 from .master import LP_TOLERANCE, DualValues
 
 COLS_PER_ITER = 100    # columns one pricing call returns, at most
+NG_SIZE = 10           # nearest tasks a pricing label remembers, per task
 
 
 class Label:
@@ -409,16 +410,17 @@ def _output_order(lab: Label):
 
 
 def solve_pricing(duals: DualValues, inst: Instance,
-                  cfg: SolverConfig, ng=None) -> List[Fragment]:
+                  ng=None) -> List[Fragment]:
     """Fragments with strictly negative reduced cost under the current
     prices: at most COLS_PER_ITER, always containing a cheapest one
     for every start task that has any.  An empty result certifies that
     no ng-relaxed fragment prices negative, so the master value is a
-    valid relaxation bound."""
+    valid relaxation bound.  ng defaults to the NG_SIZE
+    neighborhoods."""
     env = CostEnv(duals, inst)
     env.check_labelable()
     if ng is None:
-        ng = ng_neighborhoods(inst, cfg.ng_size)
+        ng = ng_neighborhoods(inst, NG_SIZE)
     negatives: List[Label] = []
     for s in [0] + sorted(inst.vd):
         for lab in labels_from(s, env, ng):

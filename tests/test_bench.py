@@ -463,13 +463,17 @@ class TestRunBatch:
         assert agg[-1]["status"] == "3/3 optimal"
 
     def test_unknown_config_field_is_an_error_row(self, tmp_path):
-        # a manifest may set only SolverConfig's fields, the solve flags
+        # a manifest may set only SolverConfig's fields, the solve flags;
+        # the method's tuning values are constants
         p = tmp_path / "c.json"
         save_instance(quick_instance(), p)
+        names = ["cols_per_iter", "gap_init", "gap_step", "t_guess",
+                 "k_max", "ng_size"]
         single, _ = self.parse(run_batch(
-            [{"instance": str(p), "config": {"cols_per_iter": 4}},
-             {"instance": str(p), "config": {"k_max": 4}}]))
-        assert [r["status"] for r in single] == ["error", "optimal"]
+            [{"instance": str(p), "config": {name: 4}} for name in names]
+            + [{"instance": str(p), "config": {"f_max": 4}}]))
+        assert [r["status"] for r in single] == \
+            ["error"] * len(names) + ["optimal"]
 
     def test_base_config_applies_to_all(self, tmp_path):
         p = tmp_path / "c.json"

@@ -127,6 +127,14 @@ class TestSolve:
         assert rc == 3
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--gap-init", "--gap-step",
+                                      "--t-guess", "--k-max", "--ng-size"])
+    def test_tuning_flag_exit_three(self, inst_path, capsys, flag):
+        # the method's tuning values are constants, not solve options
+        rc = cli.main(["solve", inst_path, flag, "1"])
+        assert rc == 3
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
     def test_internal_error_exit_four(self, inst_path, capsys, monkeypatch):
         def boom(inst, cfg):
             raise RuntimeError("wedged")
@@ -296,7 +304,7 @@ def test_config_holds_the_solve_flags():
     args = vars(cli._build_parser().parse_args(["solve", "inst.json"]))
     flags = set(args) - {"command", "instance", "out", "func"}
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert fields == flags and len(fields) == 7
+    assert fields == flags == {"time_limit", "f_max"}
     assert all(args[name] == getattr(SolverConfig(), name) for name in flags)
     src = "".join(p.read_text()
                   for p in Path(cli.__file__).resolve().parent.glob("*.py"))

@@ -132,20 +132,19 @@ class TestCheckSolution:
 class TestComputeLowerBound:
     def test_single_task_round_trip(self):
         inst = line_instance(n=1)
-        res = compute_lower_bound(inst, SolverConfig())
+        res = compute_lower_bound(inst)
         assert res.status == "optimal"
         assert res.lb == pytest.approx(inst.c[0, 1] + inst.c[1, 0])
 
     def test_never_exceeds_oracle(self):
         rng = np.random.default_rng(17)
-        cfg = SolverConfig()
         done = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
             best, _ = oracle_best(inst)
             if best is None:
                 continue
-            res = compute_lower_bound(inst, cfg)
+            res = compute_lower_bound(inst)
             assert res.status == "optimal"
             assert res.lb <= best + 1e-6
             done += 1
@@ -153,37 +152,35 @@ class TestComputeLowerBound:
 
     def test_rows_never_hurt(self, monkeypatch):
         rng = np.random.default_rng(19)
-        cfg = SolverConfig()
         for _ in range(5):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
             with monkeypatch.context() as mp:
                 for family in ("fsec", "tifi", "tdifi", "rcc"):
                     mp.setattr(cutlib, "separate_" + family,
                                lambda *args, **kwargs: [])
-                plain = compute_lower_bound(inst, cfg)
+                plain = compute_lower_bound(inst)
             if plain.status != "optimal":
                 continue
-            rich = compute_lower_bound(inst, cfg)
+            rich = compute_lower_bound(inst)
             assert rich.lb >= plain.lb - 1e-6
 
     def test_unpack_shape(self):
         inst = line_instance(n=2)
-        res = compute_lower_bound(inst, SolverConfig())
+        res = compute_lower_bound(inst)
         assert res.lb > 0 and len(res.columns) > 0 and res.duals is not None
 
 
 class TestInitialUpperBound:
     def test_covers_or_exceeds_oracle(self):
         rng = np.random.default_rng(23)
-        cfg = SolverConfig()
         done = 0
         for _ in range(8):
             inst = random_instance(rng, n_tasks=5, n_deps=1)
             best, _ = oracle_best(inst)
             if best is None:
                 continue
-            res = compute_lower_bound(inst, cfg)
-            ub, inc = initial_upper_bound(res.columns, res.cuts, inst, cfg)
+            res = compute_lower_bound(inst)
+            ub, inc = initial_upper_bound(res.columns, res.cuts, inst)
             assert ub >= best - 1e-9
             if inc is not None:
                 assert check_solution(inc, inst)
@@ -193,13 +190,12 @@ class TestInitialUpperBound:
 
     def test_solves_no_relaxation(self, monkeypatch):
         inst = line_instance(n=3)
-        cfg = SolverConfig()
-        res = compute_lower_bound(inst, cfg)
+        res = compute_lower_bound(inst)
         calls = []
         relax = MasterModel.solve_relaxation
         monkeypatch.setattr(MasterModel, "solve_relaxation",
                             lambda m, **kw: calls.append(1) or relax(m, **kw))
-        ub, inc = initial_upper_bound(res.columns, res.cuts, inst, cfg)
+        ub, inc = initial_upper_bound(res.columns, res.cuts, inst)
         assert inc is not None and ub == inc.cost
         assert calls == []
 
@@ -208,21 +204,20 @@ class TestInitialUpperBound:
         # the lower bound's final master, so its relaxation has the same
         # value and no row the lower bound's separators would add
         rng = np.random.default_rng(29)
-        cfg = SolverConfig()
         tol = LP_TOLERANCE
         done = 0
         for _ in range(40):
             inst = random_instance(rng, n_tasks=6, n_deps=3)
             calc = cutlib.VminCalculator(inst)
-            res = compute_lower_bound(inst, cfg, vmin_calc=calc)
+            res = compute_lower_bound(inst, vmin_calc=calc)
             if res.status != "optimal":
                 continue
-            m = _restricted_master(inst, cfg, calc, res.cuts, res.columns)
+            m = _restricted_master(inst, calc, res.cuts, res.columns)
             sol = m.solve_relaxation()
             assert sol.objective == pytest.approx(res.lb, abs=1e-6)
             sup = m.support(sol.x)
             keys = m.cut_keys()
-            assert cutlib.separate_fsec(sup, inst, cfg.k_max, calc, tol,
+            assert cutlib.separate_fsec(sup, inst, cutlib.K_MAX, calc, tol,
                                         keys) == []
             assert cutlib.separate_tifi(sup, inst, tol, keys) == []
             assert cutlib.separate_tdifi(sup, sol.p, inst, tol, keys) == []
@@ -230,20 +225,20 @@ class TestInitialUpperBound:
             done += 1
         assert done >= 20
 
-    def test_zero_guess_budget_returns_infinity(self):
+    def test_zero_guess_budget_returns_infinity(self, monkeypatch):
+        monkeypatch.setattr(driver, "T_GUESS", 0.0)
         inst = line_instance(n=2)
-        cfg = SolverConfig(t_guess=0.0)
-        res = compute_lower_bound(inst, cfg)
-        ub, inc = initial_upper_bound(res.columns, res.cuts, inst, cfg)
+        res = compute_lower_bound(inst)
+        ub, inc = initial_upper_bound(res.columns, res.cuts, inst)
         assert ub == float("inf") and inc is None
 
     def test_guess_budget_covers_the_repairs(self, monkeypatch):
-        # t_guess caps the first-incumbent solve in total: each repair
+        # T_GUESS caps the first-incumbent solve in total: each repair
         # re-solve gets what the earlier solves left of it
         inst = line_instance(n=3, deps=[TemporalDependency(1, 2, 0, 60,
                                                            0, 60)])
-        cfg = SolverConfig(t_guess=5.0)
-        res = compute_lower_bound(inst, cfg)
+        monkeypatch.setattr(driver, "T_GUESS", 5.0)
+        res = compute_lower_bound(inst)
         stuck, limits = [], []
 
         def undecodable(m, sol, inst):
@@ -259,7 +254,7 @@ class TestInitialUpperBound:
         monkeypatch.setattr(driver, "_decode", undecodable)
         monkeypatch.setattr(MasterModel, "solve_integer", solve_integer)
         with pytest.raises(MasterError, match="after 3 solves"):
-            initial_upper_bound(res.columns, res.cuts, inst, cfg)
+            initial_upper_bound(res.columns, res.cuts, inst)
         assert len(limits) == 3
         assert all(t <= 5.0 for t in limits)
         assert limits == sorted(set(limits), reverse=True)
@@ -329,9 +324,10 @@ class TestRun:
         if a.incumbent:
             assert a.incumbent.routes == b.incumbent.routes
 
-    def test_fragment_limit_keeps_bracket(self):
+    def test_fragment_limit_keeps_bracket(self, monkeypatch):
+        monkeypatch.setattr(driver, "T_GUESS", 0.0)
         rng = np.random.default_rng(37)
-        cfg = SolverConfig(f_max=1, t_guess=0.0)
+        cfg = SolverConfig(f_max=1)
         seen = 0
         for _ in range(8):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
@@ -359,10 +355,9 @@ class TestRun:
         enum = driver.enumerate_fragments
         stopped = []
 
-        def enumerate_fragments(duals, gap, inst, cfg, deadline=None):
+        def enumerate_fragments(duals, gap, inst, f_max, deadline):
             try:
-                return enum(duals, gap, inst, cfg,
-                            deadline=time.monotonic())
+                return enum(duals, gap, inst, f_max, time.monotonic())
             except DeadlinePassed:
                 stopped.append(gap)
                 raise
@@ -401,7 +396,8 @@ class TestRun:
         # no FSEC separated, so only the repair row can forbid the cycle
         monkeypatch.setattr(cutlib, "separate_fsec",
                             lambda *args, **kwargs: [])
-        st = run(inst, SolverConfig(gap_init=0.65))
+        monkeypatch.setattr(driver, "GAP_INIT", 0.65)
+        st = run(inst, SolverConfig())
         assert st.status == "optimal"
         assert st.ub_sol == 16
         assert check_solution(st.incumbent, inst)
@@ -561,17 +557,16 @@ class TestIntegralLowerBound:
         # costing 12 against the optimum 6: a bound stopped by the clock
         # must not pass it on as an incumbent
         inst = line_instance(n=3)
-        cfg = SolverConfig()
-        m = driver.build_initial(inst, cfg)
+        m = driver.build_initial(inst)
         sol = m.solve_relaxation()
         inc, _ = driver._verified(m, sol, inst)
         assert inc is not None and inc.cost == 12
-        res = compute_lower_bound(inst, cfg, deadline=time.monotonic())
+        res = compute_lower_bound(inst, deadline=time.monotonic())
         assert res.status == "time-limit" and res.incumbent is None
         st = run(inst, SolverConfig(time_limit=0.0))
         assert st.status == "time-limit" and st.incumbent is None
         assert "first_incumbent" not in st.stats
-        assert run(inst, cfg).ub_sol == 6
+        assert run(inst).ub_sol == 6
 
     def test_unforced_schedule_retry(self, monkeypatch):
         # the integral LP's order variables round to orders that no
@@ -665,7 +660,7 @@ def refusing_first_pool(enum):
     first call, as if that pool, the one at ub - 1, held more than f_max
     fragments, and on every call at a gap as wide or wider, as f_max
     would: a pool never shrinks as its gap grows.  The rounds then run
-    on the gap_init/gap_step schedule, whose pools below that gap are
+    on the GAP_INIT/GAP_STEP schedule, whose pools below that gap are
     let through."""
     first = []
 
@@ -679,32 +674,36 @@ def refusing_first_pool(enum):
     return enumerate_fragments
 
 
-# (config, refuse the pool at ub - 1, tasks, seed), each leaving a gap
-# after the first incumbent, so the loop runs: one round at ub - 1 with
-# the default config; with no first incumbent, rounds on the
-# gap_init/gap_step schedule until one finds an incumbent (t_guess 0
+# the gap schedule from lb itself, 0.02 lb more per round
+SLOW_SCHEDULE = {"GAP_INIT": 0.0, "GAP_STEP": 0.02}
+
+# (driver constants to set, refuse the pool at ub - 1, tasks, seed), each
+# leaving a gap after the first incumbent, so the loop runs: one round at
+# ub - 1 with the default constants; with no first incumbent, rounds on
+# the GAP_INIT/GAP_STEP schedule until one finds an incumbent (T_GUESS 0
 # skips the first-incumbent MILP, and every one of these LPs ends
 # fractional, so it is no incumbent either); and rounds on that schedule
 # when the pool at ub - 1 is refused as past f_max.  Those close only if
 # a round below ub - 1 finds a cheaper solution, so their first
 # incumbent is above the optimum, which no 6-task seed below 400 draws
-GAP_CASES = [(cfg, refuse, 6, seed)
-             for cfg, refuse in (
-                 (SolverConfig(), False),
-                 (SolverConfig(gap_init=0.0, gap_step=0.02, t_guess=0.0),
-                  False))
+GAP_CASES = [(consts, refuse, 6, seed)
+             for consts, refuse in (
+                 ({}, False),
+                 (dict(SLOW_SCHEDULE, T_GUESS=0.0), False))
              for seed in (12, 59, 80, 83, 105, 111)] + \
-    [(SolverConfig(gap_init=0.0, gap_step=0.02), True, n_tasks, seed)
+    [(SLOW_SCHEDULE, True, n_tasks, seed)
      for n_tasks, seed in ((7, 148), (8, 64), (8, 133), (8, 146), (8, 249))]
 
 
-def solve_gap_case(cfg, refuse, n_tasks, seed):
+def solve_gap_case(consts, refuse, n_tasks, seed):
     with pytest.MonkeyPatch.context() as mp:
+        for name, value in consts.items():
+            mp.setattr(driver, name, value)
         if refuse:
             mp.setattr(driver, "enumerate_fragments",
                        refusing_first_pool(driver.enumerate_fragments))
         return run(random_instance(np.random.default_rng(seed),
-                                   n_tasks=n_tasks), cfg)
+                                   n_tasks=n_tasks))
 
 
 @pytest.fixture(scope="class")
@@ -819,7 +818,7 @@ class TestIntegralCandidateBound:
 class TestRoundSchedule:
     """Once an incumbent exists, one round at ub - 1 closes the bracket
     over one enumeration; when that pool passes f_max, the rounds fall
-    back to the gap_init/gap_step schedule, capped at ub - 1."""
+    back to the GAP_INIT/GAP_STEP schedule, capped at ub - 1."""
 
     def test_one_enumeration_with_a_first_incumbent(self, gap_runs):
         seen = 0
@@ -894,8 +893,9 @@ class TestRoundSchedule:
 
         monkeypatch.setattr(driver, "enumerate_fragments",
                             enumerate_fragments)
-        st = run(inst, SolverConfig(gap_init=0.0, gap_step=0.02,
-                                    t_guess=0.0, f_max=45))
+        for name, value in dict(SLOW_SCHEDULE, T_GUESS=0.0).items():
+            monkeypatch.setattr(driver, name, value)
+        st = run(inst, SolverConfig(f_max=45))
         lb = st.stats["lb_certified"]
         assert [(round(lb + gap), how) for gap, how in calls] == \
             [(49, "listed"), (53, "refused"), (50, "listed"), (51, "listed")]
@@ -925,7 +925,9 @@ class TestRoundSchedule:
         assert first == [53] and st.status == "optimal" and st.ub_sol == 52
         assert [(r["ub_cand"], r["enumerated"])
                 for r in st.stats["rounds"]] == [(52, 42)]
-        low = run(inst, SolverConfig(gap_init=0.0, gap_step=0.02, f_max=41))
+        for name, value in SLOW_SCHEDULE.items():
+            monkeypatch.setattr(driver, name, value)
+        low = run(inst, SolverConfig(f_max=41))
         assert (low.status, low.lb_sol, low.ub_sol) == \
             (st.status, st.lb_sol, st.ub_sol)
         cands = [r["ub_cand"] for r in low.stats["rounds"]]
@@ -1012,14 +1014,13 @@ class TestRoundMaster:
         """A round's master and a pool holding every initial fragment,
         the lower bound's columns and those enumerated within 10."""
         inst = random_instance(np.random.default_rng(9), n_tasks=6, n_deps=2)
-        cfg = SolverConfig()
         calc = cutlib.VminCalculator(inst)
-        lb = compute_lower_bound(inst, cfg, vmin_calc=calc)
+        lb = compute_lower_bound(inst, vmin_calc=calc)
         pool = {f.tasks: f for f in driver.enumerate_fragments(
-            lb.duals, 10.0, inst, cfg)}
+            lb.duals, 10.0, inst)}
         for f in (*initial_fragments(inst), *lb.columns):
             pool.setdefault(f.tasks, f)
-        args = (inst, cfg, calc, lb.cuts)
+        args = (inst, calc, lb.cuts)
         return args, _restricted_master(*args), lb.lb, \
             sorted(pool.values(), key=lambda f: f.tasks)
 

@@ -10,7 +10,7 @@ from fragvrp.enumeration import (DeadlinePassed, LimitExceeded,
                                  _CompletionLB, enumerate_fragments,
                                  reduce_by_resolve, reduce_by_route_bound)
 from fragvrp.fragments import build_fragment, initial_bounds
-from fragvrp.instance import SolverConfig, Task, TemporalDependency
+from fragvrp.instance import Task, TemporalDependency
 from fragvrp.master import LP_TOLERANCE, build_initial
 from fragvrp.pricing import (CostEnv, Label, exact_memory, extend_label,
                              fragment_reduced_cost, interior_tasks,
@@ -24,21 +24,21 @@ from support import (all_feasible_solutions, exhaustive_fragments,
 from test_pricing import priced_cases, zero_duals
 
 
-def converge_cg(inst, cfg, with_cuts=True):
+def converge_cg(inst, with_cuts=True):
     """Column (and optionally row) generation to a settled LP."""
-    m = build_initial(inst, cfg)
+    m = build_initial(inst)
     sol = m.solve_relaxation()
     if sol.status != "optimal":
         return None, None
     vmin = cuts.VminCalculator(inst)
     for _ in range(60):
-        cols = solve_pricing(sol.duals, inst, cfg)
+        cols = solve_pricing(sol.duals, inst)
         added = m.add_fragments(cols)
         ncuts = 0
         if with_cuts:
             sup = m.support(sol.x)
             new = []
-            new += cuts.separate_fsec(sup, inst, cfg.k_max, vmin, 1e-4,
+            new += cuts.separate_fsec(sup, inst, cuts.K_MAX, vmin, 1e-4,
                                       m.cut_keys())
             new += cuts.separate_tifi(sup, inst, 1e-4, m.cut_keys())
             new += cuts.separate_tdifi(sup, sol.p, inst, 1e-4, m.cut_keys())
@@ -55,17 +55,16 @@ def converge_cg(inst, cfg, with_cuts=True):
 class TestEnumerate:
     def test_large_gap_equals_exhaustive(self):
         rng = np.random.default_rng(71)
-        cfg = SolverConfig()
         done = 0
         for _ in range(8):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            m, sol = converge_cg(inst, cfg, with_cuts=False)
+            m, sol = converge_cg(inst, with_cuts=False)
             if m is None:
                 continue
             env = CostEnv(sol.duals, inst)
             exh = exhaustive_fragments(inst, build_fragment)
             top = max(fragment_reduced_cost(f, env) for f in exh)
-            got = enumerate_fragments(sol.duals, top + 1.0, inst, cfg)
+            got = enumerate_fragments(sol.duals, top + 1.0, inst)
             assert sorted(f.tasks for f in got) == \
                 sorted(f.tasks for f in exh)
             for f in got:
@@ -79,11 +78,10 @@ class TestEnumerate:
         # when the relaxation value meets the integer optimum, a zero
         # budget still covers every fragment of every optimal solution
         rng = np.random.default_rng(73)
-        cfg = SolverConfig()
         tight = 0
         for _ in range(20):
             inst = random_instance(rng, n_tasks=5, n_deps=1)
-            m, sol = converge_cg(inst, cfg)
+            m, sol = converge_cg(inst)
             if m is None:
                 continue
             sols = all_feasible_solutions(inst, schedule_routes)
@@ -94,7 +92,7 @@ class TestEnumerate:
                 continue
             tight += 1
             got = set(f.tasks for f in
-                      enumerate_fragments(sol.duals, 0.0, inst, cfg))
+                      enumerate_fragments(sol.duals, 0.0, inst))
             env = CostEnv(sol.duals, inst)
             for f in (build_fragment(s, inst) for s in got):
                 assert fragment_reduced_cost(f, env) <= 1e-5
@@ -107,35 +105,32 @@ class TestEnumerate:
 
     def test_fragment_limit(self):
         inst = line_instance(n=4, deps=[TemporalDependency(1, 4, 0, 40, 0, 40)])
-        cfg = SolverConfig(f_max=1)
         with pytest.raises(LimitExceeded) as err:
-            enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg)
+            enumerate_fragments(zero_duals(inst), 1000.0, inst, f_max=1)
         assert err.value.count == 2
 
     def test_deadline(self):
         # 1,956 fragments: the search pops well over the 1,024 labels
         # between two looks at the clock
         inst = line_instance(n=6)
-        cfg = SolverConfig()
-        whole = enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg)
-        late = enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg,
+        whole = enumerate_fragments(zero_duals(inst), 1000.0, inst)
+        late = enumerate_fragments(zero_duals(inst), 1000.0, inst,
                                    deadline=math.inf)
         assert [f.tasks for f in late] == [f.tasks for f in whole]
         with pytest.raises(DeadlinePassed):
-            enumerate_fragments(zero_duals(inst), 1000.0, inst, cfg,
+            enumerate_fragments(zero_duals(inst), 1000.0, inst,
                                 deadline=time.monotonic())
 
     def test_negative_gap_rejected(self):
         inst = line_instance(n=3)
         with pytest.raises(ValueError):
-            enumerate_fragments(zero_duals(inst), -1.0, inst, SolverConfig())
+            enumerate_fragments(zero_duals(inst), -1.0, inst)
 
     def test_deterministic(self):
         rng = np.random.default_rng(79)
         inst = random_instance(rng, n_tasks=6, n_deps=2)
-        cfg = SolverConfig()
-        a = enumerate_fragments(zero_duals(inst), 60.0, inst, cfg)
-        b = enumerate_fragments(zero_duals(inst), 60.0, inst, cfg)
+        a = enumerate_fragments(zero_duals(inst), 60.0, inst)
+        b = enumerate_fragments(zero_duals(inst), 60.0, inst)
         assert [f.tasks for f in a] == [f.tasks for f in b]
 
 
@@ -191,21 +186,19 @@ class TestCompletionBound:
         # exhaustive fragments priced within the budget
         inst, duals, _ = case
         env = CostEnv(duals, inst)
-        cfg = SolverConfig()
         exh = sorted(exhaustive_fragments(inst, build_fragment),
                      key=lambda f: f.tasks)
         rc = [fragment_reduced_cost(f, env) for f in exh]
         for gap in (0.0, 25.0, max(rc, default=0.0) + 1.0):
             gap = max(gap, 0.0)
             want = [f for f, r in zip(exh, rc) if r <= gap + LP_TOLERANCE]
-            assert enumerate_fragments(duals, gap, inst, cfg) == want
+            assert enumerate_fragments(duals, gap, inst) == want
 
 
 class TestRouteBound:
     def test_infinite_gap_keeps_all(self):
         inst = line_instance(n=4, deps=[TemporalDependency(1, 4, 0, 40, 0, 40)])
-        frags = enumerate_fragments(zero_duals(inst), 1000.0, inst,
-                                    SolverConfig())
+        frags = enumerate_fragments(zero_duals(inst), 1000.0, inst)
         kept = reduce_by_route_bound(frags, zero_duals(inst), float("inf"),
                                      inst)
         assert sorted(f.tasks for f in kept) == sorted(f.tasks for f in frags)
@@ -223,8 +216,7 @@ class TestRouteBound:
         from fragvrp.instance import Instance
         inst = Instance(tasks, t, t.copy(), 3, 10, 60,
                         [TemporalDependency(1, 2, 0, 30, 0, 30)])
-        frags = enumerate_fragments(zero_duals(inst), 1000.0, inst,
-                                    SolverConfig())
+        frags = enumerate_fragments(zero_duals(inst), 1000.0, inst)
         seqs = set(f.tasks for f in frags)
         assert (1, 2) in seqs and (2, 0) in seqs
         by_seq = {f.tasks: f for f in frags}
@@ -240,11 +232,10 @@ class TestRouteBound:
 
     def test_never_drops_fragments_of_admissible_solutions(self):
         rng = np.random.default_rng(83)
-        cfg = SolverConfig()
         done = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            m, sol = converge_cg(inst, cfg)
+            m, sol = converge_cg(inst)
             if m is None:
                 continue
             sols = all_feasible_solutions(inst, schedule_routes)
@@ -254,7 +245,7 @@ class TestRouteBound:
             gap = best + 5.0 - sol.objective
             if gap < 0:
                 continue
-            frags = enumerate_fragments(sol.duals, gap, inst, cfg)
+            frags = enumerate_fragments(sol.duals, gap, inst)
             kept = set(f.tasks for f in
                        reduce_by_route_bound(frags, sol.duals, gap, inst))
             for routes, _, _ in sols:
@@ -269,18 +260,17 @@ class TestRouteBound:
 class TestResolve:
     def test_budget_monotone(self):
         rng = np.random.default_rng(89)
-        cfg = SolverConfig()
         for _ in range(10):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            m, sol = converge_cg(inst, cfg)
+            m, sol = converge_cg(inst)
             if m is not None:
                 break
         assert m is not None
-        frags = enumerate_fragments(sol.duals, 40.0, inst, cfg)
-        m1 = build_initial(inst, cfg)
+        frags = enumerate_fragments(sol.duals, 40.0, inst)
+        m1 = build_initial(inst)
         kept_small, duals1, lb1 = reduce_by_resolve(frags, m1,
                                                     sol.objective + 4.0)
-        m2 = build_initial(inst, cfg)
+        m2 = build_initial(inst)
         kept_large, duals2, lb2 = reduce_by_resolve(frags, m2,
                                                     sol.objective + 30.0)
         assert lb1 == pytest.approx(lb2)
@@ -291,15 +281,14 @@ class TestResolve:
         # without capacity cuts to lift, the rebuilt relaxation over the
         # full enumerated set cannot fall below the settled value
         rng = np.random.default_rng(97)
-        cfg = SolverConfig()
         done = 0
         for _ in range(8):
             inst = random_instance(rng, n_tasks=5, n_deps=1)
-            m, sol = converge_cg(inst, cfg, with_cuts=False)
+            m, sol = converge_cg(inst, with_cuts=False)
             if m is None:
                 continue
-            frags = enumerate_fragments(sol.duals, 50.0, inst, cfg)
-            m2 = build_initial(inst, cfg)
+            frags = enumerate_fragments(sol.duals, 50.0, inst)
+            m2 = build_initial(inst)
             kept, duals, lb = reduce_by_resolve(frags, m2,
                                                 sol.objective + 50.0)
             assert lb <= sol.objective + 1e-6
@@ -313,11 +302,10 @@ class TestEndToEndCompleteness:
         # gap to a known optimum, reduce twice, then the restricted
         # integer master must still find that optimum
         rng = np.random.default_rng(101)
-        cfg = SolverConfig()
         done = 0
         for _ in range(12):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            m, sol = converge_cg(inst, cfg)
+            m, sol = converge_cg(inst)
             if m is None:
                 continue
             sols = all_feasible_solutions(inst, schedule_routes)
@@ -328,9 +316,9 @@ class TestEndToEndCompleteness:
             gap = ub_cand - sol.objective
             if gap < 0:
                 continue
-            frags = enumerate_fragments(sol.duals, gap, inst, cfg)
+            frags = enumerate_fragments(sol.duals, gap, inst)
             frags = reduce_by_route_bound(frags, sol.duals, gap, inst)
-            m2 = build_initial(inst, cfg)
+            m2 = build_initial(inst)
             for cut, _ in sol.duals.cut_duals:
                 m2.add_cut(cuts.lift_rcc_to_frcc(cut)
                            if isinstance(cut, cuts.RccCut) else cut)

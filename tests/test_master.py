@@ -23,9 +23,8 @@ def dep(u, v, quad):
     return TemporalDependency(u, v, *quad)
 
 
-def solved(inst, cfg=None):
-    from fragvrp.instance import SolverConfig
-    m = build_initial(inst, cfg or SolverConfig())
+def solved(inst):
+    m = build_initial(inst)
     return m, m.solve_relaxation()
 
 
@@ -61,16 +60,11 @@ class TestInitialColumns:
     def test_initial_fsecs_installed(self):
         inst = line_instance(
             5, deps=[dep(1, 2, (0, 60, 0, 60)), dep(3, 4, (0, 60, 0, 60))])
-        m = build_initial(inst, support_cfg())
+        m = build_initial(inst)
         keys = {c.key() for c in m.cuts}
         assert ("FSEC", (1, 2)) in keys
         assert ("FSEC", (3, 4)) in keys
         assert ("FSEC", (1, 2, 3, 4)) in keys
-
-
-def support_cfg():
-    from fragvrp.instance import SolverConfig
-    return SolverConfig()
 
 
 class TestRelaxation:
@@ -87,7 +81,7 @@ class TestRelaxation:
         routes = [[1, 2], [3]]
         ok, _, _ = schedule_routes(routes, inst)
         assert ok
-        m = build_initial(inst, support_cfg())
+        m = build_initial(inst)
         sol_frags = [build_fragment(seq, inst)
                      for seq in support.routes_to_fragments(routes, inst)]
         assert all(sol_frags)
@@ -134,7 +128,7 @@ class TestRelaxation:
 
     def test_vehicle_lower_bound_row(self):
         inst = line_instance(2, demands=[10, 10], capacity=10)
-        m = build_initial(inst, support_cfg())
+        m = build_initial(inst)
         assert m.senses[1] == "G" and m.rhs[1] == 2.0
         res = m.solve_relaxation()
         departures = sum(x for f, x in zip(m.fragments, res.x)
@@ -149,7 +143,7 @@ class TestRelaxation:
         # {1}; the artificial column keeps the LP feasible, at weight 1.
         inst = support.random_instance(np.random.default_rng(5),
                                        n_tasks=5, n_deps=2)
-        m = build_initial(inst, support_cfg())
+        m = build_initial(inst)
         assert m.add_cut(cut)
         res = m.solve_relaxation()
         assert res.status == "optimal"
@@ -194,7 +188,7 @@ class TestRelaxation:
 
     def test_duplicate_columns_and_cuts_ignored(self):
         inst = line_instance(2, deps=[dep(1, 2, (0, 30, 0, 30))], horizon=30)
-        m = build_initial(inst, support_cfg())
+        m = build_initial(inst)
         before = len(m.fragments)
         assert m.add_fragments(initial_fragments(inst)) == 0
         assert len(m.fragments) == before
@@ -207,13 +201,11 @@ class TestAssembly:
         # given to one master cuts first and to another interleaved with
         # the columns: every assembled array must come out the same.
         from fragvrp import driver
-        from fragvrp.instance import SolverConfig
         monkeypatch.setattr(driver, "FRCC_SIZE_CAP", 1.0)
-        cfg = SolverConfig()
         # Seed 1 separates every family, an FRCC among them.
         inst = support.random_instance(np.random.default_rng(1),
                                        n_tasks=6, n_deps=3)
-        lb = driver.compute_lower_bound(inst, cfg)
+        lb = driver.compute_lower_bound(inst)
         cuts = [driver._lift_cut(c, inst) for c in lb.cuts]
         frags = list(lb.columns)
         assert any(c.sense == "G" for c in cuts)
@@ -245,13 +237,11 @@ class TestAssembly:
         # columns and the dropped ones again: the triplets must be those
         # of a fresh build that adds the columns in that order.
         from fragvrp import driver
-        from fragvrp.instance import SolverConfig
         monkeypatch.setattr(driver, "FRCC_SIZE_CAP", 1.0)
-        cfg = SolverConfig()
         inst = support.random_instance(np.random.default_rng(1),
                                        n_tasks=6, n_deps=3)
-        lb = driver.compute_lower_bound(inst, cfg)
-        m = build_initial(inst, cfg)
+        lb = driver.compute_lower_bound(inst)
+        m = build_initial(inst)
         initial = len(m.fragments)
         m.add_cuts(driver._lift_cut(c, inst) for c in lb.cuts)
         m.add_fragments(lb.columns)
@@ -286,7 +276,7 @@ class TestInteger:
     def test_matches_enumerated_optimum(self, seed):
         inst = self.tiny(seed)
         sols = support.all_feasible_solutions(inst, schedule_routes)
-        m = build_initial(inst, support_cfg())
+        m = build_initial(inst)
         m.add_fragments(support.exhaustive_fragments(inst, build_fragment))
         res = m.solve_integer()
         if not sols:
@@ -307,7 +297,7 @@ class TestInteger:
 
     def test_integer_weights_are_binary(self):
         inst = self.tiny(3)
-        m = build_initial(inst, support_cfg())
+        m = build_initial(inst)
         m.add_fragments(support.exhaustive_fragments(inst, build_fragment))
         res = m.solve_integer()
         if res.status == "optimal":

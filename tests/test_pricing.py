@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fragvrp import cuts, driver, enumeration, lpback, pricing
 from fragvrp.driver import _restricted_master, compute_lower_bound
 from fragvrp.fragments import Fragment, build_fragment, initial_bounds
-from fragvrp.instance import Instance, SolverConfig, Task, TemporalDependency
+from fragvrp.instance import Instance, Task, TemporalDependency
 from fragvrp.master import LP_TOLERANCE, DualValues, build_initial
 from fragvrp.pricing import (CostEnv, Label, _insert, _phi,
                              exact_memory, extend_label, fragment_reduced_cost,
@@ -176,15 +176,14 @@ class TestCompletionCost:
         # on lower-bound masters (capacity cuts in arc form) the arc walk
         # plus charges equals objective minus A^T y on every fragment
         rng = np.random.default_rng(3)
-        cfg = SolverConfig()
         checked = rcc_rows = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
             calc = cuts.VminCalculator(inst)
-            res = compute_lower_bound(inst, cfg, vmin_calc=calc)
+            res = compute_lower_bound(inst, vmin_calc=calc)
             if res.status != "optimal":
                 continue
-            m = build_initial(inst, cfg, calc)
+            m = build_initial(inst, calc)
             m.add_cuts(res.cuts)
             m.add_fragments(res.columns)
             frags, duals = check_dense_reduced_costs(
@@ -200,16 +199,15 @@ class TestCompletionCost:
         # fragment-capacity rows, which only fragment_reduced_cost prices
         monkeypatch.setattr(driver, "FRCC_SIZE_CAP", 1.0)
         rng = np.random.default_rng(0)
-        cfg = SolverConfig()
         checked = frcc_rows = 0
         for _ in range(30):
             inst = random_instance(rng, n_tasks=7, n_deps=2)
             calc = cuts.VminCalculator(inst)
-            res = compute_lower_bound(inst, cfg, vmin_calc=calc)
+            res = compute_lower_bound(inst, vmin_calc=calc)
             if res.status != "optimal":
                 continue
-            pool = enumeration.enumerate_fragments(res.duals, 15.0, inst, cfg)
-            m = _restricted_master(inst, cfg, calc, res.cuts, pool)
+            pool = enumeration.enumerate_fragments(res.duals, 15.0, inst)
+            m = _restricted_master(inst, calc, res.cuts, pool)
             frags, duals = check_dense_reduced_costs(m, inst)
             checked += len(frags)
             if duals is not None:
@@ -241,12 +239,11 @@ class TestCompletionCost:
             return th
 
         rng = np.random.default_rng(7)
-        cfg = SolverConfig()
         kinds = set()
         skipped = 0
         for _ in range(12):
             inst = random_instance(rng, n_tasks=6, n_deps=3)
-            res = compute_lower_bound(inst, cfg)
+            res = compute_lower_bound(inst)
             if res.status != "optimal":
                 continue
             env = CostEnv(res.duals, inst)
@@ -519,12 +516,11 @@ class TestSuccessorLists:
                     for lab in labels_from(s, env, ng)] == \
                 [label_record(lab)
                  for lab in labels_from(s, full, ng)]
-        cfg = SolverConfig()
         for gap in (0.0, 25.0):
-            pool = enumeration.enumerate_fragments(duals, gap, inst, cfg)
+            pool = enumeration.enumerate_fragments(duals, gap, inst)
             with mock.patch.object(enumeration, "CostEnv", FullScanEnv):
                 assert pool == enumeration.enumerate_fragments(duals, gap,
-                                                               inst, cfg)
+                                                               inst)
 
 
 def reference_labels_from(start, env, ng):
@@ -607,32 +603,29 @@ class TestDominanceScan:
 class TestSolvePricing:
     def test_zero_duals_empty(self):
         inst = line_dep_instance()
-        cfg = SolverConfig()
-        assert solve_pricing(zero_duals(inst), inst, cfg) == []
+        assert solve_pricing(zero_duals(inst), inst) == []
 
     def test_isolated_task_priced_out(self):
         inst = line_dep_instance()
-        cfg = SolverConfig()
         d = zero_duals(inst)
         d.mu = np.zeros(inst.n + 1)
         d.mu[3] = 1000.0
-        cols = solve_pricing(d, inst, cfg)
+        cols = solve_pricing(d, inst)
         assert (0, 3, 0) in [f.tasks for f in cols]
 
     def test_matches_exhaustive_minimum(self):
         rng = np.random.default_rng(29)
-        cfg = SolverConfig()
         tried = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=6, n_deps=2)
-            m = build_initial(inst, cfg)
+            m = build_initial(inst)
             sol = m.solve_relaxation()
             if sol.status != "optimal":
                 continue
             env = CostEnv(sol.duals, inst)
             want = min(fragment_reduced_cost(f, env)
                        for f in exhaustive_fragments(inst, build_fragment))
-            cols = solve_pricing(sol.duals, inst, cfg, ng=exact_memory(inst))
+            cols = solve_pricing(sol.duals, inst, ng=exact_memory(inst))
             if want < -LP_TOLERANCE:
                 got = min(fragment_reduced_cost(f, env) for f in cols)
                 assert got == pytest.approx(want, abs=1e-7)
@@ -643,19 +636,18 @@ class TestSolvePricing:
 
     def test_output_contract(self, monkeypatch):
         rng = np.random.default_rng(31)
-        cfg = SolverConfig()
         monkeypatch.setattr(pricing, "COLS_PER_ITER", 4)
         done = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=6, n_deps=2)
-            m = build_initial(inst, cfg)
+            m = build_initial(inst)
             sol = m.solve_relaxation()
             if sol.status != "optimal":
                 continue
             with monkeypatch.context() as mp:
                 mp.setattr(pricing, "COLS_PER_ITER", 10 ** 6)
-                full = solve_pricing(sol.duals, inst, cfg)
-            cols = solve_pricing(sol.duals, inst, cfg)
+                full = solve_pricing(sol.duals, inst)
+            cols = solve_pricing(sol.duals, inst)
             assert len(cols) <= 4
             seqs = [f.tasks for f in cols]
             assert len(set(seqs)) == len(seqs)
@@ -680,11 +672,10 @@ class TestSolvePricing:
     def test_ng_relaxation_direction(self):
         # forgetting visits can only lower the attainable minimum
         rng = np.random.default_rng(37)
-        cfg = SolverConfig()
         compared = 0
         for _ in range(8):
             inst = random_instance(rng, n_tasks=6, n_deps=1)
-            m = build_initial(inst, cfg)
+            m = build_initial(inst)
             sol = m.solve_relaxation()
             if sol.status != "optimal":
                 continue
@@ -705,11 +696,10 @@ class TestSolvePricing:
         # the pruned run reaches the same minimum as a run with no
         # dominance at all, under the same memory
         rng = np.random.default_rng(41)
-        cfg = SolverConfig()
         compared = 0
         for _ in range(8):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            m = build_initial(inst, cfg)
+            m = build_initial(inst)
             sol = m.solve_relaxation()
             if sol.status != "optimal":
                 continue
@@ -747,11 +737,10 @@ class TestSolvePricing:
         f = build_fragment((0, 2, 4), inst)
         assert frcc.fragment_coeff(f) == 1
         assert fragment_reduced_cost(f, env) == pytest.approx(f.cost + 3.0)
-        cfg = SolverConfig()
         with pytest.raises(ValueError):
-            solve_pricing(d, inst, cfg)
+            solve_pricing(d, inst)
         with pytest.raises(ValueError):
-            enumeration.enumerate_fragments(d, 10.0, inst, cfg)
+            enumeration.enumerate_fragments(d, 10.0, inst)
 
 
 class TestChargeMonotonicity:
