@@ -47,8 +47,8 @@ from .enumeration import (DeadlinePassed, LimitExceeded,
                           enumerate_fragments, reduce_by_resolve,
                           reduce_by_route_bound)
 from .instance import Instance, SolverConfig
-from .master import LP_TOLERANCE, MasterError, artificial_cost, \
-    build_initial
+from .master import LP_TOLERANCE, MasterError, MasterModel, \
+    artificial_cost, build_initial, initial_fragments
 from .pricing import NG_SIZE, ng_neighborhoods, solve_pricing
 from .preprocess import preprocess
 from .scheduling import schedule_routes
@@ -168,14 +168,14 @@ class LowerBound:
     incumbent: Optional[Incumbent] = None
 
 
-def compute_lower_bound(inst, deadline=math.inf,
-                        vmin_calc=None) -> LowerBound:
+def compute_lower_bound(inst, deadline=math.inf) -> LowerBound:
     """Alternates pricing with row separation until neither produces
     anything; rows are only separated once pricing comes up empty.
     Stops at deadline, by default never.  A converged LP that is
     integral, artificial column included, and decodes to a verified
-    solution hands that solution back as the incumbent."""
-    calc = vmin_calc or cutlib.VminCalculator(inst)
+    solution hands that solution back as the incumbent.  The cuts it
+    returns start with build_initial's up-front FSECs."""
+    calc = cutlib.VminCalculator(inst)
     ng = ng_neighborhoods(inst, NG_SIZE)
     m = build_initial(inst, calc)
     sol = m.solve_relaxation()
@@ -242,10 +242,13 @@ def _lift_cut(cut, inst):
     return cut
 
 
-def _restricted_master(inst, calc, cuts, frags=()):
-    """Initial master plus the lower bound's cuts, capacity rows lifted
-    to their fragment form, over the given extra fragments."""
-    m = build_initial(inst, calc)
+def _restricted_master(inst, cuts, frags=()):
+    """The initial columns, then the lower bound's cuts, capacity rows
+    lifted to their fragment form, then the given extra fragments.  The
+    master's rows are the lower bound's rows: its cuts begin with the
+    up-front FSECs build_initial adds, so no V_min is computed here."""
+    m = MasterModel(inst)
+    m.add_fragments(initial_fragments(inst))
     for cut in cuts:
         m.add_cut(_lift_cut(cut, inst))
     m.add_fragments(frags)
@@ -256,7 +259,10 @@ def _decode(m, sol, inst):
     """Chained routes from an integral master solution, or None when the
     chosen fragments do not decompose into depot-rooted walks (possible
     only through zero-elapsed-time cycles).  Also returns the leftover
-    dependent vertices of an undecodable remainder for the repair cut."""
+    dependent vertices of an undecodable remainder for the repair cut.
+    The master's rows are the lower bound's rows; its order variables
+    are not read: the routes are scheduled from the instance alone,
+    whose search tries every order they could fix."""
     chosen = [f for f, x in m.support(sol.x, eps=0.5)]
     by_start = {}
     for f in chosen:
@@ -284,10 +290,7 @@ def _decode(m, sol, inst):
     left = [f for f in chosen if id(f) not in used]
     if left:
         return None, {u for f in left for u in (f.start, f.end) if u != 0}
-    forced = {k: int(round(v)) for k, v in sol.p.items()}
-    ok, starts, orders = schedule_routes(routes, inst, forced)
-    if not ok:
-        ok, starts, orders = schedule_routes(routes, inst)
+    ok, starts, orders = schedule_routes(routes, inst)
     if not ok:
         return None, set()
     inc = Incumbent(tuple(routes), starts, orders,
@@ -336,13 +339,13 @@ def _solve_restricted(m, inst, deadline, counts, cutoff=None):
 
 
 def initial_upper_bound(columns, cuts, inst, deadline=math.inf,
-                        vmin_calc=None, counts=None):
+                        counts=None):
     """Integer solve over the generated columns with capacity rows
     lifted to their fragment form.  Its solves, repairs included, end
     after T_GUESS seconds or at deadline, whichever comes first."""
     now = time.monotonic()
     counts = counts if counts is not None else {}
-    m = _restricted_master(inst, vmin_calc, cuts, columns)
+    m = _restricted_master(inst, cuts, columns)
     ub, inc, _ = _solve_restricted(m, inst, min(deadline, now + T_GUESS),
                                    counts)
     return ub, inc
@@ -393,10 +396,9 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         return BoundsState(float("inf"), float("inf"), None, "infeasible",
                            stats)
     pinst = pre.instance
-    calc = cutlib.VminCalculator(pinst)
 
     t0 = time.monotonic()
-    lbres = compute_lower_bound(pinst, deadline, calc)
+    lbres = compute_lower_bound(pinst, deadline)
     mark("lower_bound", t0)
     for c in lbres.cuts:
         counts[c.kind] += 1
@@ -415,7 +417,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     else:
         t0 = time.monotonic()
         ub_sol, incumbent = initial_upper_bound(lbres.columns, lbres.cuts,
-                                                pinst, deadline, calc, counts)
+                                                pinst, deadline, counts)
         mark("initial_ub", t0)
         if incumbent is not None:
             stats["first_incumbent"] = "milp"
@@ -469,7 +471,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
 
         t0 = time.monotonic()
         alive = reduce_by_route_bound(pool, lbres.duals, gap, pinst)
-        m = _restricted_master(pinst, calc, lbres.cuts)
+        m = _restricted_master(pinst, lbres.cuts)
         kept, _, _ = reduce_by_resolve(alive, m, ub_cand)
         mark("reduce", t0)
 

@@ -166,8 +166,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     tol = LP_TOLERANCE
     kept: List[Tuple[tuple, Label]] = []
     stack: List[Label] = []
-    for s in sorted((0,) if not inst.vd else (0, *sorted(inst.vd)),
-                    reverse=True):
+    for s in sorted((0, *inst.vd), reverse=True):
         if inst.alpha_list[s] > inst.beta_list[s]:
             continue
         lab = Label((s,), 0, 0, *initial_bounds(s, inst),

@@ -34,10 +34,7 @@ KIND_ALIASES = {
     "min": "min-diff",
     "max": "max-diff",
     "minmax": "minmax-diff",
-    "overlap": "overlap",
-    "non-overlap": "non-overlap",
     "nonoverlap": "non-overlap",
-    "precedence": "precedence",
 }
 
 

@@ -288,11 +288,7 @@ def arc_model_solve(inst: Instance, time_limit=None):
         chosen = [arcs[i] for i in range(nx) if res.x[i] > 0.5]
         routes, leftover = _decode_arcs(chosen)
         if routes is not None and not leftover:
-            forced = {pairs[k]: int(round(res.x[nx + k]))
-                      for k in range(np_)}
-            ok, starts, orders = schedule_routes(routes, inst, forced)
-            if not ok:
-                ok, starts, orders = schedule_routes(routes, inst)
+            ok, starts, orders = schedule_routes(routes, inst)
             obj = int(round(res.objective))
             if ok:
                 inc = Incumbent(tuple(tuple(r) for r in routes), starts,

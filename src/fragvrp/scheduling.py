@@ -14,7 +14,7 @@ Bellman-Ford finds in at most |V| passes or refutes by a positive cycle,
 and the order is feasible exactly when that vector stays within the window
 closings.  No pass count depends on the horizon value.
 
-Orders that are not forced are branched depth first, u first before v
+Orders the instance leaves open are branched depth first, u first before v
 first.  The network is propagated at every branch node, starting from the
 parent's earliest starts, so a subtree dies at its first conflicting
 order.  A synchronization (both orders give the same band) is not
@@ -86,22 +86,23 @@ def _network(routes, inst):
     return lo, hi, edges
 
 
-def dependency_orders(deps, inst, forced_orders=None):
+def dependency_orders(deps, inst):
     """Splits dependencies into decided and free orders.
 
     Returns (edges, free, orders): the bands of every dependency with one
     order left, the dependencies whose order is still to branch, and the
     decided canonical pair -> bit (1: u first).  None when some dependency
-    has both orders ruled out, by the instance or by forced_orders.
+    has both orders ruled out.  The instance alone rules an order out; to
+    fix an order, forbid the other one in the instance (its dmin = dmax =
+    horizon sentinel).
     """
     edges = []
     free = []
     orders = {}
     for d in deps:
         pair = (d.u, d.v)
-        want = None if forced_orders is None else forced_orders.get(pair)
-        u_first_ok = want != 0 and not inst.pair[pair][0]
-        v_first_ok = want != 1 and not inst.pair[(d.v, d.u)][0]
+        u_first_ok = not inst.pair[pair][0]
+        v_first_ok = not inst.pair[(d.v, d.u)][0]
         if not u_first_ok and not v_first_ok:
             return None
         if u_first_ok and v_first_ok and not (
@@ -132,22 +133,21 @@ def _branch(i, lo, hi, edges, free, orders):
     return None
 
 
-def schedule_routes(routes, inst, forced_orders=None):
+def schedule_routes(routes, inst):
     """Searches for feasible integer start times of the given routes.
 
-    routes: iterable of task-id sequences (no depot entries).
-    forced_orders: optional {(u, v) canonical u < v: 0/1} fixing who starts
-    first (1 means u).  Dependencies with an endpoint outside the routes are
-    ignored.
+    routes: iterable of task-id sequences (no depot entries).  Every
+    order the instance allows is searched; to fix who starts first in a
+    pair, forbid the other order in the instance.  Dependencies with an
+    endpoint outside the routes are ignored.
 
     Returns (ok, starts, orders); starts maps task -> earliest start time
     under the returned orders, and orders maps each decided canonical
-    pair -> 0/1.
+    pair -> 0/1 (1 means u starts first).
     """
     lo, hi, edges = _network(routes, inst)
     split = dependency_orders(
-        [d for d in inst.deps if d.u in lo and d.v in lo], inst,
-        forced_orders)
+        [d for d in inst.deps if d.u in lo and d.v in lo], inst)
     if split is None:
         return False, {}, {}
     dep_edges, free, orders = split

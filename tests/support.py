@@ -7,6 +7,7 @@ independent ground truth.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -345,6 +346,22 @@ def _route_feasible_alone(route, inst):
     return b + int(inst.dur[last]) + int(inst.t[last, 0]) <= inst.tmax
 
 
+def with_orders(inst, bits):
+    """inst with each order of bits, canonical pair -> 0/1 (1: u starts
+    first), fixed: the other order's bounds become the horizon sentinel,
+    which Instance.pair reads as forbidden.  Pairs not in bits keep
+    their quadruple."""
+    deps = []
+    for d in inst.deps:
+        bit = bits.get((d.u, d.v))
+        if bit == 1:
+            d = dataclasses.replace(d, dmin_vu=inst.tmax, dmax_vu=inst.tmax)
+        elif bit == 0:
+            d = dataclasses.replace(d, dmin_uv=inst.tmax, dmax_uv=inst.tmax)
+        deps.append(d)
+    return inst.replace(dependencies=deps)
+
+
 def all_feasible_solutions(inst, schedule_routes):
     """Every (routes, starts, orders) triple that is feasible, enumerating
     route partitions, per-route orders and dependency starting orders."""
@@ -359,15 +376,16 @@ def all_feasible_solutions(inst, schedule_routes):
         return perm_cache[key]
 
     pairs = [(d.u, d.v) for d in inst.deps]
+    fixed = [with_orders(inst, dict(zip(pairs, bits)))
+             for bits in itertools.product((1, 0), repeat=len(pairs))]
     sols = []
     for part in set_partitions(tasks, inst.K):
         options = [feasible_perms(b) for b in part]
         if any(not o for o in options):
             continue
         for combo in itertools.product(*options):
-            for bits in itertools.product((1, 0), repeat=len(pairs)):
-                forced = dict(zip(pairs, bits))
-                ok, starts, orders = schedule_routes(combo, inst, forced)
+            for one in fixed:
+                ok, starts, orders = schedule_routes(combo, one)
                 if ok:
                     sols.append(([list(r) for r in combo], starts, orders))
     return sols

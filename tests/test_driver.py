@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import time
+import types
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from fragvrp.master import (LP_TOLERANCE, MasterError, MasterModel,
 from fragvrp.oracle import arc_model_solve, brute_force_optimal
 from fragvrp.scheduling import schedule_routes
 
-from support import (all_feasible_solutions, line_instance, random_instance,
-                     solution_cost)
+from support import (SIX_KINDS, all_feasible_solutions, line_instance,
+                     random_instance, solution_cost, with_orders)
 
 
 def oracle_best(inst):
@@ -208,15 +209,15 @@ class TestInitialUpperBound:
         done = 0
         for _ in range(40):
             inst = random_instance(rng, n_tasks=6, n_deps=3)
-            calc = cutlib.VminCalculator(inst)
-            res = compute_lower_bound(inst, vmin_calc=calc)
+            res = compute_lower_bound(inst)
             if res.status != "optimal":
                 continue
-            m = _restricted_master(inst, calc, res.cuts, res.columns)
+            m = _restricted_master(inst, res.cuts, res.columns)
             sol = m.solve_relaxation()
             assert sol.objective == pytest.approx(res.lb, abs=1e-6)
             sup = m.support(sol.x)
             keys = m.cut_keys()
+            calc = cutlib.VminCalculator(inst)
             assert cutlib.separate_fsec(sup, inst, cutlib.K_MAX, calc, tol,
                                         keys) == []
             assert cutlib.separate_tifi(sup, inst, tol, keys) == []
@@ -570,21 +571,30 @@ class TestIntegralLowerBound:
 
     def test_unforced_schedule_retry(self, monkeypatch):
         # the integral LP's order variables round to orders that no
-        # schedule of its routes meets; _decode's retry without them
-        # schedules the routes, and the solution is optimal
+        # schedule of its routes meets; _decode never reads them, so its
+        # one schedule_routes call schedules the routes, and the
+        # solution is optimal
         inst = random_instance(np.random.default_rng(2), n_tasks=5)
         sched = driver.schedule_routes
-        calls = []
+        decode = driver._decode
+        calls, rounded = [], []
 
-        def schedule_routes(routes, inst, *forced):
-            out = sched(routes, inst, *forced)
-            calls.append((bool(forced), out[0]))
+        def schedule_routes(routes, inst):
+            out = sched(routes, inst)
+            calls.append((routes, inst, out[0]))
             return out
 
+        def _decode(m, sol, inst):
+            rounded.append({k: round(v) for k, v in sol.p.items()})
+            return decode(m, sol, inst)
+
         monkeypatch.setattr(driver, "schedule_routes", schedule_routes)
+        monkeypatch.setattr(driver, "_decode", _decode)
         st = run(inst, SolverConfig())
         best, _ = brute_force_optimal(inst)
-        assert calls == [(True, False), (False, True)]
+        (routes, pinst, ok), = calls
+        assert ok and len(rounded) == 1
+        assert not sched(routes, with_orders(pinst, rounded[0]))[0]
         assert st.stats["first_incumbent"] == "lp"
         assert st.status == "optimal"
         assert st.lb_sol == st.ub_sol == best == 33
@@ -653,6 +663,35 @@ class TestArcModelAgreement:
         assert lb == pytest.approx(ub)
         assert st.ub_sol == ub
         assert check_solution(st.incumbent, inst)
+
+    def test_forbidden_orders_agree(self):
+        # random_instance draws precedence only when asked; each of these
+        # forbids one order of a pair, so the master's order-variable
+        # bound and the arc model's order bounds decide the answer
+        seen = set()
+        for n in (6, 7):
+            for s in range(50):
+                inst = random_instance(np.random.default_rng(s), n,
+                                       kinds=SIX_KINDS + ("precedence",))
+                which = set()
+                for d in inst.deps:
+                    if inst.order_forbidden(d.u, d.v):
+                        which.add("u-first")
+                    if inst.order_forbidden(d.v, d.u):
+                        which.add("v-first")
+                if not which:
+                    continue
+                st = run(inst, SolverConfig())
+                best, _ = brute_force_optimal(inst)
+                lb, ub, sol = arc_model_solve(inst)
+                assert st.status in ("optimal", "infeasible")
+                assert st.lb_sol == st.ub_sol == best == ub, (n, s)
+                assert lb == pytest.approx(ub)
+                for inc in (st.incumbent, sol):
+                    assert inc is None or check_solution(inc, inst)
+                seen |= {(st.status, w) for w in which}
+        assert seen == {(status, w) for status in ("optimal", "infeasible")
+                        for w in ("u-first", "v-first")}
 
 
 def refusing_first_pool(enum):
@@ -936,6 +975,82 @@ class TestRoundSchedule:
         assert max(r["enumerated"] for r in low.stats["rounds"]) <= 41
 
 
+class TestRoundExits:
+    """The round loop's exits that no solve of the suite reaches,
+    forced by stand-ins on one instance: its first incumbent, 37 from
+    the MILP, is optimal, and one round at 36 proves it."""
+
+    @staticmethod
+    def instance():
+        return random_instance(np.random.default_rng(17), n_tasks=7,
+                               n_deps=3)
+
+    def test_deadline_before_the_first_round(self, monkeypatch):
+        # the clock passes the deadline once the first incumbent is in:
+        # the loop stops at its top, before any enumeration
+        initial = driver.initial_upper_bound
+        late = []
+
+        def initial_upper_bound(*args, **kwargs):
+            out = initial(*args, **kwargs)
+            late.append(True)
+            return out
+
+        monkeypatch.setattr(driver, "initial_upper_bound",
+                            initial_upper_bound)
+        monkeypatch.setattr(driver, "time", types.SimpleNamespace(
+            monotonic=lambda: time.monotonic() + (1e9 if late else 0.0)))
+        inst = self.instance()
+        st = run(inst, SolverConfig(time_limit=60.0))
+        assert st.status == "time-limit" and st.stats["iterations"] == 1
+        assert st.lb_sol == st.stats["lb_certified"] == 35.5
+        assert st.ub_sol == 37 and check_solution(st.incumbent, inst)
+        assert st.stats["rounds"] == []
+        assert "enumerate" not in st.stats["wall_times"]
+
+    def test_unproven_round_keeps_the_incumbent(self, monkeypatch):
+        # the round's MILP gets no time left, so it proves nothing: the
+        # solve stops with the first incumbent and records the round
+        solve = driver._solve_restricted
+
+        def solve_restricted(m, inst, deadline, counts, cutoff=None):
+            if cutoff is not None:
+                deadline = time.monotonic()
+            return solve(m, inst, deadline, counts, cutoff=cutoff)
+
+        monkeypatch.setattr(driver, "_solve_restricted", solve_restricted)
+        inst = self.instance()
+        st = run(inst, SolverConfig())
+        assert st.status == "time-limit"
+        assert st.lb_sol == st.stats["lb_certified"] == 35.5
+        assert st.ub_sol == 37 and check_solution(st.incumbent, inst)
+        assert [(r["ub_cand"], r["milp_value"])
+                for r in st.stats["rounds"]] == [(36, None)]
+
+    def test_nothing_below_the_artificial_cost_is_infeasible(
+            self, monkeypatch):
+        # with no incumbent, a round that proves nothing costs its
+        # candidate or less, when that candidate reaches the artificial
+        # column's cost, proves that no solution exists
+        monkeypatch.setattr(driver, "artificial_cost", lambda inst: 36.0)
+        monkeypatch.setattr(driver, "initial_upper_bound",
+                            lambda *args, **kwargs: (math.inf, None))
+        monkeypatch.setattr(driver, "_solve_restricted",
+                            lambda *args, **kwargs: (math.inf, None, True))
+        st = run(self.instance(), SolverConfig())
+        assert (st.status, st.lb_sol, st.ub_sol, st.incumbent) == \
+            ("infeasible", math.inf, math.inf, None)
+        # the schedule's first candidate, ceil(1.05 * 35.5) = 38, is
+        # already past 36: one round
+        assert [r["ub_cand"] for r in st.stats["rounds"]] == [38]
+
+    def test_zero_step_doubles_the_candidate(self):
+        assert driver._grow(40.0, 2.5) == 43.0
+        assert driver._grow(40.0, 0.0) == 80.0
+        assert driver._grow(40.0, 1e-12) == 80.0
+        assert driver._grow(0.0, 0.0) == 1.0
+
+
 def lp_arrays(m):
     """Every array _assemble hands to a solve, the triplets one by one."""
     A, *rest = m._assemble()
@@ -1014,13 +1129,12 @@ class TestRoundMaster:
         """A round's master and a pool holding every initial fragment,
         the lower bound's columns and those enumerated within 10."""
         inst = random_instance(np.random.default_rng(9), n_tasks=6, n_deps=2)
-        calc = cutlib.VminCalculator(inst)
-        lb = compute_lower_bound(inst, vmin_calc=calc)
+        lb = compute_lower_bound(inst)
         pool = {f.tasks: f for f in driver.enumerate_fragments(
             lb.duals, 10.0, inst)}
         for f in (*initial_fragments(inst), *lb.columns):
             pool.setdefault(f.tasks, f)
-        args = (inst, calc, lb.cuts)
+        args = (inst, lb.cuts)
         return args, _restricted_master(*args), lb.lb, \
             sorted(pool.values(), key=lambda f: f.tasks)
 
@@ -1032,6 +1146,29 @@ class TestRoundMaster:
         assert rejected
         assert held <= {f.tasks for f in m.fragments}
         assert_same_lp(m, _restricted_master(*args, kept))
+
+    def test_built_from_the_lower_bounds_rows(self, monkeypatch):
+        # the lower bound's cuts begin with build_initial's up-front
+        # FSECs, so a master over those cuts alone is the one
+        # build_initial gives plus the lifted cuts, array for array
+        monkeypatch.setattr(driver, "FRCC_SIZE_CAP", 1.0)
+        rng = np.random.default_rng(4)
+        vd_rows = frcc_rows = 0
+        for _ in range(12):
+            inst = random_instance(rng, n_tasks=7, n_deps=3)
+            lb = compute_lower_bound(inst)
+            if lb.status != "optimal":
+                continue
+            frags = driver.enumerate_fragments(lb.duals, 10.0, inst)
+            fresh = driver.build_initial(inst)
+            for cut in lb.cuts:
+                fresh.add_cut(driver._lift_cut(cut, inst))
+            fresh.add_fragments(frags)
+            m = _restricted_master(inst, lb.cuts, frags)
+            assert_same_lp(m, fresh)
+            vd_rows += len(inst.vd) > 2
+            frcc_rows += sum(cut.kind == "FRCC" for cut in m.cuts)
+        assert vd_rows >= 3 and frcc_rows >= 1
 
     @pytest.mark.parametrize("seed", [59, 82, 110, 157])
     def test_round_master_holds_only_its_pool(self, monkeypatch, seed):

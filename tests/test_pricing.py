@@ -179,11 +179,10 @@ class TestCompletionCost:
         checked = rcc_rows = 0
         for _ in range(10):
             inst = random_instance(rng, n_tasks=5, n_deps=2)
-            calc = cuts.VminCalculator(inst)
-            res = compute_lower_bound(inst, vmin_calc=calc)
+            res = compute_lower_bound(inst)
             if res.status != "optimal":
                 continue
-            m = build_initial(inst, calc)
+            m = build_initial(inst)
             m.add_cuts(res.cuts)
             m.add_fragments(res.columns)
             frags, duals = check_dense_reduced_costs(
@@ -202,12 +201,11 @@ class TestCompletionCost:
         checked = frcc_rows = 0
         for _ in range(30):
             inst = random_instance(rng, n_tasks=7, n_deps=2)
-            calc = cuts.VminCalculator(inst)
-            res = compute_lower_bound(inst, vmin_calc=calc)
+            res = compute_lower_bound(inst)
             if res.status != "optimal":
                 continue
             pool = enumeration.enumerate_fragments(res.duals, 15.0, inst)
-            m = _restricted_master(inst, calc, res.cuts, pool)
+            m = _restricted_master(inst, res.cuts, pool)
             frags, duals = check_dense_reduced_costs(m, inst)
             checked += len(frags)
             if duals is not None:

@@ -10,7 +10,7 @@ from fragvrp.scheduling import (dependency_orders, extend_schedule,
                                 schedule_routes)
 
 from support import (random_instance, reference_extend_schedule,
-                     set_partitions)
+                     set_partitions, with_orders)
 
 
 def starts_feasible(routes, starts, inst):
@@ -108,9 +108,11 @@ class TestScheduleRoutes:
     def test_forced_orders(self):
         dep = TemporalDependency(1, 2, 2, 12, 3, 12)
         inst = tiny_instance([(0, 10), (0, 10)], [dep])
-        ok, starts, orders = schedule_routes([[1], [2]], inst, {(1, 2): 1})
+        ok, starts, orders = schedule_routes([[1], [2]],
+                                             with_orders(inst, {(1, 2): 1}))
         assert ok and starts[2] - starts[1] >= 2 and orders[(1, 2)] == 1
-        ok, starts, orders = schedule_routes([[1], [2]], inst, {(1, 2): 0})
+        ok, starts, orders = schedule_routes([[1], [2]],
+                                             with_orders(inst, {(1, 2): 0}))
         assert ok and starts[1] - starts[2] >= 3 and orders[(1, 2)] == 0
 
     def test_sentinel_conflict(self):
@@ -160,7 +162,7 @@ class TestScheduleRoutes:
 def small_systems(draw):
     """Routes over at least two of 2-4 tasks with random windows,
     durations and travel, 0-3 dependencies (some with a forbidden order)
-    and random forced orders."""
+    and random orders to fix."""
     n = draw(st.integers(2, 4))
     horizon = draw(st.integers(6, 12))
     tasks = [Task(0, 0, horizon, 0, 0)]
@@ -205,7 +207,7 @@ def small_systems(draw):
           tiny_instance([(0, 10)] * 4,
                         [TemporalDependency(2, 3, 0, 10, 0, 10)]),
           {(2, 3): 1}))
-# a synchronization is not branched: it takes bit 1 unless forced to 0
+# a synchronization is not branched: it takes bit 1 unless fixed to 0
 @example(([[1, 3], [2]],
           tiny_instance([(0, 10), (3, 10), (0, 10)],
                         [TemporalDependency(1, 2, 0, 0, 0, 0),
@@ -225,9 +227,9 @@ def test_verdict_and_earliest_starts_match_exhaustive_search(case):
              if d.u in present and d.v in present]
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         full = dict(zip(pairs, bits))
-        assert schedule_routes(routes, inst, full)[0] == \
+        assert schedule_routes(routes, with_orders(inst, full))[0] == \
             any(meets_orders(s, inst, full) for s in schedules)
-    ok, starts, orders = schedule_routes(routes, inst, forced)
+    ok, starts, orders = schedule_routes(routes, with_orders(inst, forced))
     assert ok == any(meets_orders(s, inst, forced) for s in schedules)
     if not ok:
         return
