@@ -1,4 +1,4 @@
-"""Microbenchmarks of FSEC right-hand sides: V_min and start-time checks.
+"""Microbenchmarks of FSEC rows: V_min, start-time checks, separation.
 
     python -m pytest benchmarks/bench_vmin.py
 
@@ -9,7 +9,9 @@ min-diff, sigma 0.5, dependency seed 7) asks a V_min question about,
 threshold or exact, in the order first asked.  ``vmin`` computes each
 exactly with a fresh calculator, so no answer comes from the memo;
 ``schedule_routes`` checks each set once as one route in id order and
-once as one route per task.
+once as one route per task.  ``separate_fsec`` replays the support and
+the cut keys of every FSEC separation that lower bound makes, each with
+a fresh calculator.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 import fragvrp
 from fragvrp import bench
+from fragvrp import cuts as cutlib
 from fragvrp.cuts import VminCalculator
 from fragvrp.driver import compute_lower_bound
 from fragvrp.preprocess import preprocess
@@ -29,11 +32,15 @@ DATA = Path(fragvrp.__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
-def asked():
+def s102():
     data = bench.load_solomon(DATA / "S102.txt")
     inst = bench.generate_dependencies(data.instance(take=15), "min-diff",
                                        0.5, 7)
-    pinst = preprocess(inst).instance
+    return preprocess(inst).instance
+
+
+@pytest.fixture(scope="module")
+def asked(s102):
     sets = {}
     vmin, exceeds = VminCalculator.vmin, VminCalculator.exceeds
 
@@ -48,9 +55,9 @@ def asked():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VminCalculator, "vmin", record_vmin)
         mp.setattr(VminCalculator, "exceeds", record_exceeds)
-        lbres = compute_lower_bound(pinst)
+        lbres = compute_lower_bound(s102)
     assert lbres.status == "optimal" and len(sets) > 100
-    return pinst, list(sets)
+    return s102, list(sets)
 
 
 def test_vmin(benchmark, asked):
@@ -73,3 +80,31 @@ def test_schedule_routes(benchmark, asked):
 
     verdicts = benchmark(check_all)
     assert len(verdicts) == len(sets)
+
+
+@pytest.fixture(scope="module")
+def separations(s102):
+    calls = []
+    separate = cutlib.separate_fsec
+
+    def record(support, inst, k_max, vmin_calc, viol_tol, existing):
+        calls.append((list(support), k_max, viol_tol, frozenset(existing)))
+        return separate(support, inst, k_max, vmin_calc, viol_tol, existing)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cutlib, "separate_fsec", record)
+        lbres = compute_lower_bound(s102)
+    assert lbres.status == "optimal" and calls
+    return s102, calls
+
+
+def test_separate_fsec(benchmark, separations):
+    inst, calls = separations
+
+    def separate_all():
+        return [cutlib.separate_fsec(sup, inst, k_max, VminCalculator(inst),
+                                     tol, existing)
+                for sup, k_max, tol, existing in calls]
+
+    found = benchmark(separate_all)
+    assert len(found) == len(calls) and any(found)

@@ -3,13 +3,15 @@
 Five cut families strengthen the master relaxation:
 
 * FSEC: subtour elimination over sets of dependent tasks, with a
-  minimum-vehicle right-hand side V_min(S).  Separation asks one
-  threshold question per candidate set, whether S needs more than k
-  routes for the one k that decides the cut, and computes V_min exactly
-  only for the sets that are violated.  V_min comes from one depth-first
-  search that inserts the tasks of S into partial routes and drops a
-  branch at the first placement that does not schedule (sound when
-  travel times meet the triangle inequality).
+  minimum-vehicle right-hand side V_min(S).  Separation lists each set
+  of dependent tasks that is connected by weighted fragments and
+  dependencies once, asks one threshold question per candidate set,
+  whether S needs more than k routes for the one k that decides the
+  cut, and computes V_min exactly only for the sets that are violated.
+  V_min comes from one depth-first search that inserts the tasks of S
+  into partial routes and drops a branch at the first placement that
+  does not schedule (sound when travel times meet the triangle
+  inequality).
 * TIFI: time infeasible fragment inequalities at a single task.
 * TDIFI: temporal dependency infeasible fragment inequalities at a
   dependent pair, in four variants (min/max difference per order).
@@ -221,7 +223,8 @@ class VminCalculator:
     that fails sets lo = k + 1, and lo == hi is the exact value.
     ``exceeds`` answers V_min(S) > k with at most one search, and none
     outside [lo, hi); ``vmin`` asks it for k = 1, 2, ... until the answer
-    is no, so no k is searched twice for the same set.
+    is no, so no k is searched twice for the same set.  ``searches``
+    counts the searches run, threshold and exact alike.
 
     Each node of the search carries its network state (least starts,
     closings, edges; ``scheduling.extend_schedule``), and a placement
@@ -240,6 +243,7 @@ class VminCalculator:
     def __init__(self, inst: Instance):
         self.inst = inst
         self._bounds: Dict[FrozenSet[int], Tuple[int, int]] = {}
+        self.searches = 0
 
     def vmin(self, S: Iterable[int]) -> int:
         S = frozenset(S)
@@ -256,6 +260,7 @@ class VminCalculator:
             return True
         if k >= hi:
             return False
+        self.searches += 1
         if self._feasible_with(sorted(key), k):
             self._bounds[key] = (lo, k)
             return False
@@ -309,15 +314,51 @@ class VminCalculator:
 # already present in the model.  Output order is deterministic.
 
 
+def _connected_sets(adj: Sequence[AbstractSet[int]], size_max: int):
+    """Each connected set of 2..size_max vertices of the graph over
+    0..len(adj) - 1 with neighbour sets adj, once, as a list in no fixed
+    order.  ESU (Wernicke, IEEE/ACM TCBB 2006): a set grows from its
+    least vertex, by candidates above it that are adjacent to the set,
+    and a vertex becomes a candidate only through the first member it
+    is adjacent to, so no set is reached twice."""
+    def extend(members: List[int], cands: List[int], near: set):
+        while cands:
+            w = cands.pop()
+            grown = members + [w]
+            yield grown
+            if len(grown) < size_max:
+                fresh = [u for u in adj[w] if u > grown[0] and u not in near]
+                yield from extend(grown, cands + fresh, near | adj[w])
+
+    if size_max < 2:
+        return
+    for v in range(len(adj)):
+        yield from extend([v], [u for u in adj[v] if u > v], adj[v] | {v})
+
+
 def separate_fsec(support: Sequence[Tuple[Fragment, float]], inst: Instance,
                   k_max: int, vmin_calc: VminCalculator, viol_tol: float,
                   existing: AbstractSet = frozenset()) -> List[FsecCut]:
-    """Enumerate S within the dependent tasks up to k_max, depth first in
-    id order, adding the weight each new task shares with the set.  A set
-    new to the model is a candidate only when its internal fragment weight
-    exceeds 1; it is violated exactly when V_min(S) > k for the largest k
-    whose row |S| - k the weight does not violate, which one threshold
-    query decides.  Only violated sets get an exact V_min."""
+    """FSECs over sets of 2..k_max dependent tasks that are connected in
+    the candidate graph: an edge joins two dependent tasks when the
+    support carries weight on a fragment between them, either way, or
+    when they form a dependency.  Each connected set is listed once.  A
+    set new to the model is a candidate only when its internal fragment
+    weight exceeds 1; it is violated exactly when V_min(S) > k for the
+    largest k whose row |S| - k the weight does not violate, which one
+    threshold query decides.  Only violated sets get an exact V_min.
+    The weight is summed over the members in id order, each adding its
+    own term and then its links to the members before it, so a set's
+    float, and its row, do not depend on how the set was reached.
+
+    A disconnected set S = A + B, no edge across, is skipped: its inside
+    weight is inside(A) + inside(B), and with no dependency between A
+    and B their routes schedule apart, so V_min(S) <= V_min(A) +
+    V_min(B).  A row of S violated by more than viol_tol therefore has
+    a part violated by more than viol_tol / 2.  That part is not always
+    emitted: its weight may be at most 1, or its violation at most
+    viol_tol.  FSECs are valid inequalities, so the rows left out only
+    weaken the bound, never its soundness."""
     vd = sorted(inst.vd)
     at = {v: i for i, v in enumerate(vd)}
     # link[j][i], i <= j: fragment weight between vd[i] and vd[j]
@@ -326,26 +367,29 @@ def separate_fsec(support: Sequence[Tuple[Fragment, float]], inst: Instance,
         if f.start in inst.vd and f.end in inst.vd:
             i, j = sorted((at[f.start], at[f.end]))
             link[j][i] += x
-    size_max = min(k_max, len(vd))
-    chosen: List[int] = []
+    adj: List[set] = [set() for _ in vd]
+    for j, row in enumerate(link):
+        for i in range(j):
+            if row[i] > 0.0:
+                adj[i].add(j)
+                adj[j].add(i)
+    for d in inst.deps:
+        adj[at[d.u]].add(at[d.v])
+        adj[at[d.v]].add(at[d.u])
     out: List[FsecCut] = []
-
-    def grow(first: int, inside: float) -> None:
-        for j in range(first, len(vd)):
+    for members in _connected_sets(adj, min(k_max, len(vd))):
+        members = sorted(members)
+        inside = 0.0
+        for a, j in enumerate(members):
             row = link[j]
-            total = inside + row[j]
-            for i in chosen:
-                total += row[i]
-            chosen.append(j)
-            if len(chosen) > 1 and total > 1.0 + EPS:
-                consider(tuple(vd[i] for i in chosen), total)
-            if len(chosen) < size_max:
-                grow(j + 1, total)
-            chosen.pop()
-
-    def consider(S: Tuple[int, ...], inside: float) -> None:
+            inside += row[j]
+            for i in members[:a]:
+                inside += row[i]
+        if inside <= 1.0 + EPS:
+            continue
+        S = tuple(vd[i] for i in members)
         if ("FSEC", S) in existing:
-            return
+            continue
         # the largest k whose row |S| - k the weight does not violate,
         # by the float test inside > FsecCut.rhs + viol_tol itself, so
         # V_min(S) > k decides exactly as an exact V_min would
@@ -357,8 +401,6 @@ def separate_fsec(support: Sequence[Tuple[Fragment, float]], inst: Instance,
             k += 1
         if vmin_calc.exceeds(S, k):
             out.append(FsecCut(S=frozenset(S), vmin=vmin_calc.vmin(S)))
-
-    grow(0, 0.0)
     out.sort(key=lambda c: c.key())
     return out
 

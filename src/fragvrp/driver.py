@@ -17,19 +17,24 @@ With an incumbent, and no pool refused yet, a round's candidate is
 ub - 1: its final solve finds a cheaper solution, which is optimal, or
 proves that none exists, so one round closes the bracket.  Otherwise
 it is the schedule's, capped at ub - 1: ceil((1 + GAP_INIT) lb), then
-GAP_STEP lb more per round, rounded up (see _grow).  A pool past f_max
-fragments is refused: at ub - 1 the round falls back to the schedule; a
-refused scheduled pool, or a scheduled candidate at or past the refused
-one (a pool never shrinks as its candidate grows), stops the solve with
-fragment-limit.  The final solve looks only below the incumbent, so a
-round's master holds only the initial columns and the reduced pool.
+GAP_STEP lb more per round, rounded up (see _grow).  The last of the
+ROUNDS rounds, with no incumbent yet, takes the artificial cost as its
+candidate, which every solution undercuts: it finds the optimum or
+proves the instance infeasible, unless a limit stops it.  A pool past
+f_max fragments is refused: at ub - 1 the round falls back to the
+schedule; a refused scheduled pool, or a scheduled candidate at or past
+the refused one (a pool never shrinks as its candidate grows), stops the
+solve with fragment-limit.  The final solve looks only below the
+incumbent, so a round's master holds only the initial columns and the
+reduced pool.
 
 One deadline, cfg.time_limit after the start, bounds every phase; the
 first-incumbent solve, repairs included, gets T_GUESS seconds at most.
 It caps that MILP only, so an instance whose integral LP is the first
 incumbent keeps it at any T_GUESS.  The two budgets, time_limit and
-f_max, are the only settings (SolverConfig); GAP_INIT, GAP_STEP and
-T_GUESS here, cuts.K_MAX and pricing.NG_SIZE are the method's constants.
+f_max, are the only settings (SolverConfig); GAP_INIT, GAP_STEP,
+T_GUESS and ROUNDS here, cuts.K_MAX and pricing.NG_SIZE are the method's
+constants.
 stats["first_incumbent"] names where the first incumbent came from,
 "lp" or "milp", and is absent when neither gave one.
 """
@@ -63,6 +68,8 @@ GAP_INIT = 0.05
 GAP_STEP = 0.05
 # seconds for the first-incumbent MILP, repairs included
 T_GUESS = 100.0
+# gap rounds a solve runs at most
+ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,8 @@ class LowerBound:
     pricing_iterations: int = 0
     # the converged LP's own solution, when it is integral and verifies
     incumbent: Optional[Incumbent] = None
+    # V_min searches, threshold and exact, that its rows took
+    vmin_searches: int = 0
 
 
 def compute_lower_bound(inst, deadline=math.inf) -> LowerBound:
@@ -176,11 +185,16 @@ def compute_lower_bound(inst, deadline=math.inf) -> LowerBound:
     solution hands that solution back as the incumbent.  The cuts it
     returns start with build_initial's up-front FSECs."""
     calc = cutlib.VminCalculator(inst)
+
+    def infeasible():
+        return LowerBound(float("inf"), (), None, (), "infeasible",
+                          vmin_searches=calc.searches)
+
     ng = ng_neighborhoods(inst, NG_SIZE)
     m = build_initial(inst, calc)
     sol = m.solve_relaxation()
     if sol.status != "optimal":
-        return LowerBound(float("inf"), (), None, (), "infeasible")
+        return infeasible()
     tol = LP_TOLERANCE
     rcc_left = RCC_TOTAL_LIMIT
     iters = 0
@@ -211,25 +225,26 @@ def compute_lower_bound(inst, deadline=math.inf) -> LowerBound:
                 break
         sol = m.solve_relaxation()
         if sol.status != "optimal":
-            return LowerBound(float("inf"), (), None, (), "infeasible")
+            return infeasible()
     if status == "time-limit":
         # pricing may not have converged and an artificial-free resolve
         # of a column-starved master proves nothing, so skip the
         # infeasibility confirmation and report the snapshot bound
         return LowerBound(cert, tuple(m.fragments), sol.duals,
-                          tuple(m.cuts), status, iters)
+                          tuple(m.cuts), status, iters,
+                          vmin_searches=calc.searches)
     if sol.artificial > 1e-7:
         # the LP leans on the artificial column: confirm that no real
         # solution exists before declaring the instance infeasible
         strict = m.solve_relaxation(forbid_artificial=True)
         if strict.status != "optimal":
-            return LowerBound(float("inf"), (), None, (), "infeasible")
+            return infeasible()
     inc = None
     if sol.artificial <= tol and np.all(
             np.minimum(np.abs(sol.x), np.abs(sol.x - 1)) <= tol):
         inc, _ = _verified(m, sol, inst)
     return LowerBound(sol.objective, tuple(m.fragments), sol.duals,
-                      tuple(m.cuts), status, iters, inc)
+                      tuple(m.cuts), status, iters, inc, calc.searches)
 
 
 # -- Steps 3 and 5: restricted integer solves -------------------------
@@ -402,6 +417,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
     mark("lower_bound", t0)
     for c in lbres.cuts:
         counts[c.kind] += 1
+    stats["vmin_searches"] = lbres.vmin_searches
     if lbres.status == "infeasible":
         return BoundsState(float("inf"), float("inf"), None, "infeasible",
                            stats)
@@ -441,7 +457,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
             return None
 
     status = "gap-limit"
-    for iteration in range(1, 65):
+    for iteration in range(1, ROUNDS + 1):
         stats["iterations"] = iteration
         if time.monotonic() >= deadline:
             status = "time-limit"
@@ -457,6 +473,8 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
                     refused = ub_cand
             if pool is None:
                 ub_cand = min(sched, ub_sol - 1)
+                if iteration == ROUNDS and math.isinf(ub_sol):
+                    ub_cand = c_art
                 pool = pool_at(ub_cand) if ub_cand < refused else None
         except DeadlinePassed:
             mark("enumerate", t0)

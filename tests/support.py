@@ -393,7 +393,9 @@ def all_feasible_solutions(inst, schedule_routes):
 
 def reference_fsec(support, inst, k_max, vmin, viol_tol, existing=()):
     """FSEC separation the plain way: every set of 2..k_max dependent tasks
-    whose internal fragment weight, summed by scanning every weighted pair,
+    that is connected, where two tasks are adjacent when a weighted
+    fragment joins them either way or they form a dependency, and whose
+    internal fragment weight, summed by scanning every weighted pair,
     exceeds 1 gets its exact vmin(S); the row |S| - vmin(S) is emitted
     when the weight violates it by more than viol_tol and its key is new.
     Returns the sorted (S, vmin) of the emitted rows."""
@@ -403,9 +405,13 @@ def reference_fsec(support, inst, k_max, vmin, viol_tol, existing=()):
         if f.start in inst.vd and f.end in inst.vd:
             key = (f.start, f.end)
             weight[key] = weight.get(key, 0.0) + x
+    edges = {frozenset(k) for k, w in weight.items() if w > 0} \
+        | {frozenset((d.u, d.v)) for d in inst.deps}
     out = []
     for size in range(2, min(k_max, len(vd)) + 1):
         for S in itertools.combinations(vd, size):
+            if not connected(S, edges):
+                continue
             inside = sum(w for (a, b), w in weight.items()
                          if a in S and b in S)
             if inside <= 1.0 + 1e-9:
@@ -415,6 +421,19 @@ def reference_fsec(support, inst, k_max, vmin, viol_tol, existing=()):
                     inside > float(len(S) - v) + viol_tol:
                 out.append((S, v))
     return sorted(out)
+
+
+def connected(S, edges):
+    """Whether a search from S's first task over the edges (pairs as
+    frozensets) with both ends in S reaches all of S."""
+    reached, stack = {S[0]}, [S[0]]
+    while stack:
+        a = stack.pop()
+        for b in S:
+            if b not in reached and frozenset((a, b)) in edges:
+                reached.add(b)
+                stack.append(b)
+    return len(reached) == len(S)
 
 
 def _first_most_violated(rows, viol_tol, existing):

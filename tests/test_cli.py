@@ -73,6 +73,8 @@ class TestSolve:
         # the converged LP is integral here, so no MILP ran
         assert doc["stats"]["first_incumbent"] == "lp"
         assert "initial_ub" not in doc["stats"]["wall_times"]
+        # no dependency, so no set needs a V_min
+        assert doc["stats"]["vmin_searches"] == 0
 
     def test_out_file(self, inst_path, tmp_path, capsys):
         out = tmp_path / "sol.json"

@@ -248,6 +248,21 @@ class TestVmin:
         assert VminCalculator(inst).vmin(S) == exhaustive_vmin(S, inst)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(vmin_cases(), st.data())
+    def test_subadditive_over_independent_parts(self, case, data):
+        # FSEC separation skips disconnected sets on this fact: with no
+        # dependency between disjoint A and B, their routes schedule
+        # apart, so V_min(A | B) <= V_min(A) + V_min(B)
+        S, inst = case
+        A = set(data.draw(st.sets(st.sampled_from(S), min_size=1,
+                                  max_size=len(S) - 1)))
+        B = set(S) - A
+        inst = inst.replace(dependencies=[
+            d for d in inst.deps if not ({d.u, d.v} & A and {d.u, d.v} & B)])
+        calc = VminCalculator(inst)
+        assert calc.vmin(S) <= calc.vmin(A) + calc.vmin(B)
+
     @settings(max_examples=150, deadline=None)
     @given(vmin_cases(), st.lists(st.integers(-1, 7), max_size=6))
     def test_threshold_queries_leave_vmin_exact(self, case, ks):
@@ -286,6 +301,28 @@ def fsec_cases(draw):
     return inst, support, draw(st.integers(2, 5)), tol, existing
 
 
+class AskedCalculator(VminCalculator):
+    """A VminCalculator that records the sets of the threshold queries
+    asked from outside, not those ``vmin`` asks itself."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.asked = []
+        self._exact = False
+
+    def vmin(self, S):
+        self._exact = True
+        try:
+            return super().vmin(S)
+        finally:
+            self._exact = False
+
+    def exceeds(self, S, k):
+        if not self._exact:
+            self.asked.append(tuple(sorted(S)))
+        return super().exceeds(S, k)
+
+
 class TestSeparation:
     @settings(max_examples=200, deadline=None)
     @given(fsec_cases())
@@ -294,9 +331,34 @@ class TestSeparation:
         exact = VminCalculator(inst)
         want = support.reference_fsec(sup, inst, k_max, exact.vmin, tol,
                                       existing)
-        cuts = separate_fsec(sup, inst, k_max, VminCalculator(inst), tol,
-                             existing)
+        calc = AskedCalculator(inst)
+        cuts = separate_fsec(sup, inst, k_max, calc, tol, existing)
         assert [(tuple(sorted(c.S)), c.vmin) for c in cuts] == want
+        # one threshold query per set, and only of connected sets
+        edges = {frozenset((f.start, f.end)) for f, _ in sup} \
+            | {frozenset((d.u, d.v)) for d in inst.deps}
+        assert len(calc.asked) == len(set(calc.asked))
+        assert all(support.connected(S, edges) for S in calc.asked)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                      st.integers(0, n - 1))))),
+        st.integers(0, 6))
+    def test_connected_sets_each_listed_once(self, graph, size_max):
+        n, pairs = graph
+        adj = [set() for _ in range(n)]
+        for a, b in pairs:
+            if a != b:
+                adj[a].add(b)
+                adj[b].add(a)
+        edges = {frozenset(p) for p in pairs}
+        got = [tuple(sorted(S))
+               for S in cutlib._connected_sets(adj, size_max)]
+        want = [S for size in range(2, size_max + 1)
+                for S in itertools.combinations(range(n), size)
+                if support.connected(S, edges)]
+        assert sorted(got) == sorted(want)
 
     def test_fsec_row_at_the_tolerance_edge(self):
         # V_min{1, 2} = 1, so the row is x <= 1: weight 1.125 violates it

@@ -441,6 +441,21 @@ class TestRun:
         assert st.stats["lb_certified"] <= st.ub_sol + 1e-6
         assert st.stats["rounds"] == []
 
+    def test_vmin_searches_counts_every_search(self, monkeypatch):
+        # the lower bound's calculator is the solve's only one
+        searched = []
+        feasible_with = cutlib.VminCalculator._feasible_with
+
+        def counted(calc, tasks, k):
+            searched.append((tuple(tasks), k))
+            return feasible_with(calc, tasks, k)
+
+        monkeypatch.setattr(cutlib.VminCalculator, "_feasible_with", counted)
+        st = run(random_instance(np.random.default_rng(17), n_tasks=7,
+                                 n_deps=3), SolverConfig())
+        assert st.status == "optimal"
+        assert st.stats["vmin_searches"] == len(searched) > 0
+
 
 def counting_milps(monkeypatch):
     """Wraps MasterModel.solve_integer; the list it returns grows by one
@@ -891,6 +906,21 @@ class TestRoundSchedule:
         assert [(r["ub_cand"], r["enumerated"])
                 for r in capped.stats["rounds"]] == [(324, 243)]
         assert (capped.lb_sol, capped.ub_sol) == (325, 340)
+
+    def test_last_round_without_incumbent_at_the_artificial_cost(self):
+        # an infeasible instance whose schedule grows by about 2.2 per
+        # round from lb 43.5: its 63rd candidate is 232, far below the
+        # artificial cost 389, so only the last round, at 389, proves
+        # that no solution exists; the arc model agrees
+        inst = random_instance(np.random.default_rng(186), 8,
+                               kinds=SIX_KINDS + ("precedence",))
+        st = run(inst, SolverConfig())
+        assert (st.status, st.lb_sol, st.ub_sol, st.incumbent) == \
+            ("infeasible", math.inf, math.inf, None)
+        cands = [r["ub_cand"] for r in st.stats["rounds"]]
+        assert len(cands) == st.stats["iterations"] == driver.ROUNDS
+        assert cands[-2:] == [232, 389]
+        assert arc_model_solve(inst)[:2] == (math.inf, math.inf)
 
     def test_refused_pool_listed_once(self, monkeypatch):
         # with f_max 510 the pool at ub - 1 = 339 is refused; the
