@@ -117,8 +117,11 @@ def _emit(text, out):
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    cfg = SolverConfig(**{f.name: getattr(args, f.name)
-                          for f in dataclasses.fields(SolverConfig)})
+    try:
+        cfg = SolverConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(SolverConfig)})
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     st = run(inst, cfg)
     _emit(solution_to_json(st), args.out)
     if st.status == "optimal":

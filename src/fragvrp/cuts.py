@@ -1,27 +1,25 @@
 """Valid inequalities for the fragment formulation.
 
-Five cut families strengthen the master relaxation:
+Five cut families strengthen the master relaxation.  Each says how
+pricing charges its dual (Row.charge):
 
 * FSEC: subtour elimination over sets of dependent tasks, with a
-  minimum-vehicle right-hand side V_min(S).  Separation lists each set
-  of dependent tasks that is connected by weighted fragments and
-  dependencies once, asks one threshold question per candidate set,
-  whether S needs more than k routes for the one k that decides the
-  cut, and computes V_min exactly only for the sets that are violated.
-  V_min comes from one depth-first search that inserts the tasks of S
-  into partial routes and drops a branch at the first placement that
-  does not schedule (sound when travel times meet the triangle
-  inequality).
+  minimum-vehicle right-hand side V_min(S); charged at completion.
+  Separation asks V_min only of connected candidate sets, one threshold
+  query each (separate_fsec); V_min is one depth-first search per
+  route count (VminCalculator).
 * TIFI: time infeasible fragment inequalities at a single task.
 * TDIFI: temporal dependency infeasible fragment inequalities at a
   dependent pair, in four variants (min/max difference per order).
-  TIFI and TDIFI share one row form, IntervalCut: late arrivals into
-  one task plus early departures from another, with an optional order
-  term.  Their separators only list candidate rows; one scoring loop
-  picks the most violated.
-* RCC: rounded capacity constraints counting S-entering arcs.
+  TIFI and TDIFI share one row form, IntervalCut, charged at completion:
+  late arrivals into one task plus early departures from another, with
+  an optional order term.  Their separators only list candidate rows;
+  one scoring loop picks the most violated.
+* RCC: rounded capacity constraints counting S-entering arcs; charged
+  on those arcs.
 * FRCC: fragment-based lifting of an RCC (coefficient 1 per entering
-  fragment, regardless of how often it enters).
+  fragment, regardless of how often it enters); charged on the finished
+  fragment only, so only restricted masters, never labeled, hold it.
 
 Every cut knows its row coefficient for an arbitrary fragment, so the
 master can rebuild rows from fragment data alone.  Separators are pure
@@ -51,34 +49,61 @@ K_MAX = 5
 TDIFI_VARIANTS = ("uv-min", "uv-max", "vu-min", "vu-max")
 
 
-@dataclass(frozen=True)
-class FsecCut:
-    """sum of fragments with both endpoints in S  <=  |S| - vmin."""
+class Row:
+    """A master row: kind, key(), sense ('L' unless a class says 'G'),
+    rhs, an order term p_coeff * p (none by default) and fragment_coeff(f).
+    `charge` says where pricing puts its dual: "arc" onto every arc
+    entering the row's set S, which fragment_coeff counts; "completion"
+    by completion_coeff(start, end, es, ls) as a label completes;
+    "fragment" on the finished fragment alone.
 
-    S: FrozenSet[int]
-    vmin: int
+    Completion rows are 'L' rows, so their duals are nonpositive up to
+    the LP tolerance.  The coefficient is a nonnegative integer, at most
+    coeff_max, that depends on (start, end, es, ls) only, never falls as
+    es grows and never rises as ls grows.
+    """
 
-    kind = "FSEC"
     sense = "L"
     p_pair = None
     p_coeff = 0.0
 
-    @property
-    def rhs(self) -> float:
-        return float(len(self.S) - self.vmin)
+
+@dataclass(frozen=True)
+class SetRow(Row):
+    """A row over a task set S, keyed by its kind and sorted S."""
+
+    S: FrozenSet[int]
 
     def key(self):
-        return ("FSEC", tuple(sorted(self.S)))
+        return (self.kind, tuple(sorted(self.S)))
 
-    def completion_coeff(self, start: int, end: int, es: int, ls: int) -> int:
-        return 1 if (start in self.S and end in self.S) else 0
+
+class CompletionRow(Row):
+    charge = "completion"
 
     def fragment_coeff(self, f: Fragment) -> int:
         return self.completion_coeff(f.start, f.end, f.es, f.ls)
 
 
 @dataclass(frozen=True)
-class IntervalCut:
+class FsecCut(SetRow, CompletionRow):
+    """sum of fragments with both endpoints in S  <=  |S| - vmin."""
+
+    vmin: int
+
+    kind = "FSEC"
+    coeff_max = 1
+
+    @property
+    def rhs(self) -> float:
+        return float(len(self.S) - self.vmin)
+
+    def completion_coeff(self, start: int, end: int, es: int, ls: int) -> int:
+        return 1 if (start in self.S and end in self.S) else 0
+
+
+@dataclass(frozen=True)
+class IntervalCut(CompletionRow):
     """An infeasible-interval row: fragments into in_task finishing at or
     after es_min plus fragments out of out_task that must start by
     ls_max, plus p_coeff times the order variable of p_pair, at most rhs.
@@ -98,7 +123,7 @@ class IntervalCut:
     p_pair: Optional[Tuple[int, int]] = None
     p_coeff: float = 0.0
 
-    sense = "L"
+    coeff_max = 2
 
     def key(self):
         return (self.kind,) + self.tag
@@ -110,9 +135,6 @@ class IntervalCut:
         if start == self.out_task and ls <= self.ls_max:
             c += 1
         return c
-
-    def fragment_coeff(self, f: Fragment) -> int:
-        return self.completion_coeff(f.start, f.end, f.es, f.ls)
 
 
 def make_tifi(v: int, t: int) -> IntervalCut:
@@ -146,20 +168,15 @@ def make_tdifi(u: int, v: int, variant: str, t: int,
 
 
 @dataclass(frozen=True)
-class RccCut:
+class RccCut(SetRow):
     """Entering-arc rounded capacity constraint: the number of arcs that
     cross into S, weighted by fragment use, is at least ceil(q(S)/Q)."""
 
-    S: FrozenSet[int]
     rhs: float
 
     kind = "RCC"
     sense = "G"
-    p_pair = None
-    p_coeff = 0.0
-
-    def key(self):
-        return ("RCC", tuple(sorted(self.S)))
+    charge = "arc"
 
     def fragment_coeff(self, f: Fragment) -> int:
         return _entries(f, self.S)
@@ -172,25 +189,19 @@ def _entries(f: Fragment, S) -> int:
 
 
 @dataclass(frozen=True)
-class FrccCut:
+class FrccCut(SetRow):
     """Fragment-based rounded capacity constraint: fragments starting
     outside S and visiting it count once each."""
 
-    S: FrozenSet[int]
     rhs: float
 
     kind = "FRCC"
     sense = "G"
-    p_pair = None
-    p_coeff = 0.0
-
-    def key(self):
-        return ("FRCC", tuple(sorted(self.S)))
+    charge = "fragment"
 
     def fragment_coeff(self, f: Fragment) -> int:
-        if f.start in self.S:
-            return 0
-        return 1 if any(task in self.S for task in f.tasks) else 0
+        return int(f.start not in self.S
+                   and any(task in self.S for task in f.tasks))
 
 
 def lift_rcc_to_frcc(cut: RccCut) -> FrccCut:
@@ -352,10 +363,12 @@ def separate_fsec(support: Sequence[Tuple[Fragment, float]], inst: Instance,
     float, and its row, do not depend on how the set was reached.
 
     A disconnected set S = A + B, no edge across, is skipped: its inside
-    weight is inside(A) + inside(B), and with no dependency between A
-    and B their routes schedule apart, so V_min(S) <= V_min(A) +
-    V_min(B).  A row of S violated by more than viol_tol therefore has
-    a part violated by more than viol_tol / 2.  That part is not always
+    weight is inside(A) + inside(B), and with no dependency across, the
+    parts schedule apart.  So V_min(S) <= V_min(A) + V_min(B) when both
+    parts schedule, and a row of S violated by more than viol_tol has a
+    part violated by more than viol_tol / 2; when one does not, S does
+    not either (V_min(S) = |S| + 1), and that part's row, right-hand
+    side -1, is violated by at least 1.  Such a part is not always
     emitted: its weight may be at most 1, or its violation at most
     viol_tol.  FSECs are valid inequalities, so the rows left out only
     weaken the bound, never its soundness."""
@@ -418,23 +431,28 @@ def _by_endpoint(support: Sequence[Tuple[Fragment, float]], inst: Instance):
     return incoming, outgoing
 
 
-def _most_violated(rows: Iterable[IntervalCut], incoming, outgoing,
-                   p_vals: Dict[Tuple[int, int], float], viol_tol: float,
-                   existing) -> Optional[IntervalCut]:
-    """The first row violated by more than viol_tol whose key is new to
-    the model, replaced only by a later one violated more by EPS."""
-    best = None
-    for cut in rows:
-        lhs = cut.p_coeff * p_vals.get(cut.p_pair, 0.0)
-        lhs += sum(x for f, x in incoming.get(cut.in_task, ())
-                   if f.es >= cut.es_min)
-        lhs += sum(x for f, x in outgoing.get(cut.out_task, ())
-                   if f.ls <= cut.ls_max)
-        viol = lhs - cut.rhs
-        if viol > viol_tol and (best is None or viol > best[0] + EPS) \
-                and cut.key() not in existing:
-            best = (viol, cut)
-    return None if best is None else best[1]
+def _most_violated(groups: Iterable[Iterable[IntervalCut]], incoming,
+                   outgoing, p_vals: Dict[Tuple[int, int], float],
+                   viol_tol: float, existing) -> List[IntervalCut]:
+    """Per group of candidate rows, the first row violated by more than
+    viol_tol whose key is new to the model, replaced only by a later one
+    violated more by EPS; a group without one adds nothing."""
+    out: List[IntervalCut] = []
+    for rows in groups:
+        best = None
+        for cut in rows:
+            lhs = cut.p_coeff * p_vals.get(cut.p_pair, 0.0)
+            lhs += sum(x for f, x in incoming.get(cut.in_task, ())
+                       if f.es >= cut.es_min)
+            lhs += sum(x for f, x in outgoing.get(cut.out_task, ())
+                       if f.ls <= cut.ls_max)
+            viol = lhs - cut.rhs
+            if viol > viol_tol and (best is None or viol > best[0] + EPS) \
+                    and cut.key() not in existing:
+                best = (viol, cut)
+        if best is not None:
+            out.append(best[1])
+    return out
 
 
 def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
@@ -443,14 +461,10 @@ def separate_tifi(support: Sequence[Tuple[Fragment, float]], inst: Instance,
     """At most one cut per dependent task, the most violated over the
     candidate time points (earliest completions of ingoing fragments)."""
     incoming, outgoing = _by_endpoint(support, inst)
-    out: List[IntervalCut] = []
-    for v in sorted(inst.vd):
-        times = sorted({f.es for f, _ in incoming.get(v, ())})
-        cut = _most_violated((make_tifi(v, int(t)) for t in times),
-                             incoming, outgoing, {}, viol_tol, existing)
-        if cut is not None:
-            out.append(cut)
-    return out
+    groups = ((make_tifi(v, int(t))
+               for t in sorted({f.es for f, _ in incoming.get(v, ())}))
+              for v in sorted(inst.vd))
+    return _most_violated(groups, incoming, outgoing, {}, viol_tol, existing)
 
 
 def separate_tdifi(support: Sequence[Tuple[Fragment, float]],
@@ -460,31 +474,19 @@ def separate_tdifi(support: Sequence[Tuple[Fragment, float]],
     """At most one cut per dependent pair: the most violated among the
     four variants over their respective candidate time points."""
     incoming, outgoing = _by_endpoint(support, inst)
-    out: List[IntervalCut] = []
-    for dep in inst.deps:
-        u, v = dep.u, dep.v
+
+    def rows(u, v):
         times = {
             "uv-min": sorted({f.es for f, _ in incoming.get(u, ())}),
             "uv-max": sorted({f.ls for f, _ in outgoing.get(u, ())}),
             "vu-min": sorted({f.es for f, _ in incoming.get(v, ())}),
             "vu-max": sorted({f.ls for f, _ in outgoing.get(v, ())}),
         }
-        rows = (make_tdifi(u, v, variant, int(t), inst)
+        return (make_tdifi(u, v, variant, int(t), inst)
                 for variant in TDIFI_VARIANTS for t in times[variant])
-        cut = _most_violated(rows, incoming, outgoing, p_vals, viol_tol,
-                             existing)
-        if cut is not None:
-            out.append(cut)
-    return out
 
-
-def _entering_weight(support, S) -> float:
-    lhs = 0.0
-    for f, x in support:
-        cnt = _entries(f, S)
-        if cnt:
-            lhs += cnt * x
-    return lhs
+    return _most_violated((rows(d.u, d.v) for d in inst.deps), incoming,
+                          outgoing, p_vals, viol_tol, existing)
 
 
 def separate_rcc(support: Sequence[Tuple[Fragment, float]], inst: Instance,
@@ -503,7 +505,10 @@ def separate_rcc(support: Sequence[Tuple[Fragment, float]], inst: Instance,
                 adj[b].add(a)
 
     def violation(S: set) -> float:
-        return rcc_rhs(S, inst) - _entering_weight(support, S)
+        lhs = 0.0   # the entering weight
+        for f, x in support:
+            lhs += _entries(f, S) * x
+        return rcc_rhs(S, inst) - lhs
 
     seen: set = set()
     seeds: List[Tuple[int, ...]] = []
@@ -527,23 +532,17 @@ def separate_rcc(support: Sequence[Tuple[Fragment, float]], inst: Instance,
         viol = violation(S)
         # Single-task exchanges, best-improvement, bounded walk.
         for _ in range(2 * inst.n):
-            best = None
-            for j in sorted(set(range(1, inst.n + 1)) - S):
-                cand = violation(S | {j})
-                if cand > viol + EPS and (best is None or cand > best[0] + EPS):
-                    best = (cand, j, True)
+            moves = [S | {j} for j in sorted(set(range(1, inst.n + 1)) - S)]
             if len(S) > 1:
-                for j in sorted(S):
-                    cand = violation(S - {j})
-                    if cand > viol + EPS and (best is None or cand > best[0] + EPS):
-                        best = (cand, j, False)
+                moves += [S - {j} for j in sorted(S)]
+            best = None
+            for T in moves:
+                cand = violation(T)
+                if cand > viol + EPS and (best is None or cand > best[0] + EPS):
+                    best = (cand, T)
             if best is None:
                 break
-            viol = best[0]
-            if best[2]:
-                S.add(best[1])
-            else:
-                S.discard(best[1])
+            viol, S = best
         if viol > viol_tol:
             cut = RccCut(S=frozenset(S), rhs=float(rcc_rhs(S, inst)))
             if cut.key() not in existing and cut.key() not in emitted:

@@ -251,8 +251,9 @@ def compute_lower_bound(inst, deadline=math.inf) -> LowerBound:
 
 
 def _lift_cut(cut, inst):
+    """Restricted masters are never labeled, so small "arc" rows are lifted."""
     cap = math.ceil(FRCC_SIZE_CAP * inst.n)
-    if isinstance(cut, cutlib.RccCut) and len(cut.S) <= cap:
+    if cut.charge == "arc" and len(cut.S) <= cap:
         return cutlib.lift_rcc_to_frcc(cut)
     return cut
 

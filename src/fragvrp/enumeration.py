@@ -55,8 +55,8 @@ class _CompletionLB:
     label: one reduced arc per departure the suffix can still make, the
     start-side charge terms evaluated at their best reachable values, a
     per-start minimum over all possible end-side charges, and the worst
-    the cut charges can contribute (zero unless a row price has the
-    wrong sign).
+    the completion rows can charge: each row's coeff_max times its price
+    when that has the wrong sign (cuts.Row), else zero.
 
     A departure is charged from the label's end e and from every
     unvisited interior task v the suffix can still reach, that is with
@@ -92,8 +92,8 @@ class _CompletionLB:
             for i in range(len(ranked) - 1, -1, -1):
                 tail[i] = tail[i + 1] + neg_out[ranked[i]]
             self._reach.append(([slack[v] for v in ranked], tail, slack))
-        self.cut_pen = -2.0 * sum(max(0.0, y)
-                                  for _, y in env.completion_duals)
+        self.cut_pen = -sum(cut.coeff_max * max(0.0, y)
+                            for cut, y in env.completion_duals)
         ends = [0] + sorted(inst.vd)
         self.end_lb: Dict[int, float] = {}
         for s in [0] + sorted(inst.vd):

@@ -163,9 +163,15 @@ class SolverConfig:
 
     time_limit: seconds for the whole solve.
     f_max: fragments one enumeration may keep, at most.
+    Both must be nonnegative: a NaN or negative budget raises ValueError.
     """
     time_limit: float = float("inf")
     f_max: int = 20_000_000
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, not {value!r}")
 
 
 def dependency_from_type(kind, u, v, inst, delta_min=None, delta_max=None):

@@ -1,38 +1,30 @@
 """Column pricing by forward labeling over incomplete fragments.
 
 A fragment's reduced cost decomposes into three parts: arc costs net of
-the assignment and flow prices (with capacity-cut prices folded into the
-arcs they cross), a start-side credit for the vehicle and flow rows, and
-a completion charge collecting every price whose row coefficient depends
-on the finished schedule summary (es, ls, dur) or on the demand.  Labels
-extend one task at a time through the same (es, ls, dur) recursion as
-the fragment calculus, so a priced column and the column the master
-builds for the same sequence agree to the last unit.  The restricted
-masters also price fragment-capacity rows, which have none of these
-forms: fragment_reduced_cost charges them on the finished fragment, and
-the label searches refuse them.
+the assignment and flow prices, a start-side credit for the vehicle and
+flow rows, and a completion charge collecting every price whose row
+coefficient depends on the finished schedule summary (es, ls, dur) or on
+the demand.  A cut row says itself where its price goes (cuts.Row.charge):
+into the arcs entering its set, into the completion charge, or onto the
+finished fragment alone, which fragment_reduced_cost charges and the
+label searches refuse.  Labels extend one task at a time through the
+same (es, ls, dur) recursion as the fragment calculus, so a priced
+column and the column the master builds for the same sequence agree to
+the last unit.
 
 The label kernel (extend_label) is shared with enumeration.  It reads the
-instance's plain-Python tables (windows, durations, demands, travel, one
-(forbidden, dmin, dmax) entry per oriented dependent pair) and the list
-form of the reduced arc costs, never NumPy scalars.  Labels are slotted
-objects whose endpoints and (es, ls, dur) are plain attributes.  A label
-ending at e is only offered the tasks in CostEnv.succ[e], those its
-windows and capacity can still reach; every other task would be rejected
-anyway, so skipping them changes no label and no order.
+instance's plain-Python tables and the list form of the reduced arc
+costs, never NumPy scalars, and offers a label ending at e only the
+tasks in CostEnv.succ[e], those its windows and capacity can still reach.
 
 Elementarity is relaxed to ng form: a label remembers a visited task
 only while it stays inside the neighborhood of the tasks appended after
 it.  Memory and neighborhoods are int bitmasks over task ids (bit v set
-when task v is held).  Neighborhoods never contain dependent tasks; a
-cycle through one cannot occur inside a fragment anyway, so nothing is
-lost.  Dominance keeps, per (start, end) bucket, the labels not beaten
-on every resource; _insert is its one statement.  A bucket holds its
-labels grouped by memory mask (end -> mem -> tasks -> label), so the
-subset test a dominator must pass is made once per group, and groups
-that fail it are skipped whole.  A label beaten everywhere but on
-reduced cost is still discarded when its advantage cannot survive any
-completion, see _phi.
+when task v is held); neighborhoods never hold dependent tasks, as a
+cycle through one cannot occur inside a fragment anyway.  Dominance
+keeps, per (start, end) bucket, the labels not beaten on every resource
+(_insert), and drops one beaten everywhere but on reduced cost when its
+advantage cannot survive any completion (_phi).
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from .cuts import FrccCut, RccCut
 from .fragments import Fragment, assemble, initial_bounds, step
 from .instance import Instance
 from .master import LP_TOLERANCE, DualValues
@@ -118,7 +109,7 @@ class CostEnv:
 
     cbar[i, j] is the reduced arc cost: travel cost minus the assignment
     price of i and the flow price of a dependent j, minus the price of
-    every capacity cut whose set the arc enters; cbar_list holds the same
+    every "arc" row whose set the arc enters; cbar_list holds the same
     floats as lists for the label kernel.  Completion charges and the
     start-side credit are evaluated on demand.
 
@@ -128,9 +119,9 @@ class CostEnv:
     and a load that already counts q_e (demands are non-negative), so
     extend_label rejects every other u on its window or capacity check.
 
-    Fragment-capacity rows have no arc or completion form: their prices
-    are kept in fragment_duals, which fragment_reduced_cost charges on the
-    finished fragment and the label searches refuse (check_labelable).
+    "completion" rows' prices are kept in completion_duals, "fragment"
+    rows' in fragment_duals: the label searches refuse those
+    (check_labelable), and fragment_reduced_cost charges them.
     """
 
     def __init__(self, duals: DualValues, inst: Instance):
@@ -146,14 +137,14 @@ class CostEnv:
         for cut, y in duals.cut_duals:
             if y == 0.0:
                 continue
-            if isinstance(cut, FrccCut):
-                self.fragment_duals.append((cut, y))
-            elif isinstance(cut, RccCut):
+            if cut.charge == "arc":
                 inside = np.zeros(inst.n + 1, dtype=bool)
                 inside[list(cut.S)] = True
                 cbar[np.ix_(~inside, inside)] -= y
-            else:
+            elif cut.charge == "completion":
                 self.completion_duals.append((cut, y))
+            else:
+                self.fragment_duals.append((cut, y))
         self.cbar = cbar
         self.cbar_list = cbar.tolist()
         alpha, beta, dur, dem = (inst.alpha_list, inst.beta_list,
@@ -167,8 +158,7 @@ class CostEnv:
 
     def check_labelable(self) -> None:
         if self.fragment_duals:
-            raise ValueError("a fragment-capacity row cannot be priced "
-                             "by labeling")
+            raise ValueError("a fragment-charged row cannot be labeled")
 
     def init_cost(self, v: int) -> float:
         if v == 0:
@@ -200,11 +190,11 @@ class CostEnv:
 
     def _rows_at(self, start, end) -> list:
         """The completion rows whose coefficient can be nonzero on a
-        (start, end) fragment, in completion_duals order.  A coefficient
-        is a nonnegative count that a later es or an earlier ls can only
-        raise, so those rows are the ones nonzero at es = inf, ls = -inf.
-        The other rows add zero terms, which leave every charge as it is
-        to the last bit (a charge starts at +0.0 and so never is -0.0)."""
+        (start, end) fragment, in completion_duals order: by the
+        completion-row contract (cuts.Row), those nonzero at es = inf,
+        ls = -inf.  The other rows add zero terms, which leave every
+        charge as it is to the last bit (a charge starts at +0.0 and so
+        never is -0.0)."""
         return [(cut, y) for cut, y in self.completion_duals
                 if cut.completion_coeff(start, end, math.inf, -math.inf)]
 
@@ -299,9 +289,9 @@ def _phi(f: Label, g: Label, env: CostEnv) -> float:
     _insert calls it only for such starts.
 
     The ls term anticipates the worst clamp a dependent completion could
-    still apply to g's latest start; the load term is exact.  Charges of
-    interval rows (TIFI and TDIFI, cuts.IntervalCut) only widen the gap
-    (their coefficients grow along the dominance order while their row
+    still apply to g's latest start; the load term is exact.  Cut rows
+    charged at completion only widen the gap (by the completion-row
+    contract, cuts.Row, g's coefficients are no smaller than f's and the
     prices are nonpositive), so they contribute zero here.
     """
     s = f.start

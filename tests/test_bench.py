@@ -475,6 +475,17 @@ class TestRunBatch:
         assert [r["status"] for r in single] == \
             ["error"] * len(names) + ["optimal"]
 
+    def test_invalid_budget_is_an_error_row(self, tmp_path):
+        p = tmp_path / "c.json"
+        save_instance(quick_instance(), p)
+        configs = [{"time_limit": math.nan}, {"time_limit": -5.0},
+                   {"f_max": -3}, {"time_limit": 0.0},
+                   {"time_limit": math.inf}, {"f_max": 0}]
+        single, _ = self.parse(run_batch(
+            [{"instance": str(p), "config": c} for c in configs]))
+        assert [r["status"] for r in single] == \
+            ["error"] * 3 + ["time-limit", "optimal", "optimal"]
+
     def test_base_config_applies_to_all(self, tmp_path):
         p = tmp_path / "c.json"
         save_instance(quick_instance(), p)

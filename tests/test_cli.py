@@ -76,6 +76,25 @@ class TestSolve:
         # no dependency, so no set needs a V_min
         assert doc["stats"]["vmin_searches"] == 0
 
+    @pytest.mark.parametrize("flag, value", [("--time-limit", "nan"),
+                                             ("--time-limit", "-5"),
+                                             ("--f-max", "-3")])
+    def test_invalid_budget_exit_three(self, inst_path, flag, value, capsys):
+        # a NaN time limit used to mean no limit, a negative one to stop
+        # at once with time-limit, and a negative f_max was accepted
+        assert cli.main(["solve", inst_path, flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize("flag, value, rc", [("--time-limit", "inf", 0),
+                                                 ("--time-limit", "0", 1),
+                                                 ("--f-max", "0", 0)])
+    def test_boundary_budgets_accepted(self, inst_path, flag, value, rc,
+                                       capsys):
+        assert cli.main(["solve", inst_path, flag, value]) == rc
+        json.loads(capsys.readouterr().out)
+
     def test_out_file(self, inst_path, tmp_path, capsys):
         out = tmp_path / "sol.json"
         assert cli.main(["solve", inst_path, "--out", str(out)]) == 0

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fragvrp.cuts as cutlib
@@ -183,6 +183,28 @@ def vmin_cases(draw):
     return S, inst
 
 
+@st.composite
+def split_cases(draw):
+    """An instance of ``vmin_cases`` and its set split into two nonempty
+    parts A and B."""
+    S, inst = draw(vmin_cases())
+    A = set(draw(st.sets(st.sampled_from(S), min_size=1,
+                         max_size=len(S) - 1)))
+    return inst, A, set(S) - A
+
+
+def unschedulable_part_case():
+    """Six tasks, unit travel, no durations or demands, windows [0, 3]
+    but task 3's [4, 7], and tasks 3 and 4 synchronized: the part
+    B = {3, 4} does not schedule, A = {1, 2} fits one route."""
+    tasks = [Task(0, 0, 15, 0, 0)] + [
+        Task(v, 4 if v == 3 else 0, 7 if v == 3 else 3, 0, 0)
+        for v in range(1, 7)]
+    t = np.ones((7, 7), dtype=int) - np.eye(7, dtype=int)
+    inst = Instance(tasks, t, t, 6, 5, 15, [dep(3, 4, (0, 0, 0, 0))])
+    return inst, {1, 2}, {3, 4}
+
+
 class TestVmin:
     def test_pair_in_one_route(self):
         inst = line_instance(2, deps=[dep(1, 2, (0, 60, 0, 60))])
@@ -249,19 +271,31 @@ class TestVmin:
 
 
     @settings(max_examples=200, deadline=None)
-    @given(vmin_cases(), st.data())
-    def test_subadditive_over_independent_parts(self, case, data):
+    @given(split_cases())
+    @example(split=unschedulable_part_case())
+    def test_subadditive_over_independent_parts(self, split):
         # FSEC separation skips disconnected sets on this fact: with no
         # dependency between disjoint A and B, their routes schedule
-        # apart, so V_min(A | B) <= V_min(A) + V_min(B)
-        S, inst = case
-        A = set(data.draw(st.sets(st.sampled_from(S), min_size=1,
-                                  max_size=len(S) - 1)))
-        B = set(S) - A
+        # apart, so V_min(A | B) <= V_min(A) + V_min(B) when both parts
+        # schedule.  A part that does not schedule has the sentinel
+        # |part| + 1, which does not add up: then A | B does not
+        # schedule either, and its V_min is |A | B| + 1.
+        inst, A, B = split
         inst = inst.replace(dependencies=[
             d for d in inst.deps if not ({d.u, d.v} & A and {d.u, d.v} & B)])
         calc = VminCalculator(inst)
-        assert calc.vmin(S) <= calc.vmin(A) + calc.vmin(B)
+        va, vb, vs = calc.vmin(A), calc.vmin(B), calc.vmin(A | B)
+        if va <= len(A) and vb <= len(B):
+            assert vs <= va + vb
+        else:
+            assert vs == len(A | B) + 1
+
+    def test_unschedulable_part_breaks_plain_subadditivity(self):
+        # the pinned case: B = {3, 4} is synchronized across disjoint
+        # windows, so V_min(B) = 3 and V_min(A | B) = 5 > 1 + 3
+        inst, A, B = unschedulable_part_case()
+        calc = VminCalculator(inst)
+        assert (calc.vmin(A), calc.vmin(B), calc.vmin(A | B)) == (1, 3, 5)
 
     @settings(max_examples=150, deadline=None)
     @given(vmin_cases(), st.lists(st.integers(-1, 7), max_size=6))

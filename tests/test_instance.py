@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fragvrp.instance import (Instance, Task, TemporalDependency,
-                              dependency_from_type, instance_from_dict,
-                              instance_to_dict, normalize_kind, validate)
+from fragvrp.instance import (Instance, SolverConfig, Task,
+                              TemporalDependency, dependency_from_type,
+                              instance_from_dict, instance_to_dict,
+                              normalize_kind, validate)
 
 
 def two_task_instance(d1=2, d2=3, horizon=20):
@@ -208,3 +209,20 @@ class TestSerialization:
         }
         inst = instance_from_dict(data)
         assert inst.deps[0] == TemporalDependency(1, 2, 3, 25, 1, 25)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("kw", [{"time_limit": float("nan")},
+                                    {"time_limit": -5.0},
+                                    {"time_limit": -float("inf")},
+                                    {"f_max": -3}, {"f_max": float("nan")}])
+    def test_rejects_nan_and_negative_budgets(self, kw):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SolverConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [{}, {"time_limit": 0.0},
+                                    {"time_limit": float("inf")},
+                                    {"f_max": 0}])
+    def test_accepts_zero_and_unbounded_budgets(self, kw):
+        cfg = SolverConfig(**kw)
+        assert all(getattr(cfg, k) == v for k, v in kw.items())

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 from unittest import mock
 
@@ -11,7 +12,8 @@ from fragvrp import cuts, driver, enumeration, lpback, pricing
 from fragvrp.driver import _restricted_master, compute_lower_bound
 from fragvrp.fragments import Fragment, build_fragment, initial_bounds
 from fragvrp.instance import Instance, Task, TemporalDependency
-from fragvrp.master import LP_TOLERANCE, DualValues, build_initial
+from fragvrp.master import (LP_TOLERANCE, DualValues, MasterModel,
+                            build_initial, initial_fragments)
 from fragvrp.pricing import (CostEnv, Label, _insert, _phi,
                              exact_memory, extend_label, fragment_reduced_cost,
                              interior_tasks, is_complete, labels_from,
@@ -152,6 +154,41 @@ def priced_rows(duals, kind):
             if cut.kind == kind and abs(y) > 1e-9]
 
 
+@dataclasses.dataclass(frozen=True)
+class ArcRow:
+    """A stand-in "arc" row, no cuts class: the arcs entering S, at
+    least rhs, keyed apart from every real row."""
+
+    S: frozenset
+    rhs: float
+
+    kind = "ARC"
+    sense = "G"
+    charge = "arc"
+    p_pair = None
+    p_coeff = 0.0
+
+    def key(self):
+        return (self.kind, tuple(sorted(self.S)))
+
+    def fragment_coeff(self, f):
+        return sum(1 for a, b in zip(f.tasks, f.tasks[1:])
+                   if a not in self.S and b in self.S)
+
+
+@dataclasses.dataclass(frozen=True)
+class FragmentRow(ArcRow):
+    """A stand-in "fragment" row: fragments starting outside S that
+    visit it, at least rhs."""
+
+    kind = "WHOLE"
+    charge = "fragment"
+
+    def fragment_coeff(self, f):
+        return int(f.start not in self.S
+                   and any(v in self.S for v in f.tasks))
+
+
 class TestCompletionCost:
     def test_zero_duals_zero_charge(self):
         inst = line_dep_instance()
@@ -212,6 +249,34 @@ class TestCompletionCost:
                 frcc_rows += len(priced_rows(duals, "FRCC"))
         assert checked > 500
         assert frcc_rows >= 1
+
+    def test_rows_priced_by_their_charge_alone(self):
+        # rows of no cuts class are priced by the charge they declare:
+        # the capacity rows of lower-bound masters become "arc" stand-ins
+        # and those of restricted masters "fragment" stand-ins, and
+        # fragment_reduced_cost still equals obj - A^T y on every column
+        rng = np.random.default_rng(0)
+        checked = 0
+        priced = {ArcRow: 0, FragmentRow: 0}
+        for _ in range(30):
+            inst = random_instance(rng, n_tasks=7, n_deps=2)
+            res = compute_lower_bound(inst)
+            if res.status != "optimal":
+                continue
+            pool = enumeration.enumerate_fragments(res.duals, 15.0, inst)
+            for row, extra in ((ArcRow, exhaustive_fragments(
+                    inst, build_fragment)), (FragmentRow, ())):
+                m = MasterModel(inst)
+                m.add_fragments(initial_fragments(inst))
+                m.add_cuts(row(c.S, c.rhs) if c.kind == "RCC" else c
+                           for c in res.cuts)
+                m.add_fragments(res.columns if row is ArcRow else pool)
+                frags, duals = check_dense_reduced_costs(m, inst, extra)
+                checked += len(frags)
+                if duals is not None:
+                    priced[row] += len(priced_rows(duals, row.kind))
+        assert checked > 500
+        assert min(priced.values()) >= 1, priced
 
     def test_row_lists_keep_every_charge(self):
         # completion_charge sums only the rows that can be nonzero at the
