@@ -9,10 +9,11 @@ instances are the two ``few-deps`` ones of the end-to-end benchmark
 seed 7), after preprocessing.  Pricing runs ``labels_from`` from every
 start task at two sets of duals: those of the initial master, which is
 the first pricing call of every solve and the one with the fullest
-dominance buckets (138-151 labels at an insertion, on average), and
-those the lower bound ends with (8-18).  Enumeration runs at the final
-duals and the gap the driver enumerates at once it holds an incumbent,
-ub - 1 - lb, with ub the first incumbent's cost.
+dominance buckets (35 labels in the end's bucket at an insertion, on
+average, on both instances), and those the lower bound ends with (4-6).
+Enumeration runs at the final duals and the gap the driver enumerates
+at once it holds an incumbent, ub - 1 - lb, with ub the first
+incumbent's cost.
 """
 
 from __future__ import annotations

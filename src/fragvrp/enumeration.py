@@ -35,7 +35,7 @@ from .fragments import Fragment, assemble, initial_bounds
 from .instance import Instance
 from .master import LP_TOLERANCE, DualValues, MasterError, MasterModel
 from .pricing import (CostEnv, Label, exact_memory, extend_label,
-                      fragment_reduced_cost, interior_tasks, is_complete)
+                      fragment_reduced_cost, is_complete)
 
 
 class LimitExceeded(Exception):
@@ -64,9 +64,9 @@ class _CompletionLB:
     meets the triangle inequality and durations are non-negative (both
     validated on Instance), and the recursion only raises es.  So a task
     failing that test is never visited, and its departure never made.
-    Per end, _reach holds the interior tasks sorted by their slack
-    beta_v - d_e - t_ev with the suffix sums of their departures, so the
-    reachable set is one bisect on es.
+    Per end, _tail holds the suffix sums of the departures of the
+    interior tasks in Instance.reach order, by ascending slack
+    beta_v - d_e - t_ev, so the reachable set is one bisect on es.
 
     Sound for any dual signs; with correctly signed prices the end-side
     and cut terms collapse to zero or small negatives.
@@ -80,18 +80,12 @@ class _CompletionLB:
         cbar = env.cbar
         off = cbar + np.where(np.eye(n + 1, dtype=bool), np.inf, 0.0)
         neg_out = self.neg_out = np.minimum(off.min(axis=1), 0.0).tolist()
-        interior = interior_tasks(inst)
-        beta, dur, t = inst.beta_list, inst.dur_list, inst.t_list
-        self._reach = []
-        for e in range(n + 1):
-            slack = [0] * (n + 1)
-            for v in interior:
-                slack[v] = beta[v] - dur[e] - t[e][v]
-            ranked = sorted(interior, key=slack.__getitem__)
+        self._tail = []
+        for ranked in inst.reach.ranked:
             tail = [0.0] * (len(ranked) + 1)
             for i in range(len(ranked) - 1, -1, -1):
                 tail[i] = tail[i + 1] + neg_out[ranked[i]]
-            self._reach.append(([slack[v] for v in ranked], tail, slack))
+            self._tail.append(tail)
         self.cut_pen = -sum(cut.coeff_max * max(0.0, y)
                             for cut, y in env.completion_duals)
         ends = [0] + sorted(inst.vd)
@@ -131,13 +125,13 @@ class _CompletionLB:
 
     def remaining(self, lab: Label) -> float:
         """The bound for an incomplete label.  Its visited interior
-        tasks, and those it can no longer reach, are left out of the
-        departures still to come.  Enumeration's memory is exact, so an
-        incomplete label's mem holds exactly lab.tasks[1:]: the reachable
-        sum is one suffix sum, less the visited tasks inside it."""
-        es, neg_out = lab.es, self.neg_out
-        keys, tail, slack = self._reach[lab.end]
-        arcs = neg_out[lab.end] + tail[bisect_left(keys, es)] \
+        tasks, lab.tasks[1:], and those it can no longer reach are left
+        out of the departures still to come: the reachable sum is one
+        suffix sum, less the visited tasks inside it."""
+        es, neg_out, e = lab.es, self.neg_out, lab.end
+        reach = self.inst.reach
+        slack = reach.slack[e]
+        arcs = neg_out[e] + self._tail[e][bisect_left(reach.keys[e], es)] \
             - sum(neg_out[v] for v in lab.tasks[1:] if es <= slack[v])
         return arcs + self.start_terms(lab) + self.end_lb[lab.start] \
             + self.cut_pen
@@ -150,8 +144,8 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
 
     Complete by construction: the depth-first search discards a branch
     only on the admissible bound above, and a finished label only by its
-    own reduced cost.  A label is extended over its end's successor list
-    (CostEnv.succ), which leaves out only tasks extend_label rejects.
+    own reduced cost.  A label is extended over its open successors
+    (CostEnv.open_succ), which leave out only tasks extend_label rejects.
     Raises LimitExceeded past f_max kept fragments, and DeadlinePassed
     when time.monotonic() passes deadline (checked every 1,024 labels
     popped); by default neither limit applies.  Output sorted by task
@@ -179,7 +173,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
         pops += 1
         if not pops & 1023 and time.monotonic() > deadline:
             raise DeadlinePassed()
-        for u in reversed(env.succ[lab.end]):
+        for u in reversed(env.open_succ(lab)):
             child = extend_label(lab, u, env, ng)
             if child is None:
                 continue

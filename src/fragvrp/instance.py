@@ -14,7 +14,9 @@ All times, durations, demands and costs are 64-bit integers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 
 import numpy as np
 
@@ -73,6 +75,24 @@ class TemporalDependency:
         return self if self.u < self.v else self.swapped()
 
 
+class Reach(typing.NamedTuple):
+    """Which dependency-free tasks a fragment can still reach in time,
+    per end e (Instance.reach).
+
+    slack[e][v] = beta_v - d_e - t_ev, for every node v: a label ending
+    at e with earliest start es can go on to v only if es <= slack[e][v].
+    ranked[e] lists the dependency-free tasks by ascending slack (ties
+    by index), keys[e] their slacks in that order, and masks[e][k] is
+    the bitmask of ranked[e][:k].  So the tasks e can no longer reach at
+    es are masks[e][bisect_left(keys[e], es)].  Under the triangle
+    inequality and non-negative durations no later arrival at v is
+    earlier, so such a task is never visited after e."""
+    slack: list
+    ranked: list
+    keys: list
+    masks: list
+
+
 class Instance:
     """Immutable problem statement.
 
@@ -121,6 +141,26 @@ class Instance:
         self.dur_list = self.dur.tolist()
         self.dem_list = self.dem.tolist()
         self.t_list = self.t.tolist()
+
+    @functools.cached_property
+    def reach(self) -> Reach:
+        """The reach table (Reach), built on first use and then kept:
+        it depends on windows, durations and travel times only."""
+        n = self.n
+        beta, dur, t = self.beta_list, self.dur_list, self.t_list
+        interior = [v for v in range(1, n + 1) if v not in self.vd]
+        out = Reach([], [], [], [])
+        for e in range(n + 1):
+            slack = [beta[v] - dur[e] - t[e][v] for v in range(n + 1)]
+            ranked = sorted(interior, key=slack.__getitem__)
+            masks = [0]
+            for v in ranked:
+                masks.append(masks[-1] | 1 << v)
+            out.slack.append(slack)
+            out.ranked.append(ranked)
+            out.keys.append([slack[v] for v in ranked])
+            out.masks.append(masks)
+        return out
 
     # --- dependency helpers (oriented: first argument starts first) ---
 

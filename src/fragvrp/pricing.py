@@ -14,23 +14,32 @@ the last unit.
 
 The label kernel (extend_label) is shared with enumeration.  It reads the
 instance's plain-Python tables and the list form of the reduced arc
-costs, never NumPy scalars, and offers a label ending at e only the
-tasks in CostEnv.succ[e], those its windows and capacity can still reach.
+costs, never NumPy scalars.  Both label loops call it only on the tasks
+CostEnv.open_succ leaves: those the kernel does not reject at once on
+the label's earliest start, its load or its memory.
 
 Elementarity is relaxed to ng form: a label remembers a visited task
 only while it stays inside the neighborhood of the tasks appended after
-it.  Memory and neighborhoods are int bitmasks over task ids (bit v set
-when task v is held); neighborhoods never hold dependent tasks, as a
-cycle through one cannot occur inside a fragment anyway.  Dominance
-keeps, per (start, end) bucket, the labels not beaten on every resource
-(_insert), and drops one beaten everywhere but on reduced cost when its
-advantage cannot survive any completion (_phi).
+it.  It also remembers every dependency-free task its end can no longer
+reach in time (Instance.reach), treated as visited (Feillet, Dejax,
+Gendreau & Gueguen, Networks 2004).  Travel meets the triangle
+inequality and durations are non-negative, so no completion visits such
+a task, and the set only grows along an extension: the memory rejects no
+sequence the plain ng memory accepts and whose windows hold, and the
+relaxation stays the ng-route one (Baldacci, Mingozzi & Roberti, Oper.
+Res. 2011).  Memory and neighborhoods are int bitmasks over task ids
+(bit v set when task v is held); neither ever holds a dependent task,
+as a cycle through one cannot occur inside a fragment anyway.
+Dominance keeps, per (start, end) bucket, the labels not beaten on
+every resource (_insert), and drops one beaten everywhere but on
+reduced cost when its advantage cannot survive any completion (_phi).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from typing import Dict, List
 
 import numpy as np
@@ -46,12 +55,13 @@ NG_SIZE = 10           # nearest tasks a pricing label remembers, per task
 class Label:
     """A fragment under construction, plus its accumulated reduced cost.
 
-    `mem` is the ng-projected visited set as an int bitmask (bit v set
-    when task v is remembered) and holds dependency-free interior tasks
-    only; `load` is the demand of tasks[:-1], so for a complete label
-    it equals the fragment demand.  Endpoints and the schedule summary
-    (es, ls, dur, as on Fragment) are plain slots, set once: labels are
-    never changed after construction.
+    `mem` is an int bitmask (bit v set when task v is remembered) of
+    dependency-free tasks only: the ng-projected visited set, and every
+    such task the end can no longer reach in time from es (built by
+    extend_label); `load` is the demand of tasks[:-1], so for a
+    complete label it equals the fragment demand.  Endpoints and the
+    schedule summary (es, ls, dur, as on Fragment) are plain slots, set
+    once: labels are never changed after construction.
     """
 
     __slots__ = ("tasks", "mem", "load", "rcost", "start", "end",
@@ -113,11 +123,12 @@ class CostEnv:
     floats as lists for the label kernel.  Completion charges and the
     start-side credit are evaluated on demand.
 
-    succ[e] lists, in index order, every u that a label ending at e could
-    be extended to: alpha_e + d_e + t_eu <= beta_u and q_e + q_u <= Q.
-    The filter is exact, not a heuristic: such a label has es >= alpha_e
-    and a load that already counts q_e (demands are non-negative), so
-    extend_label rejects every other u on its window or capacity check.
+    succ[e] lists, in index order, every u that some label ending at e
+    could be extended to: alpha_e + d_e + t_eu <= beta_u and
+    q_e + q_u <= Q.  The filter is exact, not a heuristic: such a label
+    has es >= alpha_e and a load that already counts q_e (demands are
+    non-negative), so extend_label rejects every other u on its window
+    or capacity check.  open_succ narrows the list to one label.
 
     "completion" rows' prices are kept in completion_duals, "fragment"
     rows' in fragment_duals: the label searches refuse those
@@ -155,6 +166,20 @@ class CostEnv:
              if alpha[e] + dur[e] + inst.t_list[e][u] <= beta[u]
              and dem[e] + dem[u] <= inst.Q]
             for e in nodes]
+
+    def open_succ(self, lab: Label) -> list:
+        """The tasks of succ[lab.end] that lab may still go on to: those
+        it reaches in time (lab.es <= inst.reach.slack[end][u]), whose
+        demand fits in the room left, and that its memory does not hold.
+        extend_label rejects every task left out, on its window,
+        capacity or memory check, so the loops call it on this list
+        only."""
+        e, es, mem = lab.end, lab.es, lab.mem
+        dem = self.inst.dem_list
+        slack = self.inst.reach.slack[e]
+        room = self.inst.Q - lab.load - dem[e]
+        return [u for u in self.succ[e]
+                if es <= slack[u] and dem[u] <= room and not mem >> u & 1]
 
     def check_labelable(self) -> None:
         if self.fragment_duals:
@@ -203,12 +228,14 @@ def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
     """One forward extension of an incomplete label, or None when u
     cannot follow it.
 
-    Check order: structural rules (start revisit, empty depot loop, ng
+    Check order: structural rules (start revisit, empty depot loop,
     memory), capacity, then the (es, ls, dur) recursion with its
     dependent duration clamp and window checks.  Appending a dependent
     task or the depot completes the label and adds the completion
-    charge; the start-side credit is part of the initial label.  Every u
-    outside env.succ[lab.end] is rejected.
+    charge; the start-side credit is part of the initial label.  Any
+    other child remembers the ng projection of lab's memory, u itself,
+    and the tasks u can no longer reach at the child's es.  Every u
+    outside env.open_succ(lab) is rejected.
     """
     inst = env.inst
     start, end, tasks = lab.start, lab.end, lab.tasks
@@ -230,7 +257,9 @@ def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
         rc += env.completion_charge(start, u, es, ls, dur, load)
         mem = lab.mem
     else:
-        mem = (lab.mem & ng.get(u, 0)) | 1 << u
+        reach = inst.reach
+        mem = ((lab.mem & ng.get(u, 0)) | 1 << u
+               | reach.masks[u][bisect_left(reach.keys[u], es)])
     return Label(tasks + (u,), mem, load, es, ls, dur, rc)
 
 
@@ -365,8 +394,8 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
     """All complete labels grown from one start task, dominance pruned.
 
     Deterministic: the queue pops in (dur, rcost, length, sequence)
-    order and candidate tasks are scanned by index, over the successor
-    list of the label's end."""
+    order and candidate tasks are scanned by index, over the label's
+    open successors (CostEnv.open_succ)."""
     inst = env.inst
     if inst.alpha_list[start] > inst.beta_list[start]:
         return []
@@ -384,7 +413,7 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
         group = buckets[lab.end].get(lab.mem)
         if group is None or group.get(lab.tasks) is not lab:
             continue
-        for u in env.succ[lab.end]:
+        for u in env.open_succ(lab):
             child = extend_label(lab, u, env, ng)
             if child is None:
                 continue
@@ -404,9 +433,9 @@ def solve_pricing(duals: DualValues, inst: Instance,
     """Fragments with strictly negative reduced cost under the current
     prices: at most COLS_PER_ITER, always containing a cheapest one
     for every start task that has any.  An empty result certifies that
-    no ng-relaxed fragment prices negative, so the master value is a
-    valid relaxation bound.  ng defaults to the NG_SIZE
-    neighborhoods."""
+    no ng-relaxed fragment prices negative (a task out of reach in the
+    memory cuts none off), so the master value is a valid relaxation
+    bound.  ng defaults to the NG_SIZE neighborhoods."""
     env = CostEnv(duals, inst)
     env.check_labelable()
     if ng is None:

@@ -1,7 +1,7 @@
 """Answer fingerprints: what the solver answers on a fixed instance list.
 
     PYTHONPATH=src python tests/answers.py write OUT [--slice]
-    PYTHONPATH=src python tests/answers.py diff A B
+    PYTHONPATH=src python tests/answers.py diff A B [--answers]
 
 ``write`` solves every instance of the list with ``driver.run`` under the
 default ``SolverConfig`` and writes one JSON file, a fingerprint per
@@ -15,7 +15,11 @@ Instances with at most ORACLE_MAX tasks are also solved by
 ``write`` exits 1 when the solve's bracket does not hold it.  No time
 enters the file, so two source trees that answer alike write the same
 file.  ``diff`` prints each field that differs and exits 1 when any
-does.
+does.  ``diff --answers`` compares only the answers (ANSWER: status,
+lb, ub and the oracle's optimum), prints each that differs, and exits 1
+only then; it also prints how many solves differ in their path (PATH:
+stats, routes or LP digests), which a change to pricing or to the cuts
+may move without moving an answer.
 
 The list (LIST, ``--slice`` takes SLICE):
 
@@ -55,6 +59,8 @@ from fragvrp.oracle import brute_force_optimal  # noqa: E402
 import support  # noqa: E402
 
 ORACLE_MAX = 8
+ANSWER = ("status", "lb", "ub", "oracle")
+PATH = ("stats", "routes", "lp")
 DEP_SEED = 7
 DATA = ROOT / "src" / "fragvrp" / "data"
 
@@ -211,6 +217,20 @@ def diff(a, b):
     return [line[1:] for line in out]
 
 
+def answers_only(doc):
+    """The fingerprint map cut down to the ANSWER fields."""
+    return {name: {k: v for k, v in fp.items() if k in ANSWER}
+            for name, fp in doc.items()}
+
+
+def path_changes(a, b):
+    """Per PATH field, how many solves of both maps differ in it."""
+    both = a.keys() & b.keys()
+    return {field: sum(a[name].get(field) != b[name].get(field)
+                       for name in both)
+            for field in PATH}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -220,12 +240,20 @@ def main(argv=None):
     d = sub.add_parser("diff")
     d.add_argument("a")
     d.add_argument("b")
+    d.add_argument("--answers", action="store_true",
+                   help="compare status, lb, ub and the oracle optimum "
+                        "only; count the solves whose path differs")
     args = ap.parse_args(argv)
     if args.cmd == "diff":
         docs = []
         for path in (args.a, args.b):
             with open(path, encoding="utf-8") as fh:
                 docs.append(json.load(fh))
+        if args.answers:
+            print("solves that differ: %s" % ", ".join(
+                "%d in %s" % (n, field)
+                for field, n in path_changes(*docs).items()))
+            docs = [answers_only(doc) for doc in docs]
         lines = diff(*docs)
         for line in lines:
             print(line)

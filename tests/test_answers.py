@@ -23,3 +23,25 @@ def test_diff_names_each_differing_field():
     b = {"x": {"status": "optimal", "lb": 2.0}, "y": {}}
     assert answers.diff(a, b) == ["x.lb: 1.0 != 2.0", "x.lp: only in A",
                                   "y: only in B"]
+
+
+def test_answers_diff_ignores_the_path(tmp_path, capsys):
+    a = {"x": {"status": "optimal", "lb": 1.0, "ub": 2.0, "oracle": 2.0,
+               "stats": {"n": 1}, "routes": [[0, 1, 0]], "lp": {"n": 1}},
+         "y": {"status": "infeasible", "lb": None, "ub": None,
+               "stats": {"n": 1}}}
+    b = {"x": dict(a["x"], stats={"n": 2}, lp={"n": 2}),
+         "y": dict(a["y"], stats={"n": 2})}
+    paths = []
+    for name, doc in (("a", a), ("b", b)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            answers.json.dump(doc, fh)
+    assert answers.main(["diff", *paths, "--answers"]) == 0
+    assert "2 in stats, 0 in routes, 1 in lp" in capsys.readouterr().out
+    assert answers.main(["diff", *paths]) == 1
+    b["y"]["status"] = "optimal"
+    with open(paths[1], "w", encoding="utf-8") as fh:
+        answers.json.dump(b, fh)
+    assert answers.main(["diff", *paths, "--answers"]) == 1
+    assert "y.status" in capsys.readouterr().out

@@ -368,7 +368,7 @@ class TestRun:
         st = run(inst, SolverConfig(time_limit=60.0))
         assert len(stopped) == 1
         assert st.status == "time-limit"
-        assert st.lb_sol == st.stats["lb_certified"] <= st.ub_sol == 340
+        assert st.lb_sol == st.stats["lb_certified"] <= st.ub_sol == 342
         assert check_solution(st.incumbent, inst)
         assert st.stats["rounds"] == []
         assert "enumerate" in st.stats["wall_times"]
@@ -522,11 +522,11 @@ class TestIntegralLowerBound:
         st = run(inst, SolverConfig())
         [lb] = lbs
         assert lb.status == "optimal" and lb.incumbent is None
-        assert first == [340]
+        assert first == [342]
         assert st.stats["first_incumbent"] == "milp"
         assert "initial_ub" in st.stats["wall_times"]
         assert [(r["ub_cand"], r["enumerated"])
-                for r in st.stats["rounds"]] == [(339, 511)]
+                for r in st.stats["rounds"]] == [(341, 571)]
         assert (st.status, st.lb_sol, st.ub_sol) == ("optimal", 340, 340)
 
     @pytest.mark.parametrize("fail", ["decode", "verify"])
@@ -746,7 +746,7 @@ GAP_CASES = [(consts, refuse, 6, seed)
                  (dict(SLOW_SCHEDULE, T_GUESS=0.0), False))
              for seed in (12, 59, 80, 83, 105, 111)] + \
     [(SLOW_SCHEDULE, True, n_tasks, seed)
-     for n_tasks, seed in ((7, 148), (8, 64), (8, 133), (8, 146), (8, 249))]
+     for n_tasks, seed in ((7, 148), (8, 133), (8, 146), (8, 241), (8, 249))]
 
 
 def solve_gap_case(consts, refuse, n_tasks, seed):
@@ -893,19 +893,20 @@ class TestRoundSchedule:
         assert seen == 6
 
     def test_schedule_on_gap_loop(self):
-        inst = solomon_instance("S101", "max-diff", 0.2, 22)
+        # gap-loop's S101 synchronization: the first incumbent is 345
+        inst = solomon_instance("S101", "synchronization", 0.2, 20)
         st = run(inst, SolverConfig())
-        assert st.status == "optimal" and st.ub_sol == 340
+        assert st.status == "optimal" and st.ub_sol == 344
         assert [(r["ub_cand"], r["enumerated"])
-                for r in st.stats["rounds"]] == [(339, 511)]
-        # one fragment fewer allowed: the schedule's round at 324 (243
-        # fragments) proves nothing costs 324 or less, and its next
-        # round, capped at 339, needs the same 511 fragments
-        capped = run(inst, SolverConfig(f_max=510))
+                for r in st.stats["rounds"]] == [(344, 413)]
+        # one fragment fewer allowed: the schedule's round at 338 (291
+        # fragments) proves nothing costs 338 or less, and its next
+        # round, capped at 344, needs the same 413 fragments
+        capped = run(inst, SolverConfig(f_max=412))
         assert capped.status == "fragment-limit"
         assert [(r["ub_cand"], r["enumerated"])
-                for r in capped.stats["rounds"]] == [(324, 243)]
-        assert (capped.lb_sol, capped.ub_sol) == (325, 340)
+                for r in capped.stats["rounds"]] == [(338, 291)]
+        assert (capped.lb_sol, capped.ub_sol) == (339, 345)
 
     def test_last_round_without_incumbent_at_the_artificial_cost(self):
         # an infeasible instance whose schedule grows by about 2.2 per
@@ -923,10 +924,10 @@ class TestRoundSchedule:
         assert arc_model_solve(inst)[:2] == (math.inf, math.inf)
 
     def test_refused_pool_listed_once(self, monkeypatch):
-        # with f_max 510 the pool at ub - 1 = 339 is refused; the
-        # schedule's round at 324 proves nothing costs 324 or less, and
-        # its next candidate, capped at 339, would list that same pool
-        inst = solomon_instance("S101", "max-diff", 0.2, 22)
+        # with f_max 412 the pool at ub - 1 = 344 is refused; the
+        # schedule's round at 338 proves nothing costs 338 or less, and
+        # its next candidate, capped at 344, would list that same pool
+        inst = solomon_instance("S101", "synchronization", 0.2, 20)
         enum = driver.enumerate_fragments
         gaps = []
 
@@ -936,12 +937,12 @@ class TestRoundSchedule:
 
         monkeypatch.setattr(driver, "enumerate_fragments",
                             enumerate_fragments)
-        st = run(inst, SolverConfig(f_max=510))
+        st = run(inst, SolverConfig(f_max=412))
         lb = st.stats["lb_certified"]
-        assert [round(lb + g) for g in gaps] == [339, 324]
-        assert gaps[0] == pytest.approx(30.846, abs=1e-3)
+        assert [round(lb + g) for g in gaps] == [344, 338]
+        assert gaps[0] == pytest.approx(23.0, abs=1e-3)
         assert st.status == "fragment-limit"
-        assert (st.lb_sol, st.ub_sol) == (325, 340)
+        assert (st.lb_sol, st.ub_sol) == (339, 345)
 
     def test_late_fallback(self, monkeypatch):
         # no first incumbent: the schedule's round at 49 finds one at 54,
@@ -1103,11 +1104,12 @@ class TestRoundMaster:
 
     @pytest.mark.parametrize("n_tasks,n_deps,seed,refuse", [
         # with the pool at ub - 1 refused as past f_max, the schedule's
-        # one round, at 56, rejects five fragments and finds the optimum
-        pytest.param(8, 2, 373, True, id="8-2-373"),
-        # refused likewise: three rounds; the first, at 53, rejects none
-        # and finds 58, the next two, at 56 and 57, reject four each
-        pytest.param(9, 2, 1, True, id="9-2-1"),
+        # one round, at 40, rejects six fragments and finds the optimum
+        pytest.param(8, 2, 132, True, id="8-2-132"),
+        # refused likewise: three rounds; the first, at 58, rejects two,
+        # the second, at 61, rejects none and finds the optimum 64, the
+        # third, at 63, rejects none
+        pytest.param(9, 2, 341, True, id="9-2-341"),
         # refused likewise: two rounds; the first, at 41, rejects none,
         # the second, at 43, rejects three
         pytest.param(9, 3, 67, True, id="9-3-67"),

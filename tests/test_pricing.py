@@ -93,8 +93,9 @@ def scan_drops(f, g, env):
     return g.tasks not in buckets[g.end].get(g.mem, {})
 
 
-def all_labels_no_dominance(inst, duals, ng):
-    """Reference labeling without any pruning: every reachable label."""
+def all_labels_no_dominance(inst, duals, ng, kernel=extend_label):
+    """Reference labeling without any pruning: every reachable label,
+    grown by kernel."""
     env = CostEnv(duals, inst)
     out = []
     stack = []
@@ -107,10 +108,21 @@ def all_labels_no_dominance(inst, duals, ng):
         if is_complete(lab, inst):
             continue
         for u in range(inst.n + 1):
-            child = extend_label(lab, u, env, ng)
+            child = kernel(lab, u, env, ng)
             if child is not None:
                 stack.append(child)
     return out
+
+
+def plain_ng_kernel(lab, u, env, ng):
+    """extend_label with the plain ng memory: a non-closing child
+    remembers its parent's memory within u's neighborhood, and u, but
+    no task out of reach."""
+    child = extend_label(lab, u, env, ng)
+    if child is None or is_complete(child, env.inst):
+        return child
+    return Label(child.tasks, (lab.mem & ng.get(u, 0)) | 1 << u, child.load,
+                 child.es, child.ls, child.dur, child.rcost)
 
 
 def line_dep_instance(dep_quad=(0, 30, 0, 30), horizon=40):
@@ -526,11 +538,15 @@ class TestCompletionBound:
 
 
 class FullScanEnv(CostEnv):
-    """The same prices, with every task offered to every label."""
+    """The same prices, with every task offered to every label: no
+    successor list, and no skip before the kernel."""
 
     def __init__(self, duals, inst):
         super().__init__(duals, inst)
         self.succ = [list(range(inst.n + 1))] * (inst.n + 1)
+
+    def open_succ(self, lab):
+        return self.succ[lab.end]
 
 
 def label_record(lab):
@@ -565,12 +581,15 @@ class TestSuccessorLists:
                 u for u in nodes
                 if inst.alpha[e] + inst.dur[e] + inst.t[e, u] <= inst.beta[u]
                 and inst.dem[e] + inst.dem[u] <= inst.Q]
-        # sound: every task left out fails on every reachable label
+        # sound: every task left out, of the list or by the loops' skip,
+        # fails on every reachable label
         ng = ng_neighborhoods(inst, ng_size)
         for lab in all_labels_no_dominance(inst, duals, ng):
             if is_complete(lab, inst):
                 continue
-            for u in set(nodes) - set(env.succ[lab.end]):
+            opened = env.open_succ(lab)
+            assert set(opened) <= set(env.succ[lab.end])
+            for u in set(nodes) - set(opened):
                 assert extend_label(lab, u, env, ng) is None
         # pricing and enumeration equal a full scan of the same kernel
         full = FullScanEnv(duals, inst)
@@ -586,11 +605,21 @@ class TestSuccessorLists:
                                                                inst)
 
 
+def out_of_reach(u, es, inst):
+    """The dependency-free tasks v a label ending at u with earliest
+    start es can no longer reach in time: es + d_u + t_uv > beta_v, read
+    off the NumPy arrays."""
+    return frozenset(v for v in interior_tasks(inst)
+                     if es + inst.dur[u] + inst.t[u, v] > inst.beta[v])
+
+
 def reference_labels_from(start, env, ng):
     """labels_from under the pairwise dominance rule over frozenset
     memory, asking _phi at every start.  Resources and costs come from
     extend_label; the memory is kept as a set beside each label's mask,
-    and the two must agree.  Returns (label, memory set) pairs."""
+    and the two must agree: a non-closing child remembers the ng
+    projection of its parent's memory, its own end, and every task its
+    end can no longer reach.  Returns (label, memory set) pairs."""
     inst = env.inst
     if inst.alpha_list[start] > inst.beta_list[start]:
         return []
@@ -634,13 +663,60 @@ def reference_labels_from(start, env, ng):
             if child is None:
                 continue
             cmem = mem if closing else \
-                (mem & hoods.get(u, frozenset())) | {u}
+                (mem & hoods.get(u, frozenset())) | {u} \
+                | out_of_reach(u, child.es, inst)
             assert bits(child.mem) == cmem
             if is_complete(child, inst):
                 done.append((child, cmem))
             else:
                 insert(child, cmem)
     return done
+
+
+class TestOutOfReachMemory:
+    @settings(max_examples=60, deadline=None)
+    @given(priced_cases())
+    def test_least_cost_per_start_as_plain_ng(self, case):
+        # remembering the tasks out of reach cuts off no sequence whose
+        # windows hold, so per start the least reduced cost equals the
+        # plain ng memory's, with dominance and without it
+        inst, duals, ng_size = case
+        env = CostEnv(duals, inst)
+        for ng in (ng_neighborhoods(inst, ng_size), exact_memory(inst)):
+            every = [lab for lab in all_labels_no_dominance(inst, duals, ng)
+                     if is_complete(lab, inst)]
+            plain_every = [
+                lab for lab in all_labels_no_dominance(inst, duals, ng,
+                                                       plain_ng_kernel)
+                if is_complete(lab, inst)]
+            assert sorted(lab.tasks for lab in every) == \
+                sorted(lab.tasks for lab in plain_every)
+            for s in [0] + sorted(inst.vd):
+                got = [lab.rcost for lab in labels_from(s, env, ng)]
+                with mock.patch.object(pricing, "extend_label",
+                                       plain_ng_kernel):
+                    plain = [lab.rcost for lab in labels_from(s, env, ng)]
+                full = [lab.rcost for lab in every if lab.start == s]
+                assert bool(got) == bool(plain) == bool(full)
+                if full:
+                    assert min(got) == pytest.approx(min(full), abs=1e-9)
+                    assert min(plain) == pytest.approx(min(full), abs=1e-9)
+
+    def test_memory_holds_the_tasks_out_of_reach(self):
+        # after 0 -> 1 (es 1), task 3 (window [0, 2], two away) is out
+        # of reach; after 1 -> 2 (es 2), task 1 is too; the memory
+        # forgets every visit but the last, so it holds only those
+        tasks = [Task(0, 0, 40, 0, 0), Task(1, 0, 1, 0, 1),
+                 Task(2, 0, 30, 0, 1), Task(3, 0, 2, 0, 1)]
+        t = np.array([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1],
+                      [3, 2, 1, 0]], dtype=np.int64)
+        inst = Instance(tasks, t, t.copy(), 2, 10, 40, [])
+        hoods = {u: 0 for u in interior_tasks(inst)}
+        lab = fold((0, 1), inst, zero_duals(inst), hoods)
+        assert bits(lab.mem) == {1, 3}
+        lab = fold((0, 1, 2), inst, zero_duals(inst), hoods)
+        assert (lab.es, bits(lab.mem)) == (2, {1, 2, 3})
+        assert fold((0, 1, 2, 3), inst, zero_duals(inst), hoods) is None
 
 
 class TestDominanceScan:
