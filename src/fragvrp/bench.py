@@ -27,8 +27,7 @@ import numpy as np
 
 from .driver import run
 from .instance import (Instance, SolverConfig, Task, _euclid_matrix,
-                       dependency_from_type, load_instance, normalize_kind,
-                       validate)
+                       dependency_from_type, load_instance, normalize_kind)
 from .preprocess import diff_ranges, preprocess
 
 log = logging.getLogger(__name__)
@@ -202,7 +201,7 @@ class _DomainState:
                              + base.reason)
         p = base.instance
         self.T = inst.tmax
-        self.dom = {v: ((int(p.alpha[v]), int(p.beta[v])),)
+        self.dom = {v: ((p.alpha[v], p.beta[v]),)
                     for v in range(1, inst.n + 1)}
         self.edges = [(d.u, d.v,
                        (d.dmin_uv, d.dmax_uv, d.dmin_vu, d.dmax_vu))
@@ -401,9 +400,6 @@ def _run_entry(base_cfg, path, overrides):
     try:
         inst = load_instance(path)
         meta = inst.meta
-        problems = validate(inst)
-        if problems:
-            raise ValueError(f"invalid instance: {problems[0]}")
         cfg = dataclasses.replace(base_cfg, **overrides)
         st = run(inst, cfg)
         wall = time.perf_counter() - t0

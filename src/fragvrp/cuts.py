@@ -211,8 +211,9 @@ def lift_rcc_to_frcc(cut: RccCut) -> FrccCut:
 
 
 def rcc_rhs(S: Iterable[int], inst: Instance) -> int:
-    total = sum(int(inst.dem[v]) for v in S)
-    return -(-total // inst.Q)
+    """ceil(q(S)/Q); 0 when S has no demand, as at capacity 0."""
+    total = sum(inst.dem[v] for v in S)
+    return -(-total // inst.Q) if total else 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +245,9 @@ class VminCalculator:
     parent's order-free least starts.  A branch dies at its first
     placement that does not schedule.  Both rest on one fact: placing a
     task only adds constraints, and a chain through it is, under the
-    triangle inequality and non-negative durations (``Instance``
-    documents both, ``validate`` checks them), no looser than the depot
-    leg or link it replaces, which therefore stays in the state.  So the
+    triangle inequality and non-negative durations (``validate`` checks
+    both, before ``driver.run`` solves), no looser than the depot leg or
+    link it replaces, which therefore stays in the state.  So the
     parent's least starts lie below the child's, and a child of an
     unschedulable placement never schedules.
     """
@@ -280,7 +281,7 @@ class VminCalculator:
 
     def _feasible_with(self, tasks: List[int], k: int) -> bool:
         inst = self.inst
-        dem, cap = inst.dem_list, inst.Q
+        dem, cap = inst.dem, inst.Q
         # the dependencies each task has with the tasks placed before it
         at = {v: i for i, v in enumerate(tasks)}
         links: List[list] = [[] for _ in tasks]

@@ -51,7 +51,7 @@ from . import cuts as cutlib
 from .enumeration import (DeadlinePassed, LimitExceeded,
                           enumerate_fragments, reduce_by_resolve,
                           reduce_by_route_bound)
-from .instance import Instance, SolverConfig
+from .instance import Instance, SolverConfig, validate
 from .master import LP_TOLERANCE, MasterError, MasterModel, \
     artificial_cost, build_initial, initial_fragments
 from .pricing import NG_SIZE, ng_neighborhoods, solve_pricing
@@ -120,7 +120,7 @@ def check_solution(incumbent, inst: Instance) -> bool:
         return False
     b = incumbent.start_times
     for r in routes:
-        if sum(int(inst.dem[v]) for v in r) > inst.Q:
+        if sum(inst.dem[v] for v in r) > inst.Q:
             return False
         for v in r:
             if v not in b:
@@ -147,8 +147,8 @@ def check_solution(incumbent, inst: Instance) -> bool:
             return False
         if p == 0 and inst.order_forbidden(d.v, d.u):
             return False
-        m_uv = max(0, int(inst.beta[d.u]) - int(inst.alpha[d.v]))
-        m_vu = max(0, int(inst.beta[d.v]) - int(inst.alpha[d.u]))
+        m_uv = max(0, inst.beta[d.u] - inst.alpha[d.v])
+        m_vu = max(0, inst.beta[d.v] - inst.alpha[d.u])
         if bv - bu > d.dmax_uv * p:
             return False
         if bu - bv > d.dmax_vu * (1 - p):
@@ -370,9 +370,9 @@ def initial_upper_bound(columns, cuts, inst, deadline=math.inf,
 # -- Step 1..6 state machine -------------------------------------------
 
 
-def _int_floor_bound(lb, tol=1e-6):
+def _int_floor_bound(lb):
     """Smallest integer a solution value could take given bound lb."""
-    return math.ceil(lb - tol)
+    return math.ceil(lb - LP_TOLERANCE)
 
 
 def _grow(cand, step):
@@ -386,6 +386,11 @@ def _grow(cand, step):
 
 
 def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
+    """Solves inst; raises ValueError on the first problem validate
+    finds, as pricing and enumeration rely on what it checks."""
+    problems = validate(inst)
+    if problems:
+        raise ValueError(f"invalid instance: {problems[0]}")
     cfg = cfg or SolverConfig()
     deadline = time.monotonic() + cfg.time_limit
     stats = {

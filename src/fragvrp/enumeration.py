@@ -62,8 +62,9 @@ class _CompletionLB:
     unvisited interior task v the suffix can still reach, that is with
     es + d_e + t_ev <= beta_v.  No later arrival at v is earlier: travel
     meets the triangle inequality and durations are non-negative (both
-    validated on Instance), and the recursion only raises es.  So a task
-    failing that test is never visited, and its departure never made.
+    checked by instance.validate before driver.run solves), and the
+    recursion only raises es.  So a task failing that test is never
+    visited, and its departure never made.
     Per end, _tail holds the suffix sums of the departures of the
     interior tasks in Instance.reach order, by ascending slack
     beta_v - d_e - t_ev, so the reachable set is one bisect on es.
@@ -98,15 +99,14 @@ class _CompletionLB:
                 term = 0.0
                 if v in inst.vd:
                     tlb = d.tau_lb.get(v, 0.0)
-                    term += int(inst.alpha[v]) * tlb if tlb >= 0 \
-                        else int(inst.beta[v]) * tlb
+                    term += (inst.alpha[v] if tlb >= 0 else inst.beta[v]) * tlb
                     klb = d.kap_lb.get(v, 0.0)
                     term += min(0.0, inst.Q * klb)
                     if s in inst.vd:
                         rho = d.rho.get((s, v), 0.0)
                         if rho > 0:
-                            term -= (inst.tmax + int(inst.beta[s])
-                                     - int(inst.alpha[v])) * rho
+                            term -= (inst.tmax + inst.beta[s]
+                                     - inst.alpha[v]) * rho
                         lam = d.lam.get((s, v), 0.0)
                         if lam > 0:
                             term -= 2 * inst.Q * lam
@@ -120,7 +120,7 @@ class _CompletionLB:
         kap = d.kap_ub.get(s, 0.0)
         out += lab.load * kap if kap >= 0 else self.inst.Q * kap
         tau = d.tau_ub.get(s, 0.0)
-        out += -lab.ls * tau if tau >= 0 else -self.inst.alpha_list[s] * tau
+        out += -lab.ls * tau if tau >= 0 else -self.inst.alpha[s] * tau
         return out
 
     def remaining(self, lab: Label) -> float:
@@ -161,7 +161,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     kept: List[Tuple[tuple, Label]] = []
     stack: List[Label] = []
     for s in sorted((0, *inst.vd), reverse=True):
-        if inst.alpha_list[s] > inst.beta_list[s]:
+        if inst.alpha[s] > inst.beta[s]:
             continue
         lab = Label((s,), 0, 0, *initial_bounds(s, inst),
                     env.init_cost(s))
@@ -190,8 +190,7 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
 
 
 def reduce_by_route_bound(frags: Sequence[Fragment], duals: DualValues,
-                          gap: float, inst: Instance,
-                          tol: float = 1e-6) -> List[Fragment]:
+                          gap: float, inst: Instance) -> List[Fragment]:
     """Keeps fragments embeddable in a route within the budget.
 
     A route through F = (u, ..., v) pays at least the cheapest fragment
@@ -219,7 +218,7 @@ def reduce_by_route_bound(frags: Sequence[Fragment], duals: DualValues,
             if f.end != 0:
                 succ = min((rc[g.tasks] for g in by_start.get(f.end, ())
                             if g.ls >= f.es), default=float("inf"))
-            if rc[f.tasks] + pred + succ > gap + tol:
+            if rc[f.tasks] + pred + succ > gap + LP_TOLERANCE:
                 doomed.append(f.tasks)
         if not doomed:
             break

@@ -41,7 +41,7 @@ class Fragment:
 
 
 def initial_bounds(v, inst):
-    return inst.alpha_list[v], inst.beta_list[v], 0
+    return inst.alpha[v], inst.beta[v], 0
 
 
 def step(es, ls, dur, frm, to, start, inst):
@@ -54,10 +54,10 @@ def step(es, ls, dur, frm, to, start, inst):
     instance's plain-Python tables only.
     """
     t = inst.t_list[frm][to]
-    d = inst.dur_list[frm]
-    a_to = inst.alpha_list[to]
-    b_to = inst.beta_list[to]
-    a_s = inst.alpha_list[start]
+    d = inst.dur[frm]
+    a_to = inst.alpha[to]
+    b_to = inst.beta[to]
+    a_s = inst.alpha[start]
     # plain comparisons: this runs once per label extension, and a call
     # to the max/min builtins costs several times more
     es_to = es + d + t
@@ -90,7 +90,7 @@ def assemble(seq, inst, bounds) -> Fragment:
     cost = 0
     for a, b in zip(seq, seq[1:]):
         cost += int(inst.c[a, b])
-    demand = sum(inst.dem_list[v] for v in seq[:-1])
+    demand = sum(inst.dem[v] for v in seq[:-1])
     return Fragment(tuple(seq), cost, demand, *bounds)
 
 
@@ -112,7 +112,7 @@ def build_fragment(seq, inst):
             return Infeasible("depot inside the sequence")
         if v in inst.vd:
             return Infeasible("dependent task %d inside the sequence" % v)
-    if sum(int(inst.dem[v]) for v in seq) > inst.Q:
+    if sum(inst.dem[v] for v in seq) > inst.Q:
         return Infeasible("total demand above vehicle capacity")
     if inst.alpha[seq[0]] > inst.beta[seq[0]]:
         return Infeasible("start task window is empty")

@@ -97,7 +97,12 @@ class Instance:
     """Immutable problem statement.
 
     Vertex 0 is the depot; tasks are 1..n.  Travel matrices are (n+1)x(n+1)
-    and satisfy the triangle inequality; durations are non-negative.
+    and satisfy the triangle inequality; durations are non-negative
+    (validate checks both; driver.run refuses an instance that fails).
+    Per-task values are kept once, as int lists by task id: alpha, beta
+    (the start window), dur and dem.  The travel matrices t and c are
+    NumPy arrays, read whole by CostEnv and validate; t_list is t's row
+    view for the label and scheduling kernels.
     """
 
     def __init__(self, tasks, travel_time, travel_cost, vehicle_count,
@@ -113,10 +118,11 @@ class Instance:
         self.coords = None if coords is None else tuple(tuple(p) for p in coords)
         self.meta = dict(meta) if meta else {}
 
-        self.alpha = np.array([t.alpha for t in tasks], dtype=np.int64)
-        self.beta = np.array([t.beta for t in tasks], dtype=np.int64)
-        self.dur = np.array([t.duration for t in tasks], dtype=np.int64)
-        self.dem = np.array([t.demand for t in tasks], dtype=np.int64)
+        self.alpha = [int(t.alpha) for t in tasks]
+        self.beta = [int(t.beta) for t in tasks]
+        self.dur = [int(t.duration) for t in tasks]
+        self.dem = [int(t.demand) for t in tasks]
+        self.t_list = self.t.tolist()
 
         deps = tuple(sorted((d.canonical() for d in dependencies),
                             key=lambda d: (d.u, d.v)))
@@ -134,20 +140,12 @@ class Instance:
         self.dep_adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
         self.vd = frozenset(self.dep_adj)
 
-        # plain-Python copies for the label and scheduling kernels, which
-        # read single entries; nothing mutates the arrays after this point
-        self.alpha_list = self.alpha.tolist()
-        self.beta_list = self.beta.tolist()
-        self.dur_list = self.dur.tolist()
-        self.dem_list = self.dem.tolist()
-        self.t_list = self.t.tolist()
-
     @functools.cached_property
     def reach(self) -> Reach:
         """The reach table (Reach), built on first use and then kept:
         it depends on windows, durations and travel times only."""
         n = self.n
-        beta, dur, t = self.beta_list, self.dur_list, self.t_list
+        beta, dur, t = self.beta, self.dur, self.t_list
         interior = [v for v in range(1, n + 1) if v not in self.vd]
         out = Reach([], [], [], [])
         for e in range(n + 1):
@@ -161,6 +159,22 @@ class Instance:
             out.keys.append([slack[v] for v in ranked])
             out.masks.append(masks)
         return out
+
+    @functools.cached_property
+    def succ(self) -> list:
+        """succ[e] lists, in index order, every u some label ending at e
+        could be extended to: alpha_e + d_e + t_eu <= beta_u and
+        q_e + q_u <= Q.  Exact: such a label has es >= alpha_e and a load
+        that counts q_e (demands are non-negative), so extend_label
+        rejects every other u.  It holds no price: one table serves
+        every pricing context (CostEnv.open_succ)."""
+        alpha, beta, dur, dem, t = (self.alpha, self.beta, self.dur,
+                                    self.dem, self.t_list)
+        nodes = range(self.n + 1)
+        return [[u for u in nodes
+                 if alpha[e] + dur[e] + t[e][u] <= beta[u]
+                 and dem[e] + dem[u] <= self.Q]
+                for e in nodes]
 
     # --- dependency helpers (oriented: first argument starts first) ---
 
@@ -222,8 +236,6 @@ def dependency_from_type(kind, u, v, inst, delta_min=None, delta_max=None):
     if u == 0 or v == 0:
         raise ValueError("the depot cannot carry a dependency")
     T = inst.tmax
-    du = int(inst.dur[u])
-    dv = int(inst.dur[v])
     if kind == "synchronization":
         quad = (0, 0, 0, 0)
     elif kind == "min-diff":
@@ -239,9 +251,9 @@ def dependency_from_type(kind, u, v, inst, delta_min=None, delta_max=None):
             raise ValueError("minmax-diff requires delta_min and delta_max")
         quad = (delta_min, delta_max, delta_min, delta_max)
     elif kind == "overlap":
-        quad = (0, du, 0, dv)
+        quad = (0, inst.dur[u], 0, inst.dur[v])
     elif kind == "non-overlap":
-        quad = (du, T, dv, T)
+        quad = (inst.dur[u], T, inst.dur[v], T)
     else:  # precedence: u before v, the reverse order is forbidden
         quad = (0, T, T, T)
     return TemporalDependency(u, v, *[int(x) for x in quad])

@@ -140,8 +140,8 @@ class MasterModel:
                                                    (ART, float(inst.tmax))])
         for k, dep in enumerate(inst.deps):
             u, v, p = dep.u, dep.v, self._p0 + k
-            m_uv = max(0, int(inst.beta[u] - inst.alpha[v]))
-            m_vu = max(0, int(inst.beta[v] - inst.alpha[u]))
+            m_uv = max(0, inst.beta[u] - inst.alpha[v])
+            m_vu = max(0, inst.beta[v] - inst.alpha[u])
             self._row("L", 0.0, [(b[v], 1.0), (b[u], -1.0),
                                  (p, -float(dep.dmax_uv))])
             self._row("L", float(dep.dmax_vu), [(b[u], 1.0), (b[v], -1.0),

@@ -43,17 +43,17 @@ def _route_cost(route, inst) -> int:
 
 def _standalone_ok(route, inst) -> bool:
     # capacity and window chain of one route in isolation, deps ignored
-    if sum(int(inst.dem[v]) for v in route) > inst.Q:
+    if sum(inst.dem[v] for v in route) > inst.Q:
         return False
     b = max(int(inst.alpha[route[0]]), int(inst.t[0, route[0]]))
     if b > inst.beta[route[0]]:
         return False
     for u, v in zip(route, route[1:]):
-        b = max(b + int(inst.dur[u]) + int(inst.t[u, v]), int(inst.alpha[v]))
+        b = max(b + inst.dur[u] + int(inst.t[u, v]), inst.alpha[v])
         if b > inst.beta[v]:
             return False
     last = route[-1]
-    return b + int(inst.dur[last]) + int(inst.t[last, 0]) <= inst.tmax
+    return b + inst.dur[last] + int(inst.t[last, 0]) <= inst.tmax
 
 
 def _partitions(items, max_blocks):
@@ -137,7 +137,7 @@ def _clipped_windows(inst):
     b = inst.beta.copy()
     for v in range(1, inst.n + 1):
         a[v] = max(a[v], int(inst.t[0, v]))
-        b[v] = min(b[v], inst.tmax - int(inst.dur[v]) - int(inst.t[v, 0]))
+        b[v] = min(b[v], inst.tmax - inst.dur[v] - int(inst.t[v, 0]))
     return a, b
 
 
@@ -147,16 +147,15 @@ def _build_arcs(inst, a, b):
         for v in range(inst.n + 1):
             if u == v:
                 continue
-            if a[u] + int(inst.dur[u]) + int(inst.t[u, v]) > b[v]:
+            if a[u] + inst.dur[u] + int(inst.t[u, v]) > b[v]:
                 continue
-            if u and v and int(inst.dem[u]) + int(inst.dem[v]) > inst.Q:
+            if u and v and inst.dem[u] + inst.dem[v] > inst.Q:
                 continue
             if inst.has_dep(u, v):
                 # u immediately before v pins the pair's serving order
                 if b[v] - a[u] < inst.dmin(u, v):
                     continue
-                gap = max(int(inst.dur[u]) + int(inst.t[u, v]),
-                          int(a[v] - b[u]))
+                gap = max(inst.dur[u] + int(inst.t[u, v]), a[v] - b[u])
                 if gap > inst.dmax(u, v):
                     continue
             arcs.append((u, v))

@@ -25,7 +25,7 @@ class PreprocessResult:
 
 
 def _with_windows(inst, alpha, beta):
-    tasks = [Task(t.id, int(alpha[t.id]), int(beta[t.id]), t.duration, t.demand)
+    tasks = [Task(t.id, alpha[t.id], beta[t.id], t.duration, t.demand)
              for t in inst.tasks]
     return inst.replace(tasks=tasks)
 
@@ -35,8 +35,8 @@ def tighten_depot_windows(inst: Instance) -> PreprocessResult:
     alpha = inst.alpha.copy()
     beta = inst.beta.copy()
     for v in range(1, inst.n + 1):
-        alpha[v] = max(alpha[v], inst.t[0, v])
-        beta[v] = min(beta[v], inst.tmax - inst.t[v, 0] - inst.dur[v])
+        alpha[v] = max(alpha[v], inst.t_list[0][v])
+        beta[v] = min(beta[v], inst.tmax - inst.t_list[v][0] - inst.dur[v])
         if alpha[v] > beta[v]:
             return PreprocessResult(
                 _with_windows(inst, alpha, beta), False,
@@ -154,8 +154,8 @@ def tighten_td_windows(inst: Instance) -> PreprocessResult:
     diff_ranges, so alpha_u >= alpha_v - hi, beta_u <= beta_v - lo,
     alpha_v >= alpha_u + lo and beta_v <= beta_u + hi.
     """
-    alpha = [int(a) for a in inst.alpha]
-    beta = [int(b) for b in inst.beta]
+    alpha = inst.alpha.copy()
+    beta = inst.beta.copy()
     tmax = inst.tmax
     changed = True
     while changed:

@@ -12,11 +12,12 @@ same (es, ls, dur) recursion as the fragment calculus, so a priced
 column and the column the master builds for the same sequence agree to
 the last unit.
 
-The label kernel (extend_label) is shared with enumeration.  It reads the
-instance's plain-Python tables and the list form of the reduced arc
-costs, never NumPy scalars.  Both label loops call it only on the tasks
-CostEnv.open_succ leaves: those the kernel does not reject at once on
-the label's earliest start, its load or its memory.
+The label kernel (extend_label) is shared with enumeration.  It reads
+the instance's per-task int lists and t_list, and the list form of the
+reduced arc costs, never NumPy scalars.  Both label loops call it only
+on the tasks CostEnv.open_succ leaves of Instance.succ: those the kernel
+does not reject at once on the label's earliest start, its load or its
+memory.
 
 Elementarity is relaxed to ng form: a label remembers a visited task
 only while it stays inside the neighborhood of the tasks appended after
@@ -121,14 +122,8 @@ class CostEnv:
     price of i and the flow price of a dependent j, minus the price of
     every "arc" row whose set the arc enters; cbar_list holds the same
     floats as lists for the label kernel.  Completion charges and the
-    start-side credit are evaluated on demand.
-
-    succ[e] lists, in index order, every u that some label ending at e
-    could be extended to: alpha_e + d_e + t_eu <= beta_u and
-    q_e + q_u <= Q.  The filter is exact, not a heuristic: such a label
-    has es >= alpha_e and a load that already counts q_e (demands are
-    non-negative), so extend_label rejects every other u on its window
-    or capacity check.  open_succ narrows the list to one label.
+    start-side credit are evaluated on demand.  open_succ narrows the
+    instance's successor lists (Instance.succ) to one label.
 
     "completion" rows' prices are kept in completion_duals, "fragment"
     rows' in fragment_duals: the label searches refuse those
@@ -158,27 +153,19 @@ class CostEnv:
                 self.fragment_duals.append((cut, y))
         self.cbar = cbar
         self.cbar_list = cbar.tolist()
-        alpha, beta, dur, dem = (inst.alpha_list, inst.beta_list,
-                                 inst.dur_list, inst.dem_list)
-        nodes = range(inst.n + 1)
-        self.succ = [
-            [u for u in nodes
-             if alpha[e] + dur[e] + inst.t_list[e][u] <= beta[u]
-             and dem[e] + dem[u] <= inst.Q]
-            for e in nodes]
 
     def open_succ(self, lab: Label) -> list:
-        """The tasks of succ[lab.end] that lab may still go on to: those
-        it reaches in time (lab.es <= inst.reach.slack[end][u]), whose
-        demand fits in the room left, and that its memory does not hold.
-        extend_label rejects every task left out, on its window,
+        """The tasks of inst.succ[lab.end] that lab may still go on to:
+        those it reaches in time (lab.es <= inst.reach.slack[end][u]),
+        whose demand fits in the room left, and that its memory does not
+        hold.  extend_label rejects every task left out, on its window,
         capacity or memory check, so the loops call it on this list
         only."""
-        e, es, mem = lab.end, lab.es, lab.mem
-        dem = self.inst.dem_list
-        slack = self.inst.reach.slack[e]
-        room = self.inst.Q - lab.load - dem[e]
-        return [u for u in self.succ[e]
+        e, es, mem, inst = lab.end, lab.es, lab.mem, self.inst
+        dem = inst.dem
+        slack = inst.reach.slack[e]
+        room = inst.Q - lab.load - dem[e]
+        return [u for u in inst.succ[e]
                 if es <= slack[u] and dem[u] <= room and not mem >> u & 1]
 
     def check_labelable(self) -> None:
@@ -201,9 +188,9 @@ class CostEnv:
             th += load * d.kap_lb.get(end, 0.0)
             if start in inst.vd:
                 key = (start, end)
-                th -= (dur + inst.beta_list[start] - inst.alpha_list[end]) \
+                th -= (dur + inst.beta[start] - inst.alpha[end]) \
                     * d.rho.get(key, 0.0)
-                th -= (inst.Q - inst.dem_list[start] + load) \
+                th -= (inst.Q - inst.dem[start] + load) \
                     * d.lam.get(key, 0.0)
         pair = (start, end)
         rows = self._completion_rows.get(pair)
@@ -244,7 +231,7 @@ def extend_label(lab: Label, u: int, env: CostEnv, ng: dict):
     closing = u == 0 or u in inst.vd
     if not closing and lab.mem >> u & 1:
         return None
-    dem = inst.dem_list
+    dem = inst.dem
     load = lab.load + dem[end]
     if load + dem[u] > inst.Q:
         return None
@@ -288,10 +275,10 @@ def _implied_latest_start(g: Label, inst: Instance) -> int:
     duration cap respected, capacity kept.  Each such partner u caps the
     start at beta_u minus the pair's minimum offset."""
     s, e = g.start, g.end
-    beta, pair = inst.beta_list, inst.pair
+    beta, pair = inst.beta, inst.pair
     best = beta[s]
-    d_e = inst.dur_list[e]
-    a_s = inst.alpha_list[s]
+    d_e = inst.dur[e]
+    a_s = inst.alpha[s]
     for u in inst.dep_adj.get(s, ()):
         forbidden, dmin, dmax = pair[(s, u)]
         if forbidden:
@@ -302,9 +289,9 @@ def _implied_latest_start(g: Label, inst: Instance) -> int:
             continue
         if a_s + dmin > b_u:
             continue
-        if max(g.dur + d_e + travel, inst.alpha_list[u] - g.ls) > dmax:
+        if max(g.dur + d_e + travel, inst.alpha[u] - g.ls) > dmax:
             continue
-        if g.load + inst.dem_list[u] > inst.Q:
+        if g.load + inst.dem[u] > inst.Q:
             continue
         best = min(best, b_u - dmin)
     return best
@@ -397,7 +384,7 @@ def labels_from(start: int, env: CostEnv, ng: dict) -> List[Label]:
     order and candidate tasks are scanned by index, over the label's
     open successors (CostEnv.open_succ)."""
     inst = env.inst
-    if inst.alpha_list[start] > inst.beta_list[start]:
+    if inst.alpha[start] > inst.beta[start]:
         return []
     init = Label((start,), 0, 0, *initial_bounds(start, inst),
                  env.init_cost(start))

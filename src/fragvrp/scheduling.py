@@ -65,8 +65,7 @@ def _order_edges(d, bit):
 def _network(routes, inst):
     """Window openings lo and closings hi of the tasks on the routes, and
     the chain edges between route neighbours; empty routes are skipped."""
-    alpha, beta, dur, t = (inst.alpha_list, inst.beta_list, inst.dur_list,
-                           inst.t_list)
+    alpha, beta, dur, t = inst.alpha, inst.beta, inst.dur, inst.t_list
     lo = {}
     hi = {}
     edges = []
@@ -174,12 +173,12 @@ def extend_schedule(parent, route, pos, inst, dep_edges, free):
     parent's state is not changed.
     """
     lo, hi, edges = parent
-    dur, t = inst.dur_list, inst.t_list
+    dur, t = inst.dur, inst.t_list
     v = route[pos]
     lo = dict(lo)
     hi = dict(hi)
-    lo[v] = inst.alpha_list[v]
-    hi[v] = inst.beta_list[v]
+    lo[v] = inst.alpha[v]
+    hi[v] = inst.beta[v]
     edges = edges + dep_edges
     if pos:
         prev = route[pos - 1]

@@ -123,6 +123,19 @@ class TestSolve:
         assert doc["status"] == "fragment-limit"
         assert math.isfinite(doc["lb"]) and doc["lb"] <= doc["ub"] == 53
 
+    def test_zero_capacity_exit_zero(self, tmp_path, capsys):
+        # capacity 0 is valid when no task has demand
+        tasks = [Task(v, 0, 32 if v else 40, 1 if v else 0, 0)
+                 for v in range(3)]
+        t = [[3 * abs(i - j) for j in range(3)] for i in range(3)]
+        p = tmp_path / "zero.json"
+        save_instance(Instance(tasks, t, t, 2, 0, 40, []), p)
+        assert cli.main(["solve", str(p)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        cost, _ = brute_force_optimal(load_instance(str(p)))
+        assert (doc["status"], doc["ub"]) == ("optimal", cost) == \
+            ("optimal", 12)
+
     def test_infeasible_exit_two(self, infeasible_path, capsys):
         assert cli.main(["solve", infeasible_path]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "infeasible"

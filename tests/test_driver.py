@@ -18,7 +18,7 @@ from fragvrp.driver import (BoundsState, Incumbent, _restricted_master,
                             solution_to_json)
 from fragvrp.enumeration import DeadlinePassed, LimitExceeded
 from fragvrp.instance import (Instance, SolverConfig, Task,
-                              TemporalDependency)
+                              TemporalDependency, validate)
 from fragvrp.master import (LP_TOLERANCE, MasterError, MasterModel,
                             initial_fragments)
 from fragvrp.oracle import arc_model_solve, brute_force_optimal
@@ -455,6 +455,42 @@ class TestRun:
                                  n_deps=3), SolverConfig())
         assert st.status == "optimal"
         assert st.stats["vmin_searches"] == len(searched) > 0
+
+
+class TestPreconditions:
+    def test_invalid_instance_raises(self):
+        # t(2, 1) = 10 but 2 -> 3 -> 1 takes 2: the reach table would rule
+        # task 1 out after 2, and the solve answered infeasible, while
+        # the route (2, 3, 1) meets every window
+        tasks = [Task(0, 0, 40, 0, 0), Task(1, 0, 6, 1, 1),
+                 Task(2, 0, 2, 1, 1), Task(3, 0, 40, 1, 1)]
+        t = [[0, 2, 2, 2], [2, 0, 10, 1], [2, 10, 0, 1], [2, 1, 1, 0]]
+        inst = Instance(tasks, t, t, 1, 10, 40, ())
+        cost, inc = brute_force_optimal(inst)
+        assert (cost, inc.routes) == (6, ((2, 3, 1),))
+        with pytest.raises(ValueError, match="invalid instance: travel_time "
+                                             "violates the triangle"):
+            run(inst)
+
+    @pytest.mark.parametrize("n_tasks", [2, 4, 5])
+    def test_zero_capacity_without_demand(self, n_tasks):
+        # validate allows capacity 0 when every demand is 0; the capacity
+        # bound ceil(q(S)/Q) once divided by it
+        rng = np.random.default_rng(n_tasks)
+        for _ in range(4):
+            base = random_instance(rng, n_tasks=n_tasks, n_deps=n_tasks // 2)
+            inst = base.replace(capacity=0, tasks=[
+                Task(t.id, t.alpha, t.beta, t.duration, 0)
+                for t in base.tasks])
+            assert validate(inst) == []
+            best, _ = brute_force_optimal(inst)
+            st = run(inst)
+            if math.isinf(best):
+                assert st.status == "infeasible"
+            else:
+                assert (st.status, st.lb_sol, st.ub_sol) == \
+                    ("optimal", best, best)
+                assert check_solution(st.incumbent, inst)
 
 
 def counting_milps(monkeypatch):

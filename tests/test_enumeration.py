@@ -135,7 +135,7 @@ class TestEnumerate:
 
 
 def reference_remaining(bound, lab):
-    """_CompletionLB.remaining as documented, read off the NumPy arrays:
+    """_CompletionLB.remaining as documented, read off the instance values:
     a departure from the end, and one from every unvisited interior task
     v with es + d_e + t_ev <= beta_v, plus the start, end and cut
     terms."""

@@ -97,6 +97,21 @@ class TestInstanceHelpers:
         assert inst.dmin(1, 0) == 0 and inst.dmax(1, 0) == inst.tmax
         assert inst.vd == frozenset({1, 2})
 
+    def test_per_task_values_are_int_lists(self):
+        # one copy of each value, plain ints even from NumPy-typed records
+        tasks = [Task(*(np.int64(x) for x in (v, 2 * v, 9 + v, v % 2, v)))
+                 for v in range(3)]
+        t = np.ones((3, 3), dtype=np.int64)
+        np.fill_diagonal(t, 0)
+        inst = Instance(tasks, t, t, 2, 10, 20, ())
+        for name, field in (("alpha", "alpha"), ("beta", "beta"),
+                            ("dur", "duration"), ("dem", "demand")):
+            values = getattr(inst, name)
+            assert type(values) is list
+            assert all(type(x) is int for x in values)
+            assert values == [getattr(task, field) for task in tasks]
+        assert inst.succ is inst.succ     # built once, then kept
+
     def test_order_flags(self):
         inst = two_task_instance()
         T = inst.tmax

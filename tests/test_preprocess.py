@@ -187,8 +187,8 @@ class TestWindowTighteningReference:
         ok, reason, alpha, beta = reference_tighten_td_windows(inst)
         assert res.feasible == ok
         if ok:
-            assert res.instance.alpha.tolist() == alpha
-            assert res.instance.beta.tolist() == beta
+            assert res.instance.alpha == alpha
+            assert res.instance.beta == beta
         else:
             # the same dependency; the task named last is one of its two
             # endpoints, which the two rules check in different orders
@@ -225,6 +225,6 @@ class TestPipeline:
                 continue
             again = preprocess(res.instance)
             assert again.feasible
-            assert (again.instance.alpha == res.instance.alpha).all()
-            assert (again.instance.beta == res.instance.beta).all()
+            assert again.instance.alpha == res.instance.alpha
+            assert again.instance.beta == res.instance.beta
             assert again.instance.deps == res.instance.deps

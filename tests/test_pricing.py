@@ -304,10 +304,9 @@ class TestCompletionCost:
                 th += es * d.tau_lb.get(end, 0.0)
                 th += load * d.kap_lb.get(end, 0.0)
                 if start in inst.vd:
-                    th -= (dur + inst.beta_list[start]
-                           - inst.alpha_list[end]) * d.rho.get((start, end),
-                                                               0.0)
-                    th -= (inst.Q - inst.dem_list[start] + load) \
+                    th -= (dur + inst.beta[start]
+                           - inst.alpha[end]) * d.rho.get((start, end), 0.0)
+                    th -= (inst.Q - inst.dem[start] + load) \
                         * d.lam.get((start, end), 0.0)
             for cut, y in env.completion_duals:
                 th -= y * cut.completion_coeff(start, end, es, ls)
@@ -386,7 +385,7 @@ class TestExtendLabel:
         for i in range(12):
             inst = random_instance(rng, n_tasks=6, n_deps=2)
             if i % 2:
-                top = max(int(inst.dem.max()), 1)
+                top = max(max(inst.dem), 1)
                 inst = inst.replace(capacity=int(rng.integers(top, 2 * top)))
             for lab in all_labels_no_dominance(inst, zero_duals(inst),
                                                exact_memory(inst)):
@@ -541,12 +540,8 @@ class FullScanEnv(CostEnv):
     """The same prices, with every task offered to every label: no
     successor list, and no skip before the kernel."""
 
-    def __init__(self, duals, inst):
-        super().__init__(duals, inst)
-        self.succ = [list(range(inst.n + 1))] * (inst.n + 1)
-
     def open_succ(self, lab):
-        return self.succ[lab.end]
+        return list(range(self.inst.n + 1))
 
 
 def label_record(lab):
@@ -561,7 +556,7 @@ def priced_cases(draw):
     inst = random_instance(rng, n_tasks=draw(st.integers(3, 6)),
                            n_deps=draw(st.integers(0, 3)))
     if draw(st.booleans()):
-        top = max(int(inst.dem.max()), 1)
+        top = max(max(inst.dem), 1)
         inst = inst.replace(capacity=draw(st.integers(top, 2 * top)))
     duals = random_sign_duals(rng, inst, with_cuts=draw(st.booleans()))
     ng_size = draw(st.integers(0, inst.n))
@@ -575,12 +570,18 @@ class TestSuccessorLists:
         inst, duals, ng_size = case
         env = CostEnv(duals, inst)
         nodes = range(inst.n + 1)
-        # the documented filter, read off the NumPy arrays
+        # one table per instance, which a pricing context only reads
+        assert not hasattr(env, "succ")
+        # the documented filter, read off the Task records and inst.t
+        alpha = [t.alpha for t in inst.tasks]
+        beta = [t.beta for t in inst.tasks]
+        dur = [t.duration for t in inst.tasks]
+        dem = [t.demand for t in inst.tasks]
         for e in nodes:
-            assert env.succ[e] == [
+            assert inst.succ[e] == [
                 u for u in nodes
-                if inst.alpha[e] + inst.dur[e] + inst.t[e, u] <= inst.beta[u]
-                and inst.dem[e] + inst.dem[u] <= inst.Q]
+                if alpha[e] + dur[e] + inst.t[e, u] <= beta[u]
+                and dem[e] + dem[u] <= inst.Q]
         # sound: every task left out, of the list or by the loops' skip,
         # fails on every reachable label
         ng = ng_neighborhoods(inst, ng_size)
@@ -588,7 +589,7 @@ class TestSuccessorLists:
             if is_complete(lab, inst):
                 continue
             opened = env.open_succ(lab)
-            assert set(opened) <= set(env.succ[lab.end])
+            assert set(opened) <= set(inst.succ[lab.end])
             for u in set(nodes) - set(opened):
                 assert extend_label(lab, u, env, ng) is None
         # pricing and enumeration equal a full scan of the same kernel
@@ -608,7 +609,7 @@ class TestSuccessorLists:
 def out_of_reach(u, es, inst):
     """The dependency-free tasks v a label ending at u with earliest
     start es can no longer reach in time: es + d_u + t_uv > beta_v, read
-    off the NumPy arrays."""
+    off the instance's values, not its reach table."""
     return frozenset(v for v in interior_tasks(inst)
                      if es + inst.dur[u] + inst.t[u, v] > inst.beta[v])
 
@@ -621,7 +622,7 @@ def reference_labels_from(start, env, ng):
     projection of its parent's memory, its own end, and every task its
     end can no longer reach.  Returns (label, memory set) pairs."""
     inst = env.inst
-    if inst.alpha_list[start] > inst.beta_list[start]:
+    if inst.alpha[start] > inst.beta[start]:
         return []
     hoods = {u: bits(mask) for u, mask in ng.items()}
 
@@ -654,7 +655,7 @@ def reference_labels_from(start, env, ng):
         lab, mem = heapq.heappop(heap)[-2:]
         if buckets[lab.end].get(lab.tasks, (None,))[0] is not lab:
             continue
-        for u in env.succ[lab.end]:
+        for u in inst.succ[lab.end]:
             child = extend_label(lab, u, env, ng)
             closing = u == 0 or u in inst.vd
             if not closing and u in mem:
