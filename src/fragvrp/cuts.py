@@ -60,7 +60,8 @@ class Row:
     Completion rows are 'L' rows, so their duals are nonpositive up to
     the LP tolerance.  The coefficient is a nonnegative integer, at most
     coeff_max, that depends on (start, end, es, ls) only, never falls as
-    es grows and never rises as ls grows.
+    es grows and never rises as ls grows.  It reads es only when the end
+    is a dependent task and ls only when the start is one.
     """
 
     sense = "L"

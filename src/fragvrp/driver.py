@@ -4,7 +4,11 @@ The solve proceeds in six steps: tighten the instance, settle the LP
 relaxation by column-and-row generation, guess an upper bound from a
 restricted integer solve, enumerate every fragment priced within the
 candidate gap, reduce the enumerated pool, and close the bracket with
-a final integer solve.  Step 3 is skipped when the converged LP is
+a final integer solve.  Reduction first keeps, of the orderings of each
+task set between the same endpoints, those no other ordering dominates
+in the round master's rows (enumeration.keep_undominated), then applies
+the route bound and the re-solve; the first-incumbent MILP's columns
+are not filtered.  Step 3 is skipped when the converged LP is
 integral: fragment weights all 0 or 1 and the artificial column at 0.
 Its solution, once decoded and verified, costs the lower bound, so it
 is the optimum and the solve ends there.  Costs are integers, so the
@@ -28,7 +32,8 @@ solve with fragment-limit.  The final solve looks only below the
 incumbent, so a round's master holds only the initial columns and the
 reduced pool.
 
-One deadline, cfg.time_limit after the start, bounds every phase; the
+One deadline, cfg.time_limit after the start, bounds every phase; a
+round whose enumeration returns past it stops before reducing.  The
 first-incumbent solve, repairs included, gets T_GUESS seconds at most.
 It caps that MILP only, so an instance whose integral LP is the first
 incumbent keeps it at any T_GUESS.  The two budgets, time_limit and
@@ -49,8 +54,8 @@ import numpy as np
 
 from . import cuts as cutlib
 from .enumeration import (DeadlinePassed, LimitExceeded,
-                          enumerate_fragments, reduce_by_resolve,
-                          reduce_by_route_bound)
+                          enumerate_fragments, keep_undominated,
+                          reduce_by_resolve, reduce_by_route_bound)
 from .instance import Instance, SolverConfig, validate
 from .master import LP_TOLERANCE, MasterError, MasterModel, \
     artificial_cost, build_initial, initial_fragments
@@ -399,7 +404,8 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         "cuts_by_kind": {"FSEC": 0, "TIFI": 0, "TDIFI": 0, "RCC": 0},
         "wall_times": {},
         "lb_certified": 0.0,
-        # one entry per gap round that reached its final integer solve
+        # one entry per gap round that reached its final integer solve:
+        # the pool as enumerated, after keep_undominated, and as kept
         "rounds": [],
     }
     counts = stats["cuts_by_kind"]
@@ -491,11 +497,15 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
             status = "fragment-limit"
             break
         stats["fragments_enumerated"] += len(pool)
+        if time.monotonic() >= deadline:
+            status = "time-limit"
+            break
         gap = max(0.0, ub_cand - lb_cert)
 
         t0 = time.monotonic()
-        alive = reduce_by_route_bound(pool, lbres.duals, gap, pinst)
         m = _restricted_master(pinst, lbres.cuts)
+        undominated = keep_undominated(pool, m.cuts)
+        alive = reduce_by_route_bound(undominated, lbres.duals, gap, pinst)
         kept, _, _ = reduce_by_resolve(alive, m, ub_cand)
         mark("reduce", t0)
 
@@ -509,6 +519,7 @@ def run(inst: Instance, cfg: SolverConfig = None) -> BoundsState:
         val, inc, proven = _solve_restricted(m, pinst, deadline, counts,
                                              cutoff=cutoff)
         stats["rounds"].append({"ub_cand": ub_cand, "enumerated": len(pool),
+                                "undominated": len(undominated),
                                 "kept": len(kept), "milp_value": _num(val),
                                 "milp_s": mark("final_milp", t0)})
         if val < ub_sol:

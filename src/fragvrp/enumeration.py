@@ -14,12 +14,19 @@ the triangle inequality and non-negative durations, a task whose window
 closes before the earliest direct arrival from the branch's end is never
 visited by any completion.
 
-Two reduction passes follow.  The route bound removes fragments that no
-schedulable predecessor/successor pair can embed in a route within the
-budget, iterated to a fixed point.  The re-solve pass adds the surviving
-set to a restricted master (capacity cuts lifted to their fragment form),
-prices every column against the fresh duals, and drops those above the
-new, usually tighter, budget, from the pool and from the master alike.
+Three reduction passes follow.  The dominance pass (keep_undominated)
+drops a fragment when another ordering of the same task set between the
+same endpoints has a column no worse in every row of the round master,
+so any solution using the first can use the second at no higher cost;
+it usually leaves one fragment per start, end and task set (Baldacci,
+Christofides & Mingozzi, Math. Prog. 2008; Baldacci, Mingozzi & Roberti,
+Oper. Res. 2011, with the schedule as a resource).  The route bound
+removes fragments that no schedulable predecessor/successor pair can
+embed in a route within the budget, iterated to a fixed point.  The
+re-solve pass adds the surviving set to a restricted master (capacity
+cuts lifted to their fragment form), prices every column against the
+fresh duals, and drops those above the new, usually tighter, budget,
+from the pool and from the master alike.
 """
 
 from __future__ import annotations
@@ -187,6 +194,47 @@ def enumerate_fragments(duals: DualValues, gap: float, inst: Instance,
     kept.sort(key=lambda p: p[0])
     return [assemble(seq, inst, (lab.es, lab.ls, lab.dur))
             for seq, lab in kept]
+
+
+def keep_undominated(frags: Sequence[Fragment],
+                     rows: Sequence) -> List[Fragment]:
+    """The fragments no other ordering of their task set, between the
+    same start and end, dominates in the master whose cut rows are rows.
+
+    g dominates f when g costs no more, has no later es if the end is a
+    dependent task, no earlier ls if the start is one, no longer dur if
+    both are, and in every "arc" row, a 'G' row counting the arcs that
+    enter its set, no smaller a count, as that depends on the order.
+    Every other entry of the column is equal within the group (cover,
+    flow, load, FSEC and FRCC rows read only the endpoints and the set)
+    or only loosens (the start-time rows, and the completion rows by the
+    cuts.Row contract).
+
+    Each group is scanned in (cost, es, -ls, dur, arc counts, tasks)
+    order, the values no row reads taken as 0, and a fragment is kept
+    unless one kept before it dominates it; that order extends the
+    dominance, so of equal columns the least task sequence stays.
+    Output sorted by task sequence.
+    """
+    arcs = [r for r in rows if r.charge == "arc"]
+    groups: Dict[tuple, List[Tuple[tuple, Fragment]]] = {}
+    for f in frags:
+        dep_start, dep_end = f.start != 0, f.end != 0
+        key = (f.cost, f.es if dep_end else 0, -f.ls if dep_start else 0,
+               f.dur if dep_start and dep_end else 0,
+               *(-r.fragment_coeff(f) for r in arcs))
+        groups.setdefault((f.start, f.end, frozenset(f.tasks)),
+                          []).append((key, f))
+    out: List[Fragment] = []
+    for members in groups.values():
+        members.sort(key=lambda m: (m[0], m[1].tasks))
+        kept: List[tuple] = []
+        for key, f in members:
+            if not any(all(a <= b for a, b in zip(k, key)) for k in kept):
+                kept.append(key)
+                out.append(f)
+    out.sort(key=lambda f: f.tasks)
+    return out
 
 
 def reduce_by_route_bound(frags: Sequence[Fragment], duals: DualValues,

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fragvrp.cuts as cutlib
-from fragvrp.cuts import (FrccCut, FsecCut, RccCut, VminCalculator,
-                          lift_rcc_to_frcc, make_tdifi, make_tifi, rcc_rhs,
+from fragvrp.cuts import (TDIFI_VARIANTS, FrccCut, FsecCut, RccCut,
+                          VminCalculator, lift_rcc_to_frcc, make_tdifi,
+                          make_tifi, rcc_rhs,
                           separate_fsec, separate_rcc, separate_tdifi,
                           separate_tifi)
 from fragvrp.fragments import build_fragment
@@ -128,6 +129,40 @@ class TestCoefficients:
         assert rcc_rhs((3,), inst) == 1
         zero = line_instance(2, demands=[0, 0], capacity=10)
         assert rcc_rhs((1, 2), zero) == 0
+
+
+class TestCompletionContract:
+    def test_es_read_only_at_a_dependent_end_ls_at_a_dependent_start(self):
+        # cuts.Row: at a depot end a completion row's coefficient is the
+        # same for every es, at a depot start for every ls.  The sweep
+        # crosses every threshold, and at dependent ends and starts the
+        # interval rows do move with es and ls, so the check has teeth.
+        inst = line_instance(4, deps=[dep(1, 2, (2, 5, 1, 7))])
+        rows = [FsecCut(S=frozenset((1, 2)), vmin=1),
+                make_tifi(1, 10), make_tifi(2, 10)]
+        rows += [make_tdifi(1, 2, variant, 10, inst)
+                 for variant in TDIFI_VARIANTS]
+        ends = [0] + sorted(inst.vd)
+        times = range(0, 30)
+        moved = collections.Counter()
+        for row in rows:
+            for start, end in itertools.product(ends, ends):
+                if start == end:
+                    continue
+                for es, ls in itertools.product(times, times):
+                    c = row.completion_coeff(start, end, es, ls)
+                    if end == 0:
+                        assert c == row.completion_coeff(start, end, 0, ls)
+                    else:
+                        moved["es", row.kind] += \
+                            c != row.completion_coeff(start, end, 0, ls)
+                    if start == 0:
+                        assert c == row.completion_coeff(start, end, es, 0)
+                    else:
+                        moved["ls", row.kind] += \
+                            c != row.completion_coeff(start, end, es, 0)
+        assert all(moved[side, kind] for side in ("es", "ls")
+                   for kind in ("TIFI", "TDIFI"))
 
 
 def exhaustive_vmin(S, inst):

@@ -373,6 +373,47 @@ class TestRun:
         assert st.stats["rounds"] == []
         assert "enumerate" in st.stats["wall_times"]
 
+    def test_time_limit_before_reduce(self, monkeypatch):
+        # an enumeration that returns its pool after the deadline: the
+        # round stops there, before its reduce phase, and the solve keeps
+        # the bracket it has certified.  The driver's clock jumps past
+        # the deadline as the stand-in returns.
+        inst = solomon_instance("S101", "max-diff", 0.2, 22)
+        enum = driver.enumerate_fragments
+        returned = []
+
+        class Clock:
+            skew = 0.0
+
+            @classmethod
+            def monotonic(cls):
+                return time.monotonic() + cls.skew
+
+        def enumerate_fragments(duals, gap, inst, f_max, deadline):
+            pool = enum(duals, gap, inst, f_max, deadline)
+            Clock.skew = deadline - time.monotonic() + 1.0
+            returned.append(len(pool))
+            return pool
+
+        def reduced(*args, **kwargs):
+            raise AssertionError("reduce ran past the deadline")
+
+        monkeypatch.setattr(driver, "time", Clock)
+        monkeypatch.setattr(driver, "enumerate_fragments",
+                            enumerate_fragments)
+        for name in ("keep_undominated", "reduce_by_route_bound",
+                     "reduce_by_resolve"):
+            monkeypatch.setattr(driver, name, reduced)
+        st = run(inst, SolverConfig(time_limit=60.0))
+        assert returned == [571]
+        assert st.status == "time-limit"
+        assert st.lb_sol == st.stats["lb_certified"] <= st.ub_sol == 342
+        assert check_solution(st.incumbent, inst)
+        assert st.stats["rounds"] == []
+        assert st.stats["fragments_enumerated"] == 571
+        assert "enumerate" in st.stats["wall_times"]
+        assert "reduce" not in st.stats["wall_times"]
+
     def test_preprocess_infeasibility(self):
         bad = line_instance(
             n=2, deps=[TemporalDependency(1, 2, 10, 10, 10, 10)],
@@ -561,8 +602,10 @@ class TestIntegralLowerBound:
         assert first == [342]
         assert st.stats["first_incumbent"] == "milp"
         assert "initial_ub" in st.stats["wall_times"]
-        assert [(r["ub_cand"], r["enumerated"])
-                for r in st.stats["rounds"]] == [(341, 571)]
+        # the pool as enumerated, and after keep_undominated
+        assert [(r["ub_cand"], r["enumerated"], r["undominated"])
+                for r in st.stats["rounds"]] == [(341, 571, 373)]
+        assert st.stats["fragments_enumerated"] == 571
         assert (st.status, st.lb_sol, st.ub_sol) == ("optimal", 340, 340)
 
     @pytest.mark.parametrize("fail", ["decode", "verify"])
@@ -842,6 +885,7 @@ class TestIntegralCandidateBound:
             assert len(st.stats["rounds"]) == st.stats["iterations"]
             for r in st.stats["rounds"]:
                 assert r["ub_cand"] == int(r["ub_cand"])
+                assert r["enumerated"] >= r["undominated"] >= r["kept"]
         assert gaps >= 10
 
     def test_cutoff_leaves_every_bound_and_round(self, gap_runs,
@@ -933,8 +977,8 @@ class TestRoundSchedule:
         inst = solomon_instance("S101", "synchronization", 0.2, 20)
         st = run(inst, SolverConfig())
         assert st.status == "optimal" and st.ub_sol == 344
-        assert [(r["ub_cand"], r["enumerated"])
-                for r in st.stats["rounds"]] == [(344, 413)]
+        assert [(r["ub_cand"], r["enumerated"], r["undominated"])
+                for r in st.stats["rounds"]] == [(344, 413, 306)]
         # one fragment fewer allowed: the schedule's round at 338 (291
         # fragments) proves nothing costs 338 or less, and its next
         # round, capped at 344, needs the same 413 fragments
@@ -1138,23 +1182,24 @@ class TestRoundMaster:
     rejected; the final MILP then solves that master.  It must be, array
     for array, the master a fresh build over the kept fragments gives."""
 
-    @pytest.mark.parametrize("n_tasks,n_deps,seed,refuse", [
+    @pytest.mark.parametrize("n_tasks,n_deps,seed,refuse,rejects", [
         # with the pool at ub - 1 refused as past f_max, the schedule's
         # one round, at 40, rejects six fragments and finds the optimum
-        pytest.param(8, 2, 132, True, id="8-2-132"),
-        # refused likewise: three rounds; the first, at 58, rejects two,
-        # the second, at 61, rejects none and finds the optimum 64, the
-        # third, at 63, rejects none
-        pytest.param(9, 2, 341, True, id="9-2-341"),
+        pytest.param(8, 2, 132, True, [6], id="8-2-132"),
+        # refused likewise: three rounds, at 58, at 61, which finds the
+        # optimum 64, and at 63; none rejects a fragment, as the two the
+        # first used to reject are dominated, so keep_undominated drops
+        # them before the re-solve sees them
+        pytest.param(9, 2, 341, True, [0, 0, 0], id="9-2-341"),
         # refused likewise: two rounds; the first, at 41, rejects none,
         # the second, at 43, rejects three
-        pytest.param(9, 3, 67, True, id="9-3-67"),
+        pytest.param(9, 3, 67, True, [0, 3], id="9-3-67"),
         # one round, at ub - 1; rejects eight, one of them an initial
         # fragment
-        pytest.param(7, 3, 17, False, id="7-3-17"),
+        pytest.param(7, 3, 17, False, [8], id="7-3-17"),
     ])
     def test_rounds_match_a_fresh_build(self, monkeypatch, n_tasks, n_deps,
-                                        seed, refuse):
+                                        seed, refuse, rejects):
         make = driver._restricted_master
         resolve = driver.reduce_by_resolve
         solve = driver._solve_restricted
@@ -1188,7 +1233,7 @@ class TestRoundMaster:
         st = run(inst, SolverConfig())
         assert st.status == "optimal"
         rounds = len(st.stats["rounds"])
-        assert rounds == len(reduced) and any(reduced)
+        assert reduced == rejects and rounds == len(rejects)
         # one master for the first incumbent, then exactly one per round
         assert len(built) == 1 + rounds
         assert solved == [m for _, m in built]

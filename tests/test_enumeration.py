@@ -1,17 +1,22 @@
+import collections
 import math
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fragvrp import cuts
+from fragvrp.driver import _restricted_master, compute_lower_bound
 from fragvrp.enumeration import (DeadlinePassed, LimitExceeded,
                                  _CompletionLB, enumerate_fragments,
-                                 reduce_by_resolve, reduce_by_route_bound)
-from fragvrp.fragments import build_fragment, initial_bounds
+                                 keep_undominated, reduce_by_resolve,
+                                 reduce_by_route_bound)
+from fragvrp.fragments import Fragment, build_fragment, initial_bounds
 from fragvrp.instance import Task, TemporalDependency
 from fragvrp.master import LP_TOLERANCE, build_initial
+from fragvrp.preprocess import preprocess
 from fragvrp.pricing import (CostEnv, Label, exact_memory, extend_label,
                              fragment_reduced_cost, interior_tasks,
                              is_complete, solve_pricing)
@@ -193,6 +198,131 @@ class TestCompletionBound:
             gap = max(gap, 0.0)
             want = [f for f, r in zip(exh, rc) if r <= gap + LP_TOLERANCE]
             assert enumerate_fragments(duals, gap, inst) == want
+
+
+def frag(tasks, cost, es=0, ls=0, dur=0):
+    """A fragment record as keep_undominated reads it: no instance."""
+    return Fragment(tuple(tasks), cost, 0, es, ls, dur)
+
+
+def kept_tasks(frags, rows=()):
+    return [f.tasks for f in keep_undominated(frags, rows)]
+
+
+class TestKeepUndominated:
+    def test_one_survivor_per_dominance_chain(self):
+        # three orderings of {1, ..., 5} from 1 to 5, each dominating the
+        # next; beside them an incomparable pair from 1 to 2 (cheaper
+        # against earlier es) and groups of one
+        chain = [frag((1, 4, 3, 2, 5), 12, es=20, ls=8, dur=7),
+                 frag((1, 3, 2, 4, 5), 10, es=18, ls=9, dur=6),
+                 frag((1, 2, 3, 4, 5), 11, es=19, ls=9, dur=6)]
+        pair = [frag((1, 3, 4, 2), 10, es=30, ls=5, dur=9),
+                frag((1, 4, 3, 2), 11, es=25, ls=5, dur=9)]
+        alone = [frag((0, 3, 0), 4), frag((1, 3, 2), 10, es=30, ls=5, dur=9)]
+        assert kept_tasks(chain + pair + alone) == \
+            [(0, 3, 0), (1, 3, 2), (1, 3, 2, 4, 5), (1, 3, 4, 2),
+             (1, 4, 3, 2)]
+
+    def test_ties_break_on_tasks(self):
+        # equal columns: the least task sequence stays, in any input order
+        group = [frag(seq, 9, es=12, ls=3, dur=5)
+                 for seq in ((2, 5, 4, 3, 1), (2, 3, 4, 5, 1),
+                             (2, 4, 3, 5, 1))]
+        for k in range(3):
+            assert kept_tasks(group[k:] + group[:k]) == [(2, 3, 4, 5, 1)]
+
+    def test_depot_ends_read_neither_es_nor_ls(self):
+        # from the depot to the depot only the cost counts: the tie on
+        # cost breaks on tasks, whatever es, ls and dur say
+        loop = [frag((0, 1, 2, 0), 8, es=50, ls=0, dur=40),
+                frag((0, 2, 1, 0), 8, es=30, ls=5, dur=20)]
+        assert kept_tasks(loop) == [(0, 1, 2, 0)]
+        # a depot end reads ls only, a depot start es only
+        tail = [frag((3, 1, 2, 0), 8, es=50, ls=10, dur=40),
+                frag((3, 2, 1, 0), 8, es=30, ls=12, dur=20)]
+        assert kept_tasks(tail) == [(3, 2, 1, 0)]
+        head = [frag((0, 1, 2, 3), 8, es=30, ls=10, dur=40),
+                frag((0, 2, 1, 3), 8, es=31, ls=0, dur=20)]
+        assert kept_tasks(head) == [(0, 1, 2, 3)]
+        # with both ends dependent, all three count: the cheaper ordering
+        # with the later es stays beside the other
+        both = [frag((3, 1, 2, 4), 8, es=31, ls=10, dur=20),
+                frag((3, 2, 1, 4), 9, es=30, ls=10, dur=20)]
+        assert kept_tasks(both) == [(3, 1, 2, 4), (3, 2, 1, 4)]
+        both[1] = frag((3, 2, 1, 4), 9, es=31, ls=10, dur=19)
+        assert kept_tasks(both) == [(3, 1, 2, 4), (3, 2, 1, 4)]
+        both[1] = frag((3, 2, 1, 4), 9, es=31, ls=10, dur=20)
+        assert kept_tasks(both) == [(3, 1, 2, 4)]
+
+    def test_unlifted_rcc_row_keeps_the_ordering_entering_more(self):
+        # S = {1, 3}: (0, 1, 3, 2, 0) enters it once, (0, 1, 2, 3, 0)
+        # twice.  The cheaper one enters fewer times, so with the 'G'
+        # row in the master neither dominates; lifted to an FRCC, whose
+        # entry is 1 for both, or without it, the cheaper one stays alone.
+        S = frozenset((1, 3))
+        once = frag((0, 1, 3, 2, 0), 10)
+        twice = frag((0, 1, 2, 3, 0), 12)
+        rcc = cuts.RccCut(S=S, rhs=2.0)
+        assert rcc.fragment_coeff(once) == 1
+        assert rcc.fragment_coeff(twice) == 2
+        assert kept_tasks([twice, once], [rcc]) == \
+            [(0, 1, 2, 3, 0), (0, 1, 3, 2, 0)]
+        lifted = cuts.lift_rcc_to_frcc(rcc)
+        assert kept_tasks([twice, once], [lifted]) == [(0, 1, 3, 2, 0)]
+        assert kept_tasks([twice, once]) == [(0, 1, 3, 2, 0)]
+        # the ordering entering more, no dearer, dominates
+        assert kept_tasks([frag((0, 1, 2, 3, 0), 10), once], [rcc]) == \
+            [(0, 1, 2, 3, 0)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 7),
+           st.sampled_from([5.0, 15.0]))
+    def test_round_milp_optimum_unchanged(self, seed, n_tasks, gap):
+        # each dropped fragment has a kept ordering of its set between
+        # its ends whose column in the round master is no worse row by
+        # row, and the round master over the filtered pool has the
+        # optimum of the one over the full pool, or is infeasible with it
+        inst = random_instance(np.random.default_rng(seed), n_tasks=n_tasks)
+        pre = preprocess(inst)
+        assume(pre.feasible)
+        pinst = pre.instance
+        lb = compute_lower_bound(pinst)
+        assume(lb.status == "optimal")
+        try:
+            pool = enumerate_fragments(lb.duals, gap, pinst, f_max=3000)
+        except LimitExceeded:
+            assume(False)
+        rows = _restricted_master(pinst, lb.cuts)
+        undominated = keep_undominated(pool, rows.cuts)
+        kept = {f.tasks for f in undominated}
+        assert kept <= {f.tasks for f in pool}
+
+        def column(f):
+            col = collections.Counter()
+            for r, a in rows._fragment_entries(f):
+                col[r] += a
+            return col
+
+        def no_worse(g, f):
+            cg, cf = column(g), column(f)
+            ok = {"E": float.__eq__, "L": float.__le__, "G": float.__ge__}
+            return g.cost <= f.cost and all(
+                ok[rows.senses[r]](float(cg[r]), float(cf[r]))
+                for r in cg.keys() | cf.keys())
+
+        for f in pool:
+            if f.tasks not in kept:
+                assert any(no_worse(g, f) for g in undominated
+                           if (g.start, g.end, set(g.tasks))
+                           == (f.start, f.end, set(f.tasks))), f.tasks
+        full = _restricted_master(pinst, lb.cuts, pool).solve_integer()
+        filtered = _restricted_master(pinst, lb.cuts,
+                                      undominated).solve_integer()
+        assert filtered.status == full.status
+        if full.status == "optimal":
+            assert filtered.objective == pytest.approx(full.objective,
+                                                       abs=1e-6)
 
 
 class TestRouteBound:
